@@ -84,19 +84,29 @@ DEFAULTS: dict = {
 }
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"grid values must be finite, got {text!r}")
+    return value
+
+
 def parse_grid(spec: str) -> list:
-    """Parse "start:stop:step" (inclusive) or a comma list into floats."""
+    """Parse "start:stop:step" (inclusive) or a comma list into finite floats."""
     spec = spec.strip()
     if not spec:
         raise ConfigError("empty grid specification")
     if "," in spec:
-        return [float(x) for x in spec.split(",") if x.strip()]
+        return [_finite(x) for x in spec.split(",") if x.strip()]
     parts = spec.split(":")
     if len(parts) == 1:
-        return [float(parts[0])]
+        return [_finite(parts[0])]
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:step or a comma list, got {spec!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = (_finite(p) for p in parts)
     if step <= 0 or stop < start:
         raise ConfigError(f"bad grid bounds {spec!r}")
     out = []
@@ -370,6 +380,16 @@ def resolve_config(experiment: str, file_params: dict, flag_params: dict,
                     f"unknown parameter {key!r} for experiment {experiment!r} "
                     f"(from {source}); known: {sorted(params)}")
             params[key] = value
+    if not 0.0 < cutoff_epsilon < 1.0:
+        raise ConfigError(f"cutoff epsilon must lie in (0, 1), got {cutoff_epsilon!r}")
+    for key, value in params.items():
+        default = DEFAULTS[experiment][key]
+        if isinstance(default, (int, float)) and not isinstance(default, bool):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"parameter {key!r} must be a finite number, got {value!r}")
+        elif key in GRID_KEYS and str(value).strip():
+            parse_grid(str(value))
     return RunConfig(experiment, params, cutoff_epsilon, jobs, output_path)
 
 
@@ -408,7 +428,7 @@ def write_output(config: RunConfig, result: ExperimentResult) -> str:
         "converged": _is_converged(result),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if config.output_path:
         out = Path(config.output_path)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -515,7 +535,11 @@ def main(argv: list | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    text = write_output(config, result)
+    try:
+        text = write_output(config, result)
+    except ValueError as err:  # a non-finite number in the result
+        print(f"non-converged: {err}", file=sys.stderr)
+        return EXIT_NONCONVERGED
     if not config.output_path:
         print(text)
     else:

@@ -137,7 +137,7 @@ def polarizer(state: PureState, path: int, kind: str) -> BranchedOutcome:
 
 def displace(state: PureState, m: ModeLabel, beta: complex,
              tail_eps: float = 1e-10) -> PureState:
-    """Displacement D(beta) on one mode via the exact matrix exponential.
+    """Displacement D(beta) on one mode, exactly unitary on the truncated space.
 
     Raises a cutoff error when the displaced state piles more than
     ``tail_eps`` probability onto the top retained Fock level.

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.special import betainc, pdtrc
 
 DEFAULT_PRUNE_EPS = 1e-16
 DEFAULT_TAIL_EPS = 1e-12
@@ -326,23 +325,34 @@ def apply_creation(state: PureState, m: ModeLabel) -> PureState:
 
 
 # ---------------------------------------------------------------------------
-# two-mode mixer (beam splitter family)
+# Gaussian-gate unitaries and the two-mode mixer (beam splitter family)
+
+#: generator kind -> (step, couplings c): G = diag(c, -step) - diag(c, step)
+#: on levels n = 0..dim-1 is real antisymmetric, and the gate is exp(t G)
+_COUPLINGS = {
+    "displace": (1, lambda n: np.sqrt(n[1:])),  # a† - a
+    "squeeze": (2, lambda n: 0.5 * np.sqrt(n[1:-1] * n[2:])),  # (a†² - a²)/2
+    "mix": (1, lambda n: np.sqrt(n[1:] * n[:0:-1])),  # a†b - ab† on |n, dim-1-n>
+}
+#: eigendecomposition of i*G per (generator kind, dimension)
+_SPECTRA: dict = {}
 
 
-@lru_cache(maxsize=None)
-def _mixer_block(theta: float, phase: float, total: int) -> np.ndarray:
-    """Unitary block of exp[theta(e^{i phase} a†b - e^{-i phase} a b†)] on the
-    subspace of fixed total photon number, basis |k>_a|total-k>_b."""
-    dim = total + 1
-    gen = np.zeros((dim, dim), dtype=complex)
-    for k in range(total):
-        # a†b : (k, T-k) -> (k+1, T-k-1)
-        val = math.sqrt((k + 1) * (total - k))
-        gen[k + 1, k] = theta * np.exp(1j * phase) * val
-        gen[k, k + 1] = -theta * np.exp(-1j * phase) * val
-    out = expm(gen)
-    out.setflags(write=False)
-    return out
+def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.ndarray:
+    """exp(t G) conjugated by diag(e^{i phase n}), from the cached spectrum of i*G.
+
+    i*G = V diag(lam) V† is Hermitian, so exp(t G) = V diag(e^{-i t lam}) V†.
+    The conjugation turns a† into e^{i phase} a† (a†b into e^{i phase} a†b),
+    exactly on the truncated space too.
+    """
+    if (kind, dim) not in _SPECTRA:
+        step, couplings = _COUPLINGS[kind]
+        c = couplings(np.arange(dim, dtype=float))
+        _SPECTRA[kind, dim] = np.linalg.eigh(1j * (np.diag(c, -step) - np.diag(c, step)))
+    lam, vecs = _SPECTRA[kind, dim]
+    if phase:
+        vecs = np.exp(1j * phase * np.arange(dim))[:, None] * vecs
+    return (vecs * np.exp(-1j * t * lam)) @ vecs.conj().T
 
 
 def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
@@ -369,12 +379,12 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
 
     amps: dict = {}
     deficit = state.norm_deficit
+    blocks = {t: _gaussian_unitary("mix", t + 1, theta, phase) for t in {t for _, t in groups}}
     for (rest, total), items in groups.items():
-        block = _mixer_block(float(theta), float(phase), total)
         v = np.zeros(total + 1, dtype=complex)
         for na, amp in items:
             v[na] += amp
-        w = block @ v
+        w = blocks[total] @ v
         for na in range(total + 1):
             amp = w[na]
             if amp == 0.0:
@@ -431,29 +441,16 @@ def apply_single_mode_matrix(state: PureState, m: ModeLabel, matrix: np.ndarray,
     return _finish(reg, amps, state.norm_deficit)
 
 
-@lru_cache(maxsize=None)
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     """D(beta) = exp(beta a† - beta* a) on the truncated mode (exactly unitary)."""
-    gen = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 1):
-        val = math.sqrt(n + 1)
-        gen[n + 1, n] = beta * val
-        gen[n, n + 1] = -np.conj(beta) * val
-    out = expm(gen)
-    out.setflags(write=False)
-    return out
+    return _gaussian_unitary("displace", dim, abs(beta), float(np.angle(beta)))
 
 
-@lru_cache(maxsize=None)
 def squeeze_matrix(r: float, dim: int) -> np.ndarray:
     """S(r) = exp[(r/2)(a†² - a²)] on the truncated mode (exactly unitary)."""
-    gen = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim - 2):
-        val = 0.5 * math.sqrt((n + 1) * (n + 2))
-        gen[n + 2, n] = r * val
-        gen[n, n + 2] = -r * val
-    out = expm(gen)
-    out.setflags(write=False)
+    out = _gaussian_unitary("squeeze", dim, r)
+    n = np.arange(dim)
+    out[(n[:, None] + n) % 2 == 1] = 0.0  # S(r) keeps parity; drop eigh round-off
     return out
 
 
@@ -536,35 +533,33 @@ def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> DensityView:
 # cutoff selection rule
 
 
+def _first_below(tail, tail_eps: float) -> int:
+    """Smallest k >= 0 with ``tail(k) <= tail_eps`` for a tail falling in k,
+    by doubling then bisection; a tail that never gets there raises."""
+    lo, hi = -1, 1  # the whole mass lies above -1
+    while not tail(hi) <= tail_eps:
+        if hi > 2**60:
+            raise CutoffError(f"no cutoff below 2**60 leaves tail mass <= {tail_eps:.3g}")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid) <= tail_eps else (mid, hi)
+    return hi
+
+
 def coherent_cutoff(amplitude: complex, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Smallest cutoff with Poisson tail mass below ``tail_eps`` for |amplitude|."""
     lam = abs(amplitude) ** 2
     if lam == 0.0:
         return 1
-    term = math.exp(-lam)
-    cum = term
-    n = 0
-    limit = int(lam + 20.0 * math.sqrt(lam) + 60)
-    while 1.0 - cum > tail_eps and n < limit:
-        n += 1
-        term *= lam / n
-        cum += term
-    return max(n, 1)
+    # pdtrc(n, lam) is the Poisson mass above n
+    return max(_first_below(lambda n: pdtrc(n, lam), tail_eps), 1)
 
 
 def squeezed_cutoff(r: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Smallest cutoff with squeezed-vacuum tail mass below ``tail_eps``."""
-    r = abs(r)
     if r == 0.0:
         return 1
-    t = math.tanh(r)
-    term = 1.0 / math.cosh(r)  # |c_0|^2
-    cum = term
-    m = 0
-    limit = int(40 + 40 * r * r + 40 * r)
-    while 1.0 - cum > tail_eps and m < limit:
-        m += 1
-        # |c_{2m}|^2 / |c_{2m-2}|^2 = t^2 (2m-1)/(2m)
-        term *= t * t * (2 * m - 1) / (2 * m)
-        cum += term
-    return max(2 * m, 2)
+    x = math.tanh(r) ** 2
+    # betainc(m + 1, 1/2, tanh^2 r) is the squeezed-vacuum mass above 2m
+    return max(2 * _first_below(lambda m: betainc(m + 1, 0.5, x), tail_eps), 2)

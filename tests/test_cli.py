@@ -240,3 +240,46 @@ def test_cutoff_epsilon_flag_shrinks_registers(tmp_path, capsys):
     assert cut_loose < cut_tight
     assert load_result(loose)["converged"] is False
     assert load_result(tight)["converged"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--alpha", "nan"],
+    ["ifm", "--theta", "nan"],
+    ["--cutoff-epsilon", "0", "ifm"],
+    ["--cutoff-epsilon", "-1", "ifm"],
+    ["--cutoff-epsilon", "1", "ifm"],
+    ["sv-generate", "--r", "inf"],
+    ["bell", "--alpha-grid", "0.5:inf:0.5"],
+    ["fisher", "--alpha-grid", "1.0,nan"],
+], ids=["alpha-nan", "theta-nan", "epsilon-0", "epsilon-neg", "epsilon-1", "r-inf",
+        "grid-stop-inf", "grid-nan"])
+def test_nonfinite_or_bad_epsilon_exits_with_config_code(tmp_path, capsys, argv):
+    out_file = tmp_path / "o.json"
+    code, _, err = run_main(["--output", str(out_file)] + argv, capsys)
+    assert code == EXIT_CONFIG
+    assert "config error" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("params", ['{"alpha": NaN}', '{"alpha": "1.2"}',
+                                    '{"b_offsets": "0:Infinity:0.1"}'],
+                         ids=["nan", "string", "grid-inf"])
+def test_nonfinite_config_file_value_exits_with_config_code(tmp_path, capsys, params):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(params)
+    out_file = tmp_path / "o.json"
+    code, _, _ = run_main(["--config", str(cfg_file), "--output", str(out_file),
+                           "imperfection-sweep"], capsys)
+    assert code == EXIT_CONFIG
+    assert not out_file.exists()
+
+
+def test_nonfinite_result_is_never_written(tmp_path, capsys, monkeypatch):
+    from dualcat.results import ExperimentResult
+
+    monkeypatch.setattr(cli, "run", lambda config: ExperimentResult(
+        scalars={"eta": math.nan}, convergence={"norm_deficit": 0.0}))
+    out_file = tmp_path / "o.json"
+    code, _, _ = run_main(["--output", str(out_file), "ifm"], capsys)
+    assert code == cli.EXIT_NONCONVERGED
+    assert not out_file.exists()

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +194,30 @@ def test_displacement_turns_cat_pair_into_noon_superposition():
     small = _mode_product(vacuum(reg), coherent(reg, mode(2), 2.0 * alpha))
     target = normalized(add(big, scale(small, -1.0)))
     assert fid(out, target) >= 1.0 - 1e-9
+
+
+def test_displacement_cache_stays_bounded_over_many_amplitudes():
+    from dualcat import fock
+
+    reg = plain_register([1], 31)
+    psi = coherent(reg, mode(1), 0.5)
+    displace(psi, mode(1), 0.1)
+    cached = set(fock._SPECTRA)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k in range(500):
+            displace(psi, mode(1), (0.3 + k / 1000) * np.exp(2j * math.pi * k / 500))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # one spectrum per (generator, dim), none per amplitude
+    assert set(fock._SPECTRA) == cached
+    assert ("displace", 32) in cached
+    assert all(isinstance(kind, str) and isinstance(dim, int) for kind, dim in cached)
+    # 500 retained 32x32 complex matrices would hold 8 MB
+    assert grown < 500_000
 
 
 def test_displacement_catches_cutoff_violation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import oracles
 from dualcat.fock import (
@@ -19,6 +20,7 @@ from dualcat.fock import (
     apply_two_mode_mixer,
     basis_state,
     coherent_cutoff,
+    displacement_matrix,
     embed,
     inner_product,
     mode,
@@ -28,6 +30,7 @@ from dualcat.fock import (
     polarized_register,
     restrict,
     scale,
+    squeeze_matrix,
     squeezed_cutoff,
     vacuum,
 )
@@ -192,6 +195,16 @@ def test_mixer_matches_dense_oracle(rng):
     # dense operator truncates differently only beyond the cutoffs; against a
     # cutoff-respecting input both agree on the retained block
     assert np.linalg.norm(got - dense) < 1e-9
+
+
+def test_mixer_with_phase_matches_dense_oracle_on_larger_register(rng):
+    reg = plain_register([1, 2], 12)
+    psi = random_state(reg, rng, n_terms=30)
+    theta, phase = 0.942, -2.3
+    for ia, ib in ((0, 1), (1, 0)):
+        out = apply_two_mode_mixer(psi, reg.modes[ia], reg.modes[ib], theta, phase)
+        dense = oracles.dense_mixer(reg, ia, ib, theta, phase) @ oracles.dense_vector(psi)
+        assert np.max(np.abs(oracles.dense_vector(out) - dense)) <= 1e-12
 
 
 def test_mixer_preserves_norm_on_cat_split():
@@ -377,6 +390,69 @@ def test_cutoff_rules_are_monotone_in_amplitude():
     assert squeezed_cutoff(0.0) == 1
     assert squeezed_cutoff(0.5) < squeezed_cutoff(1.5)
     assert squeezed_cutoff(0.8) % 2 == 0
+
+
+def _poisson_tail(lam, n):
+    """Poisson mass above n, summed term by term."""
+    return math.fsum(math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+                     for k in range(n + 1, n + 400))
+
+
+def _squeezed_tail(r, m):
+    """Squeezed-vacuum mass above 2m, summed term by term."""
+    log_t2, log_c0 = 2.0 * math.log(abs(math.tanh(r))), -math.log(math.cosh(r))
+    return math.fsum(
+        math.exp(log_c0 + j * log_t2 + math.lgamma(2 * j + 1)
+                 - 2.0 * math.lgamma(j + 1) - 2 * j * math.log(2.0))
+        for j in range(m + 1, m + 5000))
+
+
+@pytest.mark.parametrize("alpha, eps", [(1.0, 1e-20), (0.5, 1e-6), (2.0, 1e-12),
+                                        (3.3, 1e-12)])
+def test_coherent_cutoff_is_the_smallest_with_tail_below_eps(alpha, eps):
+    n = coherent_cutoff(alpha, eps)
+    assert _poisson_tail(alpha**2, n) <= eps < _poisson_tail(alpha**2, n - 1)
+
+
+@pytest.mark.parametrize("r, eps", [(2.0, 1e-12), (0.8, 1e-12), (-1.4065, 1e-12),
+                                    (0.5, 1e-9)])
+def test_squeezed_cutoff_is_the_smallest_with_tail_below_eps(r, eps):
+    n = squeezed_cutoff(r, eps)
+    assert n % 2 == 0
+    assert _squeezed_tail(r, n // 2) <= eps < _squeezed_tail(r, n // 2 - 1)
+
+
+def test_cutoff_rules_past_their_old_loop_caps():
+    assert coherent_cutoff(1.0, 1e-20) == 20
+    assert squeezed_cutoff(2.0) == 694
+    # no tail can be certified: tanh^2 r rounds to 1, a NaN amplitude, eps < 0
+    for uncertifiable in (lambda: squeezed_cutoff(30.0),
+                          lambda: coherent_cutoff(float("nan")),
+                          lambda: coherent_cutoff(1.0, -1.0)):
+        with pytest.raises(CutoffError):
+            uncertifiable()
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-gate unitaries against a dense matrix exponential
+
+
+@pytest.mark.parametrize("dim", [23, 42, 55])
+def test_displacement_matrix_matches_dense_exponential(dim):
+    a, ad = oracles.annihilation_matrix(dim), oracles.creation_matrix(dim)
+    for beta in (2.3 * np.exp(0.4j), 1.7 * np.exp(2.0j), 0.9 * np.exp(3.5j),
+                 2.3 * np.exp(5.2j), -1.1, 0.6j):
+        ref = expm(beta * ad - np.conj(beta) * a)
+        assert np.max(np.abs(displacement_matrix(beta, dim) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [23, 42, 55])
+def test_squeeze_matrix_matches_dense_exponential(dim):
+    a, ad = oracles.annihilation_matrix(dim), oracles.creation_matrix(dim)
+    for r in (0.7, -0.7):
+        s = squeeze_matrix(r, dim)
+        assert np.max(np.abs(s - expm(0.5 * r * (ad @ ad - a @ a)))) <= 1e-12
+        assert not s[::2, 1::2].any() and not s[1::2, ::2].any()  # parity is kept exactly
 
 
 @settings(max_examples=20, deadline=None)
