@@ -18,6 +18,11 @@ from .fock import (
     CutoffError,
     ModeLabel,
     PureState,
+    _lookup,
+    _mass,
+    _sum_by,
+    amplitude_matrix,
+    group_by,
     inner_product,
     mode,
     occupation_moments,
@@ -75,22 +80,6 @@ class BellSearch:
             raise ValueError("grid_density must be at least 2")
 
 
-def _amplitude_matrix(state: PureState, keep_idx: list, drop_idx: list):
-    rows: dict = {}
-    cols: dict = {}
-    entries = []
-    for occ, amp in state.amps.items():
-        ka = tuple(occ[i] for i in keep_idx)
-        kb = tuple(occ[i] for i in drop_idx)
-        ra = rows.setdefault(ka, len(rows))
-        cb = cols.setdefault(kb, len(cols))
-        entries.append((ra, cb, amp))
-    m = np.zeros((len(rows), len(cols)), dtype=complex)
-    for ra, cb, amp in entries:
-        m[ra, cb] = amp
-    return m
-
-
 def entanglement(state: PureState, partition: Sequence[ModeLabel],
                  norm_tol: float = 1e-8) -> EntanglementSummary:
     """Schmidt decomposition of a normalized pure state across ``partition``.
@@ -106,9 +95,7 @@ def entanglement(state: PureState, partition: Sequence[ModeLabel],
     keep_idx = [reg.index(m) for m in partition]
     if not keep_idx or len(set(keep_idx)) == reg.n_modes:
         raise ValueError("partition must be a nonempty proper subset")
-    drop_idx = [i for i in range(reg.n_modes) if i not in keep_idx]
-    m = _amplitude_matrix(state, keep_idx, drop_idx)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(amplitude_matrix(state, partition)[0], compute_uv=False)
     s = s[s > 1e-12]
     lam = s**2
     lam = lam / lam.sum()
@@ -132,24 +119,14 @@ def subsystem_fidelity(state: PureState, target: PureState,
     ``target`` lives on a register whose modes are exactly ``keep`` (any
     order); ``state`` is normalized first in the bra-ket sense.
     """
-    reg = state.register
-    keep_idx = [reg.index(m) for m in keep]
-    drop_idx = [i for i in range(reg.n_modes) if i not in keep_idx]
-    t_idx = [target.register.index(m) for m in keep]
-    t_amps: dict = {}
-    for occ, amp in target.amps.items():
-        t_amps[tuple(occ[i] for i in t_idx)] = amp
-
-    overlaps: dict = {}
-    for occ, amp in state.amps.items():
-        ka = tuple(occ[i] for i in keep_idx)
-        c = t_amps.get(ka)
-        if c is None:
-            continue
-        kb = tuple(occ[i] for i in drop_idx)
-        overlaps[kb] = overlaps.get(kb, 0.0) + np.conj(c) * amp
-    total = sum(abs(v) ** 2 for v in overlaps.values())
-    return float(total / (state.norm_sq() * target.norm_sq()))
+    rest, group, occ = group_by(state, keep)
+    t_reg = target.register
+    t_idx = [t_reg.index(m) for m in keep]
+    inside = (occ < t_reg.dims[t_idx]).all(axis=1)
+    pos, hit = _lookup(target, occ[inside] @ t_reg.strides[t_idx])
+    weights = target.coeffs[pos[hit]].conj() * state.coeffs[inside][hit]
+    overlaps = _sum_by(group[inside][hit], weights, len(rest))
+    return _mass(overlaps) / (state.norm_sq() * target.norm_sq())
 
 
 # ---------------------------------------------------------------------------
@@ -174,41 +151,22 @@ _PATTERNS = (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))
 
 
 def polarization_qubit_state(state: PureState, path_a: int, path_b: int) -> QubitExtraction:
-    reg = state.register
-    idx = {
-        (p, s): reg.index(mode(path, s))
-        for p, path in (("a", path_a), ("b", path_b))
-        for s in ("H", "V")
-    }
-    other_idx = [i for i in range(reg.n_modes)
-                 if i not in idx.values()]
-
-    # component table: pattern -> {(envelope occupations, rest occupations): amp}
-    comps: dict = {p: {} for p in _PATTERNS}
+    rest, group, occ = group_by(state, [mode(path, s) for path in (path_a, path_b)
+                                        for s in ("H", "V")])
+    on = occ > 0
+    # one occupied rail per path, else outside the logical subspace
+    logical = (on[:, 0] != on[:, 1]) & (on[:, 2] != on[:, 3])
+    occ, on = occ[logical], on[logical]
+    # a component: the other modes' occupations and each path's rail-agnostic
+    # envelope; each column of ``table`` holds one rail pattern of _PATTERNS
+    env_a, env_b = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
+    span = int(occ.max(initial=0)) + 1
+    comps, row = np.unique((group[logical] * span + env_a) * span + env_b, return_inverse=True)
+    table = np.zeros((len(comps), len(_PATTERNS)), dtype=complex)
+    table[row, 2 * on[:, 1] + on[:, 3]] = state.coeffs[logical]
     total = state.norm_sq()
-    captured = 0.0
-    for occ, amp in state.amps.items():
-        nah, nav = occ[idx[("a", "H")]], occ[idx[("a", "V")]]
-        nbh, nbv = occ[idx[("b", "H")]], occ[idx[("b", "V")]]
-        if (nah > 0) == (nav > 0) or (nbh > 0) == (nbv > 0):
-            continue  # outside the one-rail-per-path logical subspace
-        sa = "H" if nah > 0 else "V"
-        sb = "H" if nbh > 0 else "V"
-        env = (nah + nav, nbh + nbv)  # occupied-rail envelope, rail-agnostic
-        rest = tuple(occ[i] for i in other_idx)
-        comps[(sa, sb)][(env, rest)] = amp
-        captured += abs(amp) ** 2
-
-    rho = np.zeros((4, 4), dtype=complex)
-    for i, pi in enumerate(_PATTERNS):
-        for j, pj in enumerate(_PATTERNS):
-            acc = 0.0 + 0.0j
-            cj = comps[pj]
-            for key, ai in comps[pi].items():
-                aj = cj.get(key)
-                if aj is not None:
-                    acc += ai * np.conj(aj)
-            rho[i, j] = acc
+    captured = _mass(table)
+    rho = table.T @ table.conj()
     if captured > 0.0:
         rho = rho / captured
     return QubitExtraction(rho, captured / total if total > 0 else 0.0)

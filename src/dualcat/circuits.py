@@ -8,8 +8,11 @@ never renormalized behind the caller's back: conditioning is explicit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import elements, states
 from .elements import PERFECT, Imperfection
@@ -18,6 +21,7 @@ from .fock import (
     ModeLabel,
     ModeRegister,
     PureState,
+    _wrap,
     add,
     apply_annihilation,
     apply_creation,
@@ -48,10 +52,7 @@ class CircuitReport:
     imperfection: Imperfection = PERFECT
 
     def branch_product(self) -> float:
-        out = 1.0
-        for _, p in self.branch_log:
-            out *= p
-        return out
+        return math.prod((p for _, p in self.branch_log), start=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +97,7 @@ def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitR
         out = branch.state("pass")
         log.append((f"path{path}_{kind}_polarizer_pass", branch.probability("pass")))
     out = elements.pbs(out, 1, 2)
-    return CircuitReport(out, _product(log), tuple(log))
-
-
-def _product(log) -> float:
-    p = 1.0
-    for _, q in log:
-        p *= q
-    return p
+    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), tuple(log))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +180,13 @@ def _infer_cat_amplitude(state: PureState) -> float:
     return float(brentq(gap, 1e-4, max(4.0 * math.sqrt(n_tot), 1.0), xtol=1e-14))
 
 
+def tag_cutoff(envelope: float, imperfection: Imperfection, tail_eps: float) -> int:
+    """Cutoff of the tag modes of :func:`access_polarization` for the
+    envelope amplitude alpha/sqrt2."""
+    tag_amp = abs(envelope) + abs(imperfection.actual_displacement(envelope)) + 0.5
+    return coherent_cutoff(tag_amp, tail_eps)
+
+
 def access_polarization(state: PureState, imperfection: Imperfection | None = None,
                         tail_eps: float = 1e-12) -> CircuitReport:
     """Sort the polarization entanglement of the H/V cat pair onto a common
@@ -217,9 +218,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
             f"read out of the occupied-rail pattern regardless",
             stacklevel=2)
 
-    tag_amp = abs(A) + abs(B) + 0.5
     cut_path = max(reg.cutoffs)
-    cut_tag = coherent_cutoff(tag_amp, tail_eps)
+    cut_tag = tag_cutoff(A, imp, tail_eps)
     spec: dict[ModeLabel, int] = {}
     for p in (1, 2):
         for pol in ("H", "V"):
@@ -261,7 +261,7 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     click = elements.onoff_detect(psi, mode(3, "V"))
     log.append(("tag_click", click.probability("click") / max(psi.norm_sq(), 1e-300)))
     out = normalized(click.state("click"))
-    return CircuitReport(out, _product(log), tuple(log), imp)
+    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), tuple(log), imp)
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +288,15 @@ def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
     signature, because then nothing discriminates the two scenarios.
     """
     if state_kind == "single_photon":
-        probs = _single_photon_events(bomb)
-        probs_ref = _single_photon_events(False)
+        events = _single_photon_events
     elif state_kind in ("entangled", "nonmaximal"):
         th = math.pi / 4 if state_kind == "entangled" else theta
-        probs = _polarization_events(th, bomb, sign)
-        probs_ref = _polarization_events(th, False, sign)
+        events = functools.partial(_polarization_events, th, sign=sign)
     else:
         raise ValueError(f"unknown state kind {state_kind!r}")
 
-    probs_bomb = probs if bomb else _events_with_bomb(state_kind, theta, sign)
+    probs_bomb, probs_ref = events(True), events(False)
+    probs = probs_bomb if bomb else probs_ref
     p_ifm_bomb = probs_bomb["diff_pol"]
     p_bomb = probs_bomb["explode"]
     discriminable = probs_ref["diff_pol"] <= 1e-12
@@ -310,13 +309,6 @@ def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
     scalars["discriminable"] = float(discriminable)
     return ExperimentResult(scalars=scalars,
                             convergence={"norm_deficit": 0.0})
-
-
-def _events_with_bomb(state_kind: str, theta: float, sign: str) -> dict:
-    if state_kind == "single_photon":
-        return _single_photon_events(True)
-    th = math.pi / 4 if state_kind == "entangled" else theta
-    return _polarization_events(th, True, sign)
 
 
 def _polarization_events(theta: float, bomb: bool, sign: str) -> dict:
@@ -335,29 +327,13 @@ def _polarization_events(theta: float, bomb: bool, sign: str) -> dict:
     for path in (1, 2):
         psi = elements.polarizer(psi, path, "diag45").state("pass")
 
-    events = {"same_pol": 0.0, "diff_pol": 0.0, "other": 0.0}
-    ih, iv = reg.index(mode(1, "H")), reg.index(mode(1, "V"))
-    jh, jv = reg.index(mode(2, "H")), reg.index(mode(2, "V"))
-    for occ, amp in psi.amps.items():
-        w = abs(amp) ** 2
-        a = _rail(occ[ih], occ[iv])
-        b = _rail(occ[jh], occ[jv])
-        if a is None or b is None:
-            events["other"] += w
-        elif a == b:
-            events["same_pol"] += w
-        else:
-            events["diff_pol"] += w
-    events["explode"] = explode
-    return events
-
-
-def _rail(nh: int, nv: int):
-    if nh > 0 and nv == 0:
-        return "H"
-    if nv > 0 and nh == 0:
-        return "V"
-    return None
+    # rail of each path: +1 for H only, -1 for V only, 0 for neither or both
+    on = reg.digits(psi.keys, [reg.index(mode(p, s)) for p in (1, 2) for s in "HV"]) > 0
+    rail = on[:, ::2].astype(int) - on[:, 1::2]
+    w = np.abs(psi.coeffs) ** 2
+    product = rail[:, 0] * rail[:, 1]
+    return {"same_pol": float(w[product == 1].sum()), "diff_pol": float(w[product == -1].sum()),
+            "other": float(w[product == 0].sum()), "explode": explode}
 
 
 def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> dict:
@@ -370,13 +346,8 @@ def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> dic
         explode = branch.probability("explode")
         psi = branch.state("survive")
     psi = apply_two_mode_mixer(psi, mode(1), mode(2), -theta)
-    bright = dark = 0.0
-    for (n1, n2), amp in psi.amps.items():
-        w = abs(amp) ** 2
-        if n1 == 1 and n2 == 0:
-            bright += w
-        elif n2 == 1 and n1 == 0:
-            dark += w
+    bright = abs(psi.amps.get((1, 0), 0.0)) ** 2
+    dark = abs(psi.amps.get((0, 1), 0.0)) ** 2
     other = psi.norm_sq() - bright - dark
     # the dark port plays the role of the diff-pol signature
     return {"same_pol": bright, "diff_pol": dark, "other": abs(other),
@@ -430,13 +401,8 @@ def sv_generate(r: float, transmittance: float = 0.5,
 
 def _mode_product(a: PureState, b: PureState) -> PureState:
     """Product of two single-occupied-mode states on a common register."""
-    reg = a.register
-    amps = {}
-    for ka, va in a.amps.items():
-        for kb, vb in b.amps.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            amps[key] = va * vb
-    return PureState(reg, amps, 0.0)
+    keys = (a.keys[:, None] + b.keys).ravel()  # disjoint modes: keys add digit-wise
+    return _wrap(a.register, keys, np.outer(a.coeffs, b.coeffs).ravel(), 0.0)
 
 
 def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = 1e-12) -> CircuitReport:

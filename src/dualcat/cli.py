@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +32,7 @@ from .fock import (
     mode,
     plain_register,
     polarized_register,
+    squeezed_cutoff,
 )
 from .results import ExperimentResult, Table, _plain
 from .states import entangled_cat_pair
@@ -185,14 +187,13 @@ def _run_duality(p: dict, eps: float) -> ExperimentResult:
     )
 
 
-def _bell_point(args: tuple) -> list:
+def _bell_cutoff(alpha: float, radius: float, eps: float) -> int:
+    return coherent_cutoff(alpha + radius + 0.3, eps)
+
+
+def _bell_point(args: tuple) -> tuple:
     alpha, radius, density, iters, axis, eps = args
-    cutoff = coherent_cutoff(alpha + radius + 0.3, eps)
-    if cutoff > MAX_CUTOFF:
-        raise CutoffError(
-            f"alpha {alpha} with search radius {radius} needs a per-mode "
-            f"cutoff of {cutoff} (> {MAX_CUTOFF}); shrink the radius")
-    reg = plain_register([1, 2], cutoff)
+    reg = plain_register([1, 2], _bell_cutoff(alpha, radius, eps))
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-", eps)
     search = analysis.BellSearch(grid_density=density, refine_iters=iters,
                                  radius=radius, axis=axis)
@@ -201,21 +202,21 @@ def _bell_point(args: tuple) -> list:
             settings.beta1.real, settings.beta1.imag,
             settings.beta1p.real, settings.beta1p.imag,
             settings.beta2.real, settings.beta2.imag,
-            settings.beta2p.real, settings.beta2p.imag]
+            settings.beta2p.real, settings.beta2p.imag], pair.norm_deficit
 
 
 def _run_bell(p: dict, eps: float, jobs: int) -> ExperimentResult:
     grid = parse_grid(str(p["alpha_grid"]))
     args = [(a, p["radius"], int(p["grid_density"]), int(p["refine_iters"]),
              p["axis"], eps) for a in grid]
-    rows = _map_jobs(_bell_point, args, jobs)
+    rows, deficit = _map_rows(_bell_point, args, jobs)
     cols = ["alpha", "chsh", "beta1_re", "beta1_im", "beta1p_re", "beta1p_im",
             "beta2_re", "beta2_im", "beta2p_re", "beta2p_im"]
     best = max(r[1] for r in rows)
     return ExperimentResult(
         scalars={"chsh_max": best, "tsirelson": 2.0 * math.sqrt(2.0)},
         tables={"bell": Table(cols, rows)},
-        convergence={"cutoff_epsilon": eps, "norm_deficit": 0.0},
+        convergence={"cutoff_epsilon": eps, "norm_deficit": deficit},
     )
 
 
@@ -226,23 +227,23 @@ def _run_ifm(p: dict, eps: float) -> ExperimentResult:
     return res
 
 
-def _fisher_point(args: tuple) -> list:
+def _fisher_point(args: tuple) -> tuple:
     alpha, eps = args
     noon = circuits.noon_from_cat_pair(alpha, eps)
     qfi = analysis.qfi_phase(noon, mode(1))
     nbar = analysis.total_mean_photons(noon)
     decay = analysis.qfi_phase_decay(noon, mode(1))
-    return [alpha, qfi, nbar, qfi / nbar**2, 4.0 * nbar, decay]
+    return [alpha, qfi, nbar, qfi / nbar**2, 4.0 * nbar, decay], noon.norm_deficit
 
 
 def _run_fisher(p: dict, eps: float, jobs: int) -> ExperimentResult:
     grid = parse_grid(str(p["alpha_grid"]))
-    rows = _map_jobs(_fisher_point, [(a, eps) for a in grid], jobs)
+    rows, deficit = _map_rows(_fisher_point, [(a, eps) for a in grid], jobs)
     cols = ["alpha", "qfi", "nbar", "qfi_over_nbar_sq", "shot_noise", "qfi_decay_oracle"]
     return ExperimentResult(
         scalars={"qfi_at_max_alpha": rows[-1][1]},
         tables={"fisher": Table(cols, rows)},
-        convergence={"cutoff_epsilon": eps, "norm_deficit": 0.0},
+        convergence={"cutoff_epsilon": eps, "norm_deficit": deficit},
     )
 
 
@@ -303,7 +304,7 @@ def _run_sv_access(p: dict, eps: float) -> ExperimentResult:
     )
 
 
-def _imperfection_point(args: tuple) -> list:
+def _imperfection_point(args: tuple) -> tuple:
     alpha, offset, flip, eps = args
     import warnings
 
@@ -314,22 +315,22 @@ def _imperfection_point(args: tuple) -> list:
         acc = circuits.access_polarization(gen.output_state, imp, eps)
     q = analysis.polarization_qubit_state(acc.output_state, 1, 2)
     neg, logneg = analysis.negativity_two_qubit(q.rho)
-    return [offset, flip, neg, logneg, acc.postselect_probability]
+    return [offset, flip, neg, logneg, acc.postselect_probability], acc.output_state.norm_deficit
 
 
 def _run_imperfection(p: dict, eps: float, jobs: int) -> ExperimentResult:
     alpha = float(p["alpha"])
-    offsets = parse_grid(str(p["b_offsets"])) if str(p["b_offsets"]).strip() else [0.0]
+    offsets = _offsets(p)
     flips = (parse_grid(str(p["flip_angles"]))
              if str(p.get("flip_angles", "")).strip() else [math.pi])
     args = [(alpha, off, fl, eps) for off in offsets for fl in flips]
-    rows = _map_jobs(_imperfection_point, args, jobs)
+    rows, deficit = _map_rows(_imperfection_point, args, jobs)
     cols = ["b_offset", "flip_angle", "negativity", "log_negativity",
             "postselect_probability"]
     return ExperimentResult(
         scalars={"max_negativity": max(r[2] for r in rows)},
         tables={"imperfection": Table(cols, rows)},
-        convergence={"cutoff_epsilon": eps, "norm_deficit": 0.0},
+        convergence={"cutoff_epsilon": eps, "norm_deficit": deficit},
     )
 
 
@@ -349,6 +350,37 @@ def _map_jobs(fn, args: list, jobs: int) -> list:
         return [fn(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, args))
+
+
+def _map_rows(fn, args: list, jobs: int) -> tuple:
+    """Table rows of ``fn`` (which returns a row and its state's norm deficit)
+    over ``args``, and the largest of those deficits."""
+    rows, deficits = zip(*_map_jobs(fn, args, jobs))
+    return list(rows), max(deficits)
+
+
+def _offsets(p: dict) -> list:
+    return parse_grid(str(p["b_offsets"])) if str(p["b_offsets"]).strip() else [0.0]
+
+
+def _largest_cutoff(experiment: str, p: dict, eps: float) -> int:
+    """Largest per-mode cutoff among the registers an experiment builds, by
+    the cutoff rules its circuits apply."""
+    if experiment == "bell":
+        return max(_bell_cutoff(a, p["radius"], eps) for a in parse_grid(str(p["alpha_grid"])))
+    if experiment == "fisher":
+        return max(coherent_cutoff(2.0 * a, eps) for a in parse_grid(str(p["alpha_grid"])))
+    if experiment in ("sv-generate", "sv-access"):
+        return squeezed_cutoff(p["r"], eps)
+    if experiment == "ifm":
+        return 2
+    generation = coherent_cutoff(math.sqrt(2.0) * p["alpha"], eps)
+    if experiment == "generate":
+        return generation
+    offsets = _offsets(p) if experiment == "imperfection-sweep" else [0.0]
+    envelope = p["alpha"] / math.sqrt(2.0)
+    return max(generation, *(circuits.tag_cutoff(envelope, Imperfection(displacement_offset=o), eps)
+                             for o in offsets))
 
 
 RUNNERS = {
@@ -390,11 +422,18 @@ def resolve_config(experiment: str, file_params: dict, flag_params: dict,
                 raise ConfigError(f"parameter {key!r} must be a finite number, got {value!r}")
         elif key in GRID_KEYS and str(value).strip():
             parse_grid(str(value))
+    jobs = min(max(int(jobs), 1), os.cpu_count() or 1)
     return RunConfig(experiment, params, cutoff_epsilon, jobs, output_path)
 
 
 def run(config: RunConfig) -> ExperimentResult:
-    """Dispatch a resolved configuration to its experiment."""
+    """Check the register budget, then dispatch a resolved configuration to
+    its experiment."""
+    cutoff = _largest_cutoff(config.experiment, config.parameters, config.cutoff_epsilon)
+    if cutoff > MAX_CUTOFF:
+        raise CutoffError(
+            f"{config.experiment} needs a per-mode cutoff of {cutoff} (> {MAX_CUTOFF}); "
+            f"shrink its amplitudes or search radius")
     runner = RUNNERS[config.experiment]
     return runner(config.parameters, config.cutoff_epsilon, config.jobs)
 

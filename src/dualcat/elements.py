@@ -26,10 +26,13 @@ import numpy as np
 from .fock import (
     BranchedOutcome,
     ContractViolationError,
+    CutoffError,
     ModeLabel,
     PureState,
     RegisterMismatchError,
     _finish,
+    _mass,
+    _wrap,
     apply_single_mode_matrix,
     apply_two_mode_mixer,
     displacement_matrix,
@@ -74,12 +77,27 @@ def _pol_pair(state: PureState, path: int) -> tuple[int, int]:
     return reg.index(h), reg.index(v)
 
 
-def _swap_positions(occ: tuple, i: int, j: int) -> tuple:
-    if occ[i] == occ[j]:
-        return occ
-    lst = list(occ)
-    lst[i], lst[j] = lst[j], lst[i]
-    return tuple(lst)
+def _swapped(state: PureState, pairs, where: np.ndarray | None = None) -> np.ndarray:
+    """Keys with the occupations of each mode pair (i, j) exchanged, on the
+    components ``where`` holds (all by default)."""
+    reg, keys = state.register, state.keys
+    out = keys.copy()
+    for i, j in pairs:
+        ni, nj = reg.digit(keys, i), reg.digit(keys, j)
+        if where is not None:
+            ni, nj = ni * where, nj * where
+        if (ni > reg.cutoffs[j]).any() or (nj > reg.cutoffs[i]).any():
+            raise CutoffError(f"exchanging modes {reg.modes[i]} and {reg.modes[j]} "
+                              f"exceeds a cutoff")
+        out += (nj - ni) * (reg.strides[i] - reg.strides[j])
+    return out
+
+
+def _split(state: PureState, mask: np.ndarray) -> tuple[PureState, PureState]:
+    """The components where ``mask`` holds and the others.  Both keep the
+    input's deficit, which bounds the mass either of them may be missing."""
+    return tuple(_wrap(state.register, state.keys[m], state.coeffs[m], state.norm_deficit)
+                 for m in (mask, ~mask))
 
 
 # ---------------------------------------------------------------------------
@@ -92,23 +110,23 @@ def pbs(state: PureState, path1: int, path2: int) -> PureState:
     _pol_pair(state, path2)
     iv1 = state.register.index(mode(path1, "V"))
     iv2 = state.register.index(mode(path2, "V"))
-    amps = {_swap_positions(occ, iv1, iv2): amp for occ, amp in state.amps.items()}
-    return PureState(state.register, amps, state.norm_deficit)
+    return _wrap(state.register, _swapped(state, [(iv1, iv2)]), state.coeffs,
+                 state.norm_deficit)
 
 
 def hwp(state: PureState, path: int) -> PureState:
     """Half-wave plate: exchange the H and V contents of one path."""
-    ih, iv = _pol_pair(state, path)
-    amps = {_swap_positions(occ, ih, iv): amp for occ, amp in state.amps.items()}
-    return PureState(state.register, amps, state.norm_deficit)
+    return _wrap(state.register, _swapped(state, [_pol_pair(state, path)]), state.coeffs,
+                 state.norm_deficit)
 
 
 def phase_shift(state: PureState, m: ModeLabel, phi: float) -> PureState:
     """Multiply each amplitude by e^{i phi n} for the occupation n of ``m``."""
     i = state.register.index(m)
     phases = np.exp(1j * phi * np.arange(state.register.cutoffs[i] + 1))
-    amps = {occ: amp * phases[occ[i]] for occ, amp in state.amps.items()}
-    return PureState(state.register, amps, state.norm_deficit)
+    return _wrap(state.register, state.keys,
+                 state.coeffs * phases[state.register.digit(state.keys, i)],
+                 state.norm_deficit)
 
 
 def polarizer(state: PureState, path: int, kind: str) -> BranchedOutcome:
@@ -125,12 +143,7 @@ def polarizer(state: PureState, path: int, kind: str) -> BranchedOutcome:
         return BranchedOutcome((("pass", rotated, rotated.norm_sq()),))
     if kind not in ("H", "V"):
         raise ValueError(f"unknown polarizer kind {kind!r}")
-    blocked_idx = iv if kind == "H" else ih
-    pass_amps, blocked_amps = {}, {}
-    for occ, amp in state.amps.items():
-        (pass_amps if occ[blocked_idx] == 0 else blocked_amps)[occ] = amp
-    keep = PureState(state.register, pass_amps, state.norm_deficit)
-    lost = PureState(state.register, blocked_amps, 0.0)
+    keep, lost = _split(state, state.register.digit(state.keys, iv if kind == "H" else ih) == 0)
     return BranchedOutcome((("pass", keep, keep.norm_sq()),
                             ("blocked", lost, lost.norm_sq())))
 
@@ -163,22 +176,20 @@ def squeeze(state: PureState, m: ModeLabel, r: float,
 AMBIGUOUS_TOL = 1e-10
 
 
-def _control_case(occ: tuple, ich: int, icv: int) -> str:
-    nh, nv = occ[ich], occ[icv]
-    if nv == 0:
-        return "pass"
-    if nh == 0:
-        return "flip"
-    return "ambiguous"
-
-
-def _check_ambiguous(mass: float, total: float, on_ambiguous: str) -> None:
-    if on_ambiguous == "pass" or mass <= AMBIGUOUS_TOL * max(total, 1e-300):
-        return
-    raise ContractViolationError(
-        f"control path has both polarizations occupied on probability mass "
-        f"{mass:.3g}; the gate is only defined on definite-polarization "
-        f"control branches")
+def _control(state: PureState, ich: int, icv: int, on_ambiguous: str) -> np.ndarray:
+    """Mask of the components whose control path is V-polarized (V occupied,
+    H empty).  Components with both control polarizations occupied raise
+    unless ``on_ambiguous`` is "pass" or their mass is truncation dust."""
+    nh = state.register.digit(state.keys, ich)
+    nv = state.register.digit(state.keys, icv)
+    mass = _mass(state.coeffs[(nv > 0) & (nh > 0)])
+    total = state.norm_sq()
+    if on_ambiguous != "pass" and mass > AMBIGUOUS_TOL * max(total, 1e-300):
+        raise ContractViolationError(
+            f"control path has both polarizations occupied on probability mass "
+            f"{mass:.3g}; the gate is only defined on definite-polarization "
+            f"control branches")
+    return (nv > 0) & (nh == 0)
 
 
 def cnot_pol(state: PureState, control_path: int, target_path: int,
@@ -194,23 +205,12 @@ def cnot_pol(state: PureState, control_path: int, target_path: int,
         raise ValueError("control and target paths must differ")
     stay = 0.5 * (1.0 + np.exp(-1j * flip_angle))
     swap = 0.5 * (1.0 - np.exp(-1j * flip_angle))
-    amps: dict = {}
-    amb_mass = 0.0
-    for occ, amp in state.amps.items():
-        case = _control_case(occ, ich, icv)
-        if case != "flip":
-            if case == "ambiguous":
-                amb_mass += abs(amp) ** 2
-            amps[occ] = amps.get(occ, 0.0) + amp
-            continue
-        flipped = _swap_positions(occ, ith, itv)
-        if flipped == occ:
-            amps[occ] = amps.get(occ, 0.0) + amp
-            continue
-        amps[occ] = amps.get(occ, 0.0) + amp * stay
-        amps[flipped] = amps.get(flipped, 0.0) + amp * swap
-    _check_ambiguous(amb_mass, state.norm_sq(), on_ambiguous)
-    return _finish(state.register, amps, state.norm_deficit)
+    flipped = _swapped(state, [(ith, itv)], _control(state, ich, icv, on_ambiguous))
+    moved = flipped != state.keys
+    return _finish(state.register, np.concatenate([state.keys, flipped[moved]]),
+                   np.concatenate([np.where(moved, state.coeffs * stay, state.coeffs),
+                                   state.coeffs[moved] * swap]),
+                   state.norm_deficit)
 
 
 def cphase_pol(state: PureState, control_path: int, target_path: int,
@@ -218,30 +218,20 @@ def cphase_pol(state: PureState, control_path: int, target_path: int,
     """Phase e^{i angle n} on all target-path photons where the control is V."""
     ich, icv = _pol_pair(state, control_path)
     ith, itv = _pol_pair(state, target_path)
-    amps = {}
-    amb_mass = 0.0
-    for occ, amp in state.amps.items():
-        case = _control_case(occ, ich, icv)
-        if case == "flip":
-            amp = amp * np.exp(1j * angle * (occ[ith] + occ[itv]))
-        elif case == "ambiguous":
-            amb_mass += abs(amp) ** 2
-        amps[occ] = amp
-    _check_ambiguous(amb_mass, state.norm_sq(), on_ambiguous)
-    return PureState(state.register, amps, state.norm_deficit)
+    flip = _control(state, ich, icv, on_ambiguous)
+    reg, keys = state.register, state.keys
+    phase = np.exp(1j * angle * (reg.digit(keys, ith) + reg.digit(keys, itv)))
+    return _wrap(reg, keys, np.where(flip, state.coeffs * phase, state.coeffs),
+                 state.norm_deficit)
 
 
 def parity_controlled_flip(state: PureState, control_mode: ModeLabel,
                            target_path: int) -> PureState:
     """Swap the target path's H/V contents on components whose control-mode
     occupation is odd; even components pass untouched."""
-    ic = state.register.index(control_mode)
-    ith, itv = _pol_pair(state, target_path)
-    amps: dict = {}
-    for occ, amp in state.amps.items():
-        key = _swap_positions(occ, ith, itv) if occ[ic] % 2 == 1 else occ
-        amps[key] = amps.get(key, 0.0) + amp
-    return _finish(state.register, amps, state.norm_deficit)
+    odd = state.register.digit(state.keys, state.register.index(control_mode)) % 2 == 1
+    keys = _swapped(state, [_pol_pair(state, target_path)], odd)
+    return _finish(state.register, keys, state.coeffs, state.norm_deficit)
 
 
 def cswap_pol(state: PureState, control_path: int, path_a: int, path_b: int,
@@ -255,22 +245,10 @@ def cswap_pol(state: PureState, control_path: int, path_a: int, path_b: int,
     ich, icv = _pol_pair(state, control_path)
     iah, iav = _pol_pair(state, path_a)
     ibh, ibv = _pol_pair(state, path_b)
-    amps: dict = {}
-    amb_mass = 0.0
-    for occ, amp in state.amps.items():
-        case = _control_case(occ, ich, icv)
-        if case == "flip":
-            lst = list(occ)
-            lst[iah], lst[ibv] = occ[ibv], occ[iah]
-            lst[iav], lst[ibh] = occ[ibh], occ[iav]
-            key = tuple(lst)
-        else:
-            if case == "ambiguous":
-                amb_mass += abs(amp) ** 2
-            key = occ
-        amps[key] = amps.get(key, 0.0) + amp
-    _check_ambiguous(amb_mass, state.norm_sq(), on_ambiguous)
-    return _finish(state.register, amps, state.norm_deficit)
+    if path_a == path_b:
+        raise ValueError("the exchanged paths must differ")
+    keys = _swapped(state, [(iah, ibv), (iav, ibh)], _control(state, ich, icv, on_ambiguous))
+    return _finish(state.register, keys, state.coeffs, state.norm_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +260,7 @@ def onoff_detect(state: PureState, modes: ModeLabel | tuple) -> BranchedOutcome:
     mode(s), "no_click" onto vacuum there."""
     watch = (modes,) if isinstance(modes, ModeLabel) else tuple(modes)
     idx = [state.register.index(m) for m in watch]
-    click_amps, dark_amps = {}, {}
-    for occ, amp in state.amps.items():
-        if all(occ[i] == 0 for i in idx):
-            dark_amps[occ] = amp
-        else:
-            click_amps[occ] = amp
-    click = PureState(state.register, click_amps, state.norm_deficit)
-    dark = PureState(state.register, dark_amps, 0.0)
+    click, dark = _split(state, state.register.digits(state.keys, idx).any(axis=1))
     return BranchedOutcome((("click", click, click.norm_sq()),
                             ("no_click", dark, dark.norm_sq())))
 
@@ -300,16 +271,9 @@ def absorb_arm(state: PureState, m: ModeLabel) -> BranchedOutcome:
     The "explode" branch records only its probability (the state is gone);
     the "survive" branch is the unnormalized vacuum projection.
     """
-    i = state.register.index(m)
-    survive_amps = {}
-    explode_p = 0.0
-    for occ, amp in state.amps.items():
-        if occ[i] == 0:
-            survive_amps[occ] = amp
-        else:
-            explode_p += abs(amp) ** 2
-    survive = PureState(state.register, survive_amps, state.norm_deficit)
-    return BranchedOutcome((("explode", None, explode_p),
+    empty = state.register.digit(state.keys, state.register.index(m)) == 0
+    survive = _split(state, empty)[0]
+    return BranchedOutcome((("explode", None, _mass(state.coeffs[~empty])),
                             ("survive", survive, survive.norm_sq())))
 
 
@@ -321,10 +285,9 @@ def _state_matrix(state: PureState) -> np.ndarray:
     reg = state.register
     if reg.n_modes != 2:
         raise ValueError("displaced parity expectation needs a two-mode state")
-    out = np.zeros((reg.cutoffs[0] + 1, reg.cutoffs[1] + 1), dtype=complex)
-    for (n1, n2), amp in state.amps.items():
-        out[n1, n2] = amp
-    return out
+    out = np.zeros(reg.strides[0] * reg.dims[0], dtype=complex)
+    out[state.keys] = state.coeffs  # a two-mode key is the row-major flat index
+    return out.reshape(reg.dims)
 
 
 def displaced_parity_expect(state: PureState, beta1: complex, beta2: complex,
@@ -341,8 +304,6 @@ def displaced_parity_expect(state: PureState, beta1: complex, beta2: complex,
     shifted = d1 @ m @ d2.T
     top = float(np.sum(np.abs(shifted[-1, :]) ** 2) + np.sum(np.abs(shifted[:, -1]) ** 2))
     if top > tail_eps:
-        from .fock import CutoffError
-
         raise CutoffError(
             f"displacement ({beta1}, {beta2}) pushes mass {top:.3g} onto the cutoff edge")
     probs = np.abs(shifted) ** 2

@@ -1,17 +1,21 @@
 """Sparse multimode Fock-space engine.
 
-States are stored as dictionaries mapping occupation-number tuples to
-complex amplitudes, one slot per mode of a :class:`ModeRegister`.  All
-operations are pure functions returning new states; probability mass lost
-to the per-mode cutoffs is tracked explicitly in ``norm_deficit`` instead
-of being silently renormalized.
+A state stores the Fock patterns it occupies as a sorted array of distinct
+int64 mixed-radix keys (C order over the modes of a :class:`ModeRegister`,
+the digit of each mode running from 0 to its cutoff) and the complex
+amplitudes as an array aligned with it.  Every operation is digit
+arithmetic on the keys, or :func:`group_by` followed by small dense
+products, and returns a new state; probability mass lost to the per-mode
+cutoffs is tracked explicitly in ``norm_deficit`` instead of being silently
+renormalized.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import betainc, pdtrc
@@ -63,7 +67,11 @@ def mode(path: int, pol: str | None = None) -> ModeLabel:
 
 @dataclass(frozen=True)
 class ModeRegister:
-    """Ordered set of labelled modes with per-mode occupation cutoffs."""
+    """Ordered set of labelled modes with per-mode occupation cutoffs.
+
+    ``dims`` (cutoff + 1 per mode) and ``strides`` define the int64 key of
+    an occupation pattern, ``sum(n_i * strides[i])``.
+    """
 
     modes: tuple[ModeLabel, ...]
     cutoffs: tuple[int, ...]
@@ -75,7 +83,12 @@ class ModeRegister:
             raise ValueError("mode labels must be unique")
         if any(c < 1 for c in self.cutoffs):
             raise ValueError("cutoffs must be >= 1")
+        if math.prod(c + 1 for c in self.cutoffs) > np.iinfo(np.int64).max:
+            raise CutoffError(f"cutoffs {self.cutoffs} span more Fock patterns than int64 keys")
+        strides = [math.prod(c + 1 for c in self.cutoffs[i + 1:]) for i in range(len(self.cutoffs))]
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.modes)})
+        object.__setattr__(self, "dims", np.array(self.cutoffs, dtype=np.int64) + 1)
+        object.__setattr__(self, "strides", np.array(strides, dtype=np.int64))
 
     @classmethod
     def of(cls, spec: Mapping[ModeLabel, int]) -> "ModeRegister":
@@ -100,6 +113,22 @@ class ModeRegister:
     def vacuum_key(self) -> tuple[int, ...]:
         return (0,) * len(self.modes)
 
+    def encode(self, occ: Sequence[int]) -> int:
+        """Key of one occupation tuple; out-of-range entries raise."""
+        if len(occ) != len(self.cutoffs) or not all(0 <= n <= c for n, c in zip(occ, self.cutoffs)):
+            raise CutoffError(f"occupations {tuple(occ)} do not fit cutoffs {self.cutoffs}")
+        return int(np.dot(np.asarray(occ, dtype=np.int64), self.strides))
+
+    def digit(self, keys: np.ndarray, i: int) -> np.ndarray:
+        """Occupation of the mode at position ``i`` in each key."""
+        return keys // self.strides[i] % self.dims[i]
+
+    def digits(self, keys: np.ndarray, idx: Sequence[int] | None = None) -> np.ndarray:
+        """Occupations of the modes at positions ``idx`` (all by default),
+        one row per key and one column per mode."""
+        idx = slice(None) if idx is None else list(idx)
+        return keys[:, None] // self.strides[idx] % self.dims[idx]
+
 
 def polarized_register(paths: Iterable[int], cutoff: int | Mapping[ModeLabel, int]) -> ModeRegister:
     """Register with H and V modes on each path, ``cutoff`` an int or per-mode map."""
@@ -120,32 +149,78 @@ def plain_register(paths: Iterable[int], cutoff: int | Mapping[ModeLabel, int]) 
     return ModeRegister.of(spec)
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
-    """Sparse pure state: occupation tuple -> complex amplitude.
+    """Sparse pure state: sorted int64 ``keys`` and aligned complex ``coeffs``.
 
-    ``norm_deficit`` carries probability mass lost to truncation.  Treat
-    instances as immutable; operations return new states.
+    Built from a mapping occupation tuple -> amplitude; ``amps`` reads the
+    state back as such a mapping (read-only, in key order).  ``norm_deficit``
+    carries probability mass lost to truncation.  Both arrays are read-only;
+    operations return new states.
     """
 
-    register: ModeRegister
-    amps: dict
-    norm_deficit: float = 0.0
+    __slots__ = ("register", "keys", "coeffs", "norm_deficit")
+
+    def __init__(self, register: ModeRegister, amps: Mapping, norm_deficit: float = 0.0):
+        occ = np.array(list(amps), dtype=np.int64).reshape(len(amps), register.n_modes)
+        if ((occ < 0) | (occ >= register.dims)).any():
+            raise CutoffError(f"occupations beyond cutoffs {register.cutoffs}")
+        coeffs = np.array(list(amps.values()), dtype=complex)
+        _fill(self, register, occ @ register.strides, coeffs, float(norm_deficit))
+
+    @property
+    def amps(self) -> "AmplitudeView":
+        return AmplitudeView(self)
 
     def norm_sq(self) -> float:
-        return float(sum((a.real * a.real + a.imag * a.imag) for a in self.amps.values()))
+        return _mass(self.coeffs)
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
     def __len__(self) -> int:
-        return len(self.amps)
+        return len(self.keys)
 
     def __repr__(self) -> str:
         return (
-            f"PureState({self.register.n_modes} modes, {len(self.amps)} amplitudes, "
+            f"PureState({self.register.n_modes} modes, {len(self.keys)} amplitudes, "
             f"norm={self.norm():.6g}, deficit={self.norm_deficit:.3g})"
         )
+
+
+class AmplitudeView(Mapping):
+    """Read-only mapping occupation tuple -> complex amplitude of a state."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: PureState):
+        self._state = state
+
+    def __len__(self) -> int:
+        return len(self._state.keys)
+
+    def __iter__(self):
+        s = self._state
+        return map(tuple, s.register.digits(s.keys).tolist())
+
+    def __getitem__(self, occ) -> complex:
+        s = self._state
+        try:
+            key = np.array([s.register.encode(occ)])
+        except (CutoffError, TypeError):
+            raise KeyError(occ) from None
+        pos, hit = _lookup(s, key)
+        if not hit[0]:
+            raise KeyError(occ)
+        return complex(s.coeffs[pos[0]])
+
+    def items(self):
+        return list(zip(self, self._state.coeffs.tolist()))
+
+    def values(self):
+        return self._state.coeffs.tolist()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
@@ -196,16 +271,67 @@ class DensityView:
 # construction helpers
 
 
-def _finish(register: ModeRegister, amps: dict, deficit: float,
+def _mass(coeffs: np.ndarray) -> float:
+    return float(np.vdot(coeffs, coeffs).real)
+
+
+def _fill(state: PureState, register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray,
+          deficit: float) -> PureState:
+    """Set the slots from distinct keys in any order."""
+    if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+        order = np.argsort(keys)
+        keys, coeffs = keys[order], coeffs[order]
+    keys.flags.writeable = coeffs.flags.writeable = False
+    state.register, state.keys, state.coeffs, state.norm_deficit = register, keys, coeffs, deficit
+    return state
+
+
+def _wrap(register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray,
+          deficit: float) -> PureState:
+    """State from distinct keys in any order and their amplitudes."""
+    return _fill(object.__new__(PureState), register, keys, coeffs, deficit)
+
+
+def _finish(register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray, deficit: float,
             prune_eps: float = DEFAULT_PRUNE_EPS) -> PureState:
-    """Prune tiny amplitudes (mass goes to the deficit) and wrap up."""
-    pruned = {}
-    for key, amp in amps.items():
-        if abs(amp) > prune_eps:
-            pruned[key] = amp
-        else:
-            deficit += abs(amp) ** 2
-    return PureState(register, pruned, deficit)
+    """Sum amplitudes that share a key, prune tiny ones (mass goes to the
+    deficit) and wrap up."""
+    if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
+        keys, inverse = np.unique(keys, return_inverse=True)
+        coeffs = _sum_by(inverse, coeffs, len(keys))
+    small = np.abs(coeffs) <= prune_eps
+    if small.any():
+        deficit += _mass(coeffs[small])
+        keys, coeffs = keys[~small], coeffs[~small]
+    return _wrap(register, keys, coeffs, deficit)
+
+
+def _sum_by(group: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the amplitudes in each of ``n`` groups."""
+    return np.bincount(group, coeffs.real, n) + 1j * np.bincount(group, coeffs.imag, n)
+
+
+def _lookup(state: PureState, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``keys`` in ``state.keys`` and the mask of those present."""
+    pos = np.searchsorted(state.keys, keys)
+    hit = pos < len(state.keys)
+    hit[hit] = state.keys[pos[hit]] == keys[hit]
+    return pos, hit
+
+
+def group_by(state: PureState, modes: Sequence[ModeLabel]
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group a state's amplitudes by their occupations outside ``modes``.
+
+    Returns ``(rest, group, occ)``: the sorted distinct keys with ``modes``
+    emptied, the index into ``rest`` of each amplitude, and each amplitude's
+    occupations of ``modes`` (one column per mode, in the given order).
+    """
+    reg = state.register
+    idx = [reg.index(m) for m in modes]
+    occ = reg.digits(state.keys, idx)
+    rest, group = np.unique(state.keys - occ @ reg.strides[idx], return_inverse=True)
+    return rest, group, occ
 
 
 def vacuum(register: ModeRegister) -> PureState:
@@ -224,19 +350,26 @@ def basis_state(register: ModeRegister, occupations: Mapping[ModeLabel, int]) ->
 
 
 def scale(state: PureState, c: complex) -> PureState:
-    return PureState(state.register,
-                     {k: c * a for k, a in state.amps.items()},
-                     state.norm_deficit * abs(c) ** 2)
+    return _wrap(state.register, state.keys, c * state.coeffs,
+                 state.norm_deficit * abs(c) ** 2)
 
 
 def add(a: PureState, b: PureState) -> PureState:
     """Coherent superposition a + b (same register)."""
     if a.register != b.register:
         raise RegisterMismatchError("cannot add states on different registers")
-    amps = dict(a.amps)
-    for k, amp in b.amps.items():
-        amps[k] = amps.get(k, 0.0) + amp
-    return _finish(a.register, amps, a.norm_deficit + b.norm_deficit)
+    pos, hit = _lookup(a, b.keys)
+    summed = a.coeffs.copy()
+    summed[pos[hit]] += b.coeffs[hit]
+    # merge the keys new to ``a`` in by binary search: both inputs are sorted
+    new = b.keys[~hit]
+    at_a = np.arange(len(a.keys)) + np.searchsorted(new, a.keys)
+    at_b = pos[~hit] + np.arange(len(new))
+    keys = np.empty(len(at_a) + len(at_b), dtype=np.int64)
+    coeffs = np.empty(len(keys), dtype=complex)
+    keys[at_a], keys[at_b] = a.keys, new
+    coeffs[at_a], coeffs[at_b] = summed, b.coeffs[~hit]
+    return _finish(a.register, keys, coeffs, a.norm_deficit + b.norm_deficit)
 
 
 def normalized(state: PureState) -> PureState:
@@ -244,10 +377,8 @@ def normalized(state: PureState) -> PureState:
     n2 = state.norm_sq()
     if n2 <= 0.0:
         raise DegenerateInputError("cannot normalize a zero state")
-    inv = 1.0 / math.sqrt(n2)
-    return PureState(state.register,
-                     {k: a * inv for k, a in state.amps.items()},
-                     state.norm_deficit / n2)
+    return _wrap(state.register, state.keys, state.coeffs * (1.0 / math.sqrt(n2)),
+                 state.norm_deficit / n2)
 
 
 def embed(state: PureState, register: ModeRegister) -> PureState:
@@ -259,14 +390,8 @@ def embed(state: PureState, register: ModeRegister) -> PureState:
         if register.cutoffs[j] < old.cutoffs[i]:
             raise CutoffError(f"target cutoff for {m} is smaller than the source cutoff")
         positions.append(j)
-    base = list(register.vacuum_key())
-    amps = {}
-    for occ, amp in state.amps.items():
-        key = base.copy()
-        for n, j in zip(occ, positions):
-            key[j] = n
-        amps[tuple(key)] = amp
-    return PureState(register, amps, state.norm_deficit)
+    keys = old.digits(state.keys) @ register.strides[positions]
+    return _wrap(register, keys, state.coeffs, state.norm_deficit)
 
 
 def restrict(state: PureState, keep: Sequence[ModeLabel],
@@ -274,20 +399,16 @@ def restrict(state: PureState, keep: Sequence[ModeLabel],
     """Drop modes that are in vacuum; error if a dropped mode is occupied."""
     reg = state.register
     keep_idx = [reg.index(m) for m in keep]
-    drop_idx = [i for i in range(reg.n_modes) if i not in keep_idx]
-    stray = sum(abs(a) ** 2 for occ, a in state.amps.items()
-                if any(occ[i] != 0 for i in drop_idx))
-    if stray > tol:
+    occ = reg.digits(state.keys)
+    stray = np.delete(occ, keep_idx, axis=1).any(axis=1)
+    stray_mass = _mass(state.coeffs[stray])
+    if stray_mass > tol:
         raise ContractViolationError(
-            f"dropped modes hold probability {stray:.3g} > {tol:.3g}")
+            f"dropped modes hold probability {stray_mass:.3g} > {tol:.3g}")
     new_reg = ModeRegister(tuple(reg.modes[i] for i in keep_idx),
                            tuple(reg.cutoffs[i] for i in keep_idx))
-    amps = {}
-    for occ, amp in state.amps.items():
-        if any(occ[i] != 0 for i in drop_idx):
-            continue
-        amps[tuple(occ[i] for i in keep_idx)] = amp
-    return PureState(new_reg, amps, state.norm_deficit)
+    return _wrap(new_reg, occ[~stray][:, keep_idx] @ new_reg.strides,
+                 state.coeffs[~stray], state.norm_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +418,21 @@ def restrict(state: PureState, keep: Sequence[ModeLabel],
 def apply_annihilation(state: PureState, m: ModeLabel) -> PureState:
     """Unnormalized a|psi>; entries at zero occupation are annihilated."""
     i = state.register.index(m)
-    amps = {}
-    for occ, amp in state.amps.items():
-        n = occ[i]
-        if n == 0:
-            continue
-        key = occ[:i] + (n - 1,) + occ[i + 1:]
-        amps[key] = amps.get(key, 0.0) + amp * math.sqrt(n)
-    return _finish(state.register, amps, state.norm_deficit)
+    n = state.register.digit(state.keys, i)
+    up = n > 0
+    return _finish(state.register, state.keys[up] - state.register.strides[i],
+                   state.coeffs[up] * np.sqrt(n[up]), state.norm_deficit)
 
 
 def apply_creation(state: PureState, m: ModeLabel) -> PureState:
     """Unnormalized a†|psi>; input mass that would exceed the cutoff is
     added to the norm deficit."""
     i = state.register.index(m)
-    top = state.register.cutoffs[i]
-    amps = {}
-    deficit = state.norm_deficit
-    for occ, amp in state.amps.items():
-        n = occ[i]
-        if n >= top:
-            deficit += abs(amp) ** 2
-            continue
-        key = occ[:i] + (n + 1,) + occ[i + 1:]
-        amps[key] = amps.get(key, 0.0) + amp * math.sqrt(n + 1)
-    return _finish(state.register, amps, deficit)
+    n = state.register.digit(state.keys, i)
+    fits = n < state.register.cutoffs[i]
+    return _finish(state.register, state.keys[fits] + state.register.strides[i],
+                   state.coeffs[fits] * np.sqrt(n[fits] + 1),
+                   state.norm_deficit + _mass(state.coeffs[~fits]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,37 +479,28 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     ia, ib = reg.index(mode_a), reg.index(mode_b)
     if ia == ib:
         raise ValueError("mixer needs two distinct modes")
-    cap_a, cap_b = reg.cutoffs[ia], reg.cutoffs[ib]
-    lo, hi = min(ia, ib), max(ia, ib)
-
-    groups: dict = {}
-    for occ, amp in state.amps.items():
-        na, nb = occ[ia], occ[ib]
-        rest = occ[:lo] + occ[lo + 1:hi] + occ[hi + 1:]
-        groups.setdefault((rest, na + nb), []).append((na, amp))
-
-    amps: dict = {}
+    rest, group, occ = group_by(state, [mode_a, mode_b])
+    # one block per (rest, total) component, ordered by total, packed end to end
+    comps, comp = np.unique(occ.sum(axis=1) * len(rest) + group, return_inverse=True)
+    total, comp_rest = np.divmod(comps, len(rest))
+    start = np.cumsum(total + 1) - (total + 1)
+    packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
+    packed[start[comp] + occ[:, 0]] = state.coeffs
+    keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
     deficit = state.norm_deficit
-    blocks = {t: _gaussian_unitary("mix", t + 1, theta, phase) for t in {t for _, t in groups}}
-    for (rest, total), items in groups.items():
-        v = np.zeros(total + 1, dtype=complex)
-        for na, amp in items:
-            v[na] += amp
-        w = blocks[total] @ v
-        for na in range(total + 1):
-            amp = w[na]
-            if amp == 0.0:
-                continue
-            nb = total - na
-            if na > cap_a or nb > cap_b:
-                deficit += abs(amp) ** 2
-                continue
-            if ia < ib:
-                key = rest[:ia] + (na,) + rest[ia:ib - 1] + (nb,) + rest[ib - 1:]
-            else:
-                key = rest[:ib] + (nb,) + rest[ib:ia - 1] + (na,) + rest[ia - 1:]
-            amps[key] = amps.get(key, 0.0) + amp
-    return _finish(reg, amps, deficit)
+    cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        t = int(total[lo])
+        block = packed[start[lo]:start[lo] + (hi - lo) * (t + 1)].reshape(hi - lo, t + 1)
+        out = block @ _gaussian_unitary("mix", t + 1, theta, phase).T
+        na = np.arange(t + 1)
+        fits = (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib])
+        deficit += _mass(out[:, ~fits])
+        na = na[fits]
+        keys.append((rest[comp_rest[lo:hi], None] + na * reg.strides[ia]
+                     + (t - na) * reg.strides[ib]).ravel())
+        coeffs.append(out[:, fits].ravel())
+    return _finish(reg, np.concatenate(keys), np.concatenate(coeffs), deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -417,28 +519,17 @@ def apply_single_mode_matrix(state: PureState, m: ModeLabel, matrix: np.ndarray,
     dim = reg.cutoffs[i] + 1
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not fit cutoff {dim - 1}")
-
-    groups: dict = {}
-    for occ, amp in state.amps.items():
-        rest = occ[:i] + occ[i + 1:]
-        groups.setdefault(rest, []).append((occ[i], amp))
-
-    amps: dict = {}
-    top_mass = 0.0
-    for rest, items in groups.items():
-        v = np.zeros(dim, dtype=complex)
-        for n, amp in items:
-            v[n] += amp
-        w = matrix @ v
-        top_mass += abs(w[dim - 1]) ** 2
-        for n in range(dim):
-            if w[n] != 0.0:
-                amps[rest[:i] + (n,) + rest[i:]] = w[n]
+    rest, group, occ = group_by(state, [m])
+    block = np.zeros((len(rest), dim), dtype=complex)
+    block[group, occ[:, 0]] = state.coeffs
+    out = block @ matrix.T
+    top_mass = _mass(out[:, -1])
     if tail_eps is not None and top_mass > tail_eps:
         raise CutoffError(
             f"mode {m}: top-level mass {top_mass:.3g} exceeds {tail_eps:.3g}; "
             f"increase the cutoff")
-    return _finish(reg, amps, state.norm_deficit)
+    keys = rest[:, None] + reg.strides[i] * np.arange(dim)
+    return _finish(reg, keys.ravel(), out.ravel(), state.norm_deficit)
 
 
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
@@ -462,42 +553,41 @@ def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b> over a common register."""
     if a.register != b.register:
         raise RegisterMismatchError("inner product needs a common register")
-    if len(a.amps) > len(b.amps):
-        return np.conj(inner_product(b, a))  # type: ignore[arg-type]
-    total = 0.0 + 0.0j
-    for key, amp in a.amps.items():
-        other = b.amps.get(key)
-        if other is not None:
-            total += np.conj(amp) * other
-    return complex(total)
+    pos, hit = _lookup(b, a.keys)
+    return complex(np.vdot(a.coeffs[hit], b.coeffs[pos[hit]]))
 
 
 def mean_occupation(state: PureState, m: ModeLabel) -> float:
-    i = state.register.index(m)
-    return float(sum(occ[i] * abs(a) ** 2 for occ, a in state.amps.items()))
+    return occupation_moments(state, m)[0]
 
 
 def occupation_moments(state: PureState, m: ModeLabel) -> tuple[float, float]:
     """(⟨n⟩, ⟨n²⟩) for one mode."""
-    i = state.register.index(m)
-    m1 = m2 = 0.0
-    for occ, a in state.amps.items():
-        w = abs(a) ** 2
-        n = occ[i]
-        m1 += n * w
-        m2 += n * n * w
-    return m1, m2
+    n = state.register.digit(state.keys, state.register.index(m)).astype(float)
+    w = np.abs(state.coeffs) ** 2
+    return float(n @ w), float((n * n) @ w)
 
 
 def parity_expectation(state: PureState, modes: Sequence[ModeLabel] | None = None) -> float:
     """⟨(-1)^{sum of occupations}⟩ over the given modes (all by default)."""
     reg = state.register
-    idx = range(reg.n_modes) if modes is None else [reg.index(m) for m in modes]
-    total = 0.0
-    for occ, a in state.amps.items():
-        s = sum(occ[i] for i in idx)
-        total += (1.0 if s % 2 == 0 else -1.0) * abs(a) ** 2
-    return total
+    idx = None if modes is None else [reg.index(m) for m in modes]
+    odd = reg.digits(state.keys, idx).sum(axis=1) % 2
+    return float((1.0 - 2.0 * odd) @ (np.abs(state.coeffs) ** 2))
+
+
+def amplitude_matrix(state: PureState, keep: Sequence[ModeLabel]) -> tuple[np.ndarray, tuple]:
+    """Amplitudes as a matrix with one row per occupation pattern of ``keep``
+    that occurs (sorted, over ``keep`` in the given order) and one column per
+    pattern of the other modes that occurs; also returns the row patterns."""
+    reg = state.register
+    rest, col, occ = group_by(state, keep)
+    dims = [reg.cutoff_of(m) + 1 for m in keep]
+    patterns, row = np.unique(np.ravel_multi_index(occ.T, dims), return_inverse=True)
+    matrix = np.zeros((len(patterns), len(rest)), dtype=complex)
+    matrix[row, col] = state.coeffs
+    basis = np.transpose(np.unravel_index(patterns, dims)).tolist()
+    return matrix, tuple(map(tuple, basis))
 
 
 def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> DensityView:
@@ -506,27 +596,10 @@ def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> DensityView:
     reg = state.register
     if not keep:
         raise ValueError("keep must be a nonempty mode subset")
-    keep_idx = [reg.index(m) for m in keep]
-    if len(set(keep_idx)) == reg.n_modes:
+    if len({reg.index(m) for m in keep}) == reg.n_modes:
         raise ValueError("keep must be a proper subset of the register")
-    drop_idx = [i for i in range(reg.n_modes) if i not in keep_idx]
-
-    groups: dict = {}
-    patterns: set = set()
-    for occ, amp in state.amps.items():
-        ka = tuple(occ[i] for i in keep_idx)
-        kb = tuple(occ[i] for i in drop_idx)
-        groups.setdefault(kb, []).append((ka, amp))
-        patterns.add(ka)
-
-    basis = tuple(sorted(patterns))
-    where = {p: i for i, p in enumerate(basis)}
-    rho = np.zeros((len(basis), len(basis)), dtype=complex)
-    for items in groups.values():
-        for ka_i, a_i in items:
-            for ka_j, a_j in items:
-                rho[where[ka_i], where[ka_j]] += a_i * np.conj(a_j)
-    return DensityView(rho, basis, tuple(keep))
+    matrix, basis = amplitude_matrix(state, keep)
+    return DensityView(matrix @ matrix.conj().T, basis, tuple(keep))
 
 
 # ---------------------------------------------------------------------------

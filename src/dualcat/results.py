@@ -12,10 +12,6 @@ class Table:
     columns: list
     rows: list
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
 
 @dataclass
 class ExperimentResult:

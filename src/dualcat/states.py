@@ -62,6 +62,11 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return out
 
 
+def _levels(register: ModeRegister, m: ModeLabel, count: int) -> np.ndarray:
+    """Keys of |n> in mode ``m`` with every other mode empty, n = 0..count-1."""
+    return np.arange(count) * register.strides[register.index(m)]
+
+
 def _require_cutoff(register: ModeRegister, m: ModeLabel, needed: int) -> None:
     have = register.cutoff_of(m)
     if have < needed:
@@ -74,12 +79,9 @@ def coherent(register: ModeRegister, m: ModeLabel, alpha: complex,
              tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """Coherent state |alpha> in mode ``m``, vacuum elsewhere."""
     _require_cutoff(register, m, coherent_cutoff(alpha, tail_eps))
-    i = register.index(m)
     coeffs = _coherent_amplitudes(alpha, register.cutoff_of(m))
-    base = register.vacuum_key()
-    amps = {base[:i] + (n,) + base[i + 1:]: c for n, c in enumerate(coeffs)}
     tail = max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
-    return _finish(register, amps, tail)
+    return _finish(register, _levels(register, m, len(coeffs)), coeffs, tail)
 
 
 def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
@@ -91,7 +93,6 @@ def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
     """
     alpha = params.alpha
     _require_cutoff(register, m, coherent_cutoff(alpha, tail_eps))
-    i = register.index(m)
     coeffs = _coherent_amplitudes(alpha, register.cutoff_of(m))
     overlap = math.exp(-2.0 * abs(alpha) ** 2)  # <a|-a> for any phase of a
     if params.parity == "even":
@@ -100,16 +101,10 @@ def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
     else:
         norm_const = 1.0 / math.sqrt(2.0 * (1.0 - overlap))
         keep = 1
-    base = register.vacuum_key()
-    amps = {}
-    retained = 0.0
-    for n, c in enumerate(coeffs):
-        if n % 2 != keep:
-            continue
-        amp = 2.0 * norm_const * c
-        amps[base[:i] + (n,) + base[i + 1:]] = amp
-        retained += abs(amp) ** 2
-    return _finish(register, amps, max(0.0, 1.0 - retained))
+    amps = 2.0 * norm_const * coeffs[keep::2]
+    retained = float(np.sum(np.abs(amps) ** 2))
+    keys = _levels(register, m, len(coeffs))[keep::2]
+    return _finish(register, keys, amps, max(0.0, 1.0 - retained))
 
 
 def squeezed_vacuum(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
@@ -121,21 +116,17 @@ def squeezed_vacuum(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
     """
     r = params.r
     _require_cutoff(register, m, squeezed_cutoff(r, tail_eps))
-    i = register.index(m)
-    top = register.cutoff_of(m)
     t = math.tanh(r)
-    base = register.vacuum_key()
-    amps = {}
+    amps = []
     c = 1.0 / math.sqrt(math.cosh(r))
-    retained = 0.0
-    k = 0
-    while 2 * k <= top:
-        amps[base[:i] + (2 * k,) + base[i + 1:]] = complex(c)
-        retained += c * c
+    for k in range(register.cutoff_of(m) // 2 + 1):
+        amps.append(c)
         # c_{2(k+1)} / c_{2k} = t * sqrt((2k+1)(2k+2)) / (2(k+1))
         c *= t * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2 * (k + 1))
-        k += 1
-    return _finish(register, amps, max(0.0, 1.0 - retained))
+    amps = np.array(amps, dtype=complex)
+    retained = float(np.sum(amps.real ** 2))
+    keys = _levels(register, m, register.cutoff_of(m) + 1)[::2]
+    return _finish(register, keys, amps, max(0.0, 1.0 - retained))
 
 
 def subtracted_sv(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
@@ -170,18 +161,11 @@ def _two_mode_coherent(register: ModeRegister, mode_a: ModeLabel, mode_b: ModeLa
                        alpha: complex, beta: complex, tail_eps: float) -> PureState:
     _require_cutoff(register, mode_a, coherent_cutoff(alpha, tail_eps))
     _require_cutoff(register, mode_b, coherent_cutoff(beta, tail_eps))
-    ia, ib = register.index(mode_a), register.index(mode_b)
     ca = _coherent_amplitudes(alpha, register.cutoff_of(mode_a))
     cb = _coherent_amplitudes(beta, register.cutoff_of(mode_b))
-    base = register.vacuum_key()
-    amps = {}
-    retained = 0.0
-    for na, a in enumerate(ca):
-        for nb, b in enumerate(cb):
-            amp = a * b
-            if abs(amp) > 1e-18:
-                key = list(base)
-                key[ia], key[ib] = na, nb
-                amps[tuple(key)] = amp
-                retained += abs(amp) ** 2
-    return _finish(register, amps, max(0.0, 1.0 - retained))
+    amps = np.outer(ca, cb).ravel()
+    keys = (_levels(register, mode_a, len(ca))[:, None]
+            + _levels(register, mode_b, len(cb))).ravel()
+    kept = np.abs(amps) > 1e-18
+    retained = float(np.sum(np.abs(amps[kept]) ** 2))
+    return _finish(register, keys[kept], amps[kept], max(0.0, 1.0 - retained))

@@ -200,6 +200,13 @@ def test_polarization_access_zero_flip_gives_no_entanglement():
     assert neg == pytest.approx(0.0, abs=1e-9)
 
 
+def test_polarization_access_keeps_the_input_deficit():
+    # the deficit bounds the missing mass, so conditioning can only raise it
+    gen = generate_entangled_cat(1.19).output_state
+    out = quiet_access(gen).output_state
+    assert out.norm_deficit >= gen.norm_deficit > 0.0
+
+
 def test_polarization_access_is_deterministic():
     rep = generate_entangled_cat(1.0)
     a = quiet_access(rep.output_state)

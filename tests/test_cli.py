@@ -283,3 +283,71 @@ def test_nonfinite_result_is_never_written(tmp_path, capsys, monkeypatch):
     code, _, _ = run_main(["--output", str(out_file), "ifm"], capsys)
     assert code == cli.EXIT_NONCONVERGED
     assert not out_file.exists()
+
+
+# ---------------------------------------------------------------------------
+# reported norm deficits, register budget, worker count
+
+
+def _reported_deficit(tmp_path, capsys, argv):
+    out_file = tmp_path / "run.json"
+    code, _, _ = run_main(["--output", str(out_file)] + argv, capsys)
+    assert code == 0
+    return load_result(out_file)["result"]["convergence"]["norm_deficit"]
+
+
+def test_bell_reports_the_largest_pair_deficit(tmp_path, capsys):
+    from dualcat.fock import coherent_cutoff, mode, plain_register
+    from dualcat.states import entangled_cat_pair
+
+    got = _reported_deficit(tmp_path, capsys, ["bell", "--alpha-grid", "0.5,0.8",
+                                               "--grid-density", "5", "--refine-iters", "20"])
+    expected = max(entangled_cat_pair(plain_register([1, 2], coherent_cutoff(a + 1.3)),
+                                      mode(1), mode(2), a).norm_deficit for a in (0.5, 0.8))
+    assert got == expected > 0.0
+
+
+def test_fisher_reports_the_largest_noon_deficit(tmp_path, capsys):
+    from dualcat.circuits import noon_from_cat_pair
+
+    got = _reported_deficit(tmp_path, capsys, ["fisher", "--alpha-grid", "1.0,1.5"])
+    assert got == max(noon_from_cat_pair(a).norm_deficit for a in (1.0, 1.5)) > 0.0
+
+
+def test_imperfection_sweep_reports_the_largest_output_deficit(tmp_path, capsys):
+    import warnings
+
+    from dualcat.circuits import access_polarization, generate_entangled_cat
+    from dualcat.elements import Imperfection
+
+    got = _reported_deficit(tmp_path, capsys, ["imperfection-sweep", "--alpha", "1.0",
+                                               "--b-offsets", "0.0,0.3"])
+    gen = generate_entangled_cat(1.0).output_state
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = max(access_polarization(gen, Imperfection(displacement_offset=o))
+                       .output_state.norm_deficit for o in (0.0, 0.3))
+    assert got == expected > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["sv-generate", "--r", "6"],
+    ["sv-access", "--r", "6"],
+    ["generate", "--alpha", "100"],
+    ["duality", "--alpha", "80"],
+    ["fisher", "--alpha-grid", "1.0,60"],
+    ["imperfection-sweep", "--b-offsets", "0.0,90"],
+])
+def test_every_experiment_refuses_registers_beyond_the_budget(tmp_path, capsys, argv):
+    # the guard runs before any state is built, so each case exits at once
+    out_file = tmp_path / "out.json"
+    code, _, err = run_main(["--output", str(out_file)] + argv, capsys)
+    assert code == cli.EXIT_CUTOFF
+    assert "cutoff" in err.lower()
+    assert not out_file.exists()
+
+
+def test_jobs_are_clamped_to_the_processor_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    for asked, granted in ((-2, 1), (0, 1), (1, 1), (3, 3), (10**6, 3)):
+        assert resolve_config("fisher", {}, {}, 1e-12, asked, None).jobs == granted

@@ -358,6 +358,12 @@ def test_cswap_pol_identity_on_h_control():
     assert fid(cswap_pol(s, 3, 1, 2), s) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_cswap_pol_needs_two_distinct_paths():
+    reg = polarized_register([1, 2], 2)
+    with pytest.raises(ValueError):
+        cswap_pol(basis_state(reg, {mode(2, "V"): 1}), 2, 1, 1)
+
+
 def test_cswap_pol_cross_exchanges_contents_on_v_control():
     reg = polarized_register([1, 2, 3], 8)
     s = _mode_product(_mode_product(coherent(reg, mode(1, "V"), 0.6, tail_eps=1e-6),
@@ -392,6 +398,18 @@ def test_cswap_pol_is_involution_on_v_control():
 
 # ---------------------------------------------------------------------------
 # detectors
+
+
+def test_every_detection_branch_keeps_the_input_deficit():
+    reg = polarized_register([1], 6)
+    psi = coherent(reg, mode(1, "H"), 1.0, tail_eps=1e-3)
+    psi = add(psi, coherent(reg, mode(1, "V"), 0.5, tail_eps=1e-3))
+    assert psi.norm_deficit > 0.0
+    branches = (polarizer(psi, 1, "H").branches + onoff_detect(psi, mode(1, "H")).branches
+                + absorb_arm(psi, mode(1, "V")).branches)
+    kept = [state for _, state, _ in branches if state is not None]
+    assert len(kept) == 5
+    assert all(state.norm_deficit == psi.norm_deficit for state in kept)
 
 
 def test_onoff_detect_vacuum_never_clicks():

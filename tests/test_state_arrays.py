@@ -1,0 +1,256 @@
+"""Property tests of the array-backed sparse state against the dense oracles.
+
+Registers of 2-3 modes with cutoffs up to 5 (polarized registers of 1-3
+paths with cutoffs up to 3 for the gates) carry random sparse states; each
+engine operation must agree with the dense Kronecker-product reference of
+``tests/oracles.py`` to 1e-12.  The expected gate permutations are written
+out here index by index.
+"""
+
+import math
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from dualcat.elements import (
+    cswap_pol,
+    displaced_parity_expect,
+    hwp,
+    parity_controlled_flip,
+    pbs,
+)
+from dualcat.fock import (
+    CutoffError,
+    ModeRegister,
+    PureState,
+    add,
+    apply_single_mode_matrix,
+    apply_two_mode_mixer,
+    embed,
+    mode,
+    partial_trace,
+    polarized_register,
+    restrict,
+)
+
+TOL = 1e-12
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def random_state(register, seed, n_terms, top=None):
+    """Normalized-free random state on ``n_terms`` distinct patterns whose
+    occupations stay at or below ``top`` (the cutoffs by default)."""
+    gen = np.random.default_rng(seed)
+    caps = [min(c, top) if top is not None else c for c in register.cutoffs]
+    patterns = list(product(*(range(c + 1) for c in caps)))
+    picks = gen.choice(len(patterns), size=min(n_terms, len(patterns)), replace=False)
+    return PureState(register, {patterns[k]: complex(gen.normal(), gen.normal())
+                                for k in picks}, 0.0)
+
+
+@st.composite
+def plain_states(draw, modes=(2, 3), max_cutoff=5, headroom=1):
+    n = draw(st.integers(*modes))
+    cutoffs = tuple(draw(st.integers(1, max_cutoff)) for _ in range(n))
+    reg = ModeRegister(tuple(mode(p) for p in range(1, n + 1)), cutoffs)
+    top = min(cutoffs) // headroom
+    return random_state(reg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)), top)
+
+
+@st.composite
+def polarized_states(draw, paths=(1, 3)):
+    n = draw(st.integers(*paths))
+    reg = polarized_register(range(1, n + 1), draw(st.integers(1, 3)))
+    return random_state(reg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)))
+
+
+def dense(state):
+    return oracles.dense_vector(state).reshape(oracles.dims(state.register))
+
+
+def permuted(state, move):
+    """Dense array of ``state`` with the amplitude at each pattern moved to
+    ``move(pattern)``."""
+    src = dense(state)
+    out = np.zeros_like(src)
+    for occ in product(*(range(d) for d in src.shape)):
+        out[move(occ)] += src[occ]
+    return out
+
+
+def swap(occ, *pairs):
+    lst = list(occ)
+    for i, j in pairs:
+        lst[i], lst[j] = occ[j], occ[i]
+    return tuple(lst)
+
+
+# ---------------------------------------------------------------------------
+# mixer, single-mode matrix, superposition
+
+
+@SETTINGS
+@given(psi=plain_states(headroom=2), theta=st.floats(-3.2, 3.2), phase=st.floats(-3.2, 3.2),
+       pair=st.permutations(range(3)))
+def test_mixer_matches_dense_exponential_in_both_mode_orders(psi, theta, phase, pair):
+    # occupations at most half the smallest cutoff keep every total-photon
+    # block inside the truncation, where the dense exponential is exact
+    ia, ib = [i for i in pair if i < psi.register.n_modes][:2]
+    reg = psi.register
+    out = apply_two_mode_mixer(psi, reg.modes[ia], reg.modes[ib], theta, phase)
+    ref = oracles.dense_mixer(reg, ia, ib, theta, phase) @ oracles.dense_vector(psi)
+    assert np.max(np.abs(oracles.dense_vector(out) - ref)) <= TOL
+
+
+@SETTINGS
+@given(psi=plain_states(), which=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_single_mode_matrix_matches_kronecker_lift(psi, which, seed):
+    reg = psi.register
+    i = which % reg.n_modes
+    gen = np.random.default_rng(seed)
+    dim = reg.cutoffs[i] + 1
+    matrix = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    out = apply_single_mode_matrix(psi, reg.modes[i], matrix)
+    ref = oracles.mode_operator(reg, i, matrix) @ oracles.dense_vector(psi)
+    assert np.max(np.abs(oracles.dense_vector(out) - ref)) <= TOL
+
+
+@SETTINGS
+@given(a=plain_states(), seed=st.integers(0, 2**32 - 1), c=st.complex_numbers(max_magnitude=3))
+def test_add_matches_dense_sum(a, seed, c):
+    b = random_state(a.register, seed, 8)
+    b = PureState(b.register, {k: c * v for k, v in b.amps.items()}, 0.0)
+    ref = oracles.dense_vector(a) + oracles.dense_vector(b)
+    assert np.max(np.abs(oracles.dense_vector(add(a, b)) - ref)) <= TOL
+
+
+@SETTINGS
+@given(cutoffs=st.tuples(st.integers(24, 30), st.integers(24, 30)),
+       seed=st.integers(0, 2**32 - 1), b1=st.complex_numbers(max_magnitude=0.6),
+       b2=st.complex_numbers(max_magnitude=0.6))
+def test_displaced_parity_matches_laguerre_oracle(cutoffs, seed, b1, b2):
+    # low occupations keep the truncated displacement equal to the
+    # infinite-space Laguerre elements far below the tolerance
+    reg = ModeRegister((mode(1), mode(2)), cutoffs)
+    psi = random_state(reg, seed, 8, top=3)
+    got = displaced_parity_expect(psi, b1, b2, tail_eps=1.0)
+    assert abs(got - oracles.dense_displaced_parity(psi, b1, b2)) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# partial trace, embedding, restriction
+
+
+@SETTINGS
+@given(psi=plain_states(modes=(2, 3)), order=st.permutations(range(3)),
+       n_keep=st.integers(1, 2))
+def test_partial_trace_matches_dense_reduction(psi, order, n_keep):
+    reg = psi.register
+    keep = [i for i in order if i < reg.n_modes][:min(n_keep, reg.n_modes - 1)]
+    view = partial_trace(psi, [reg.modes[i] for i in keep])
+    kept_dims = [reg.cutoffs[i] + 1 for i in keep]
+    lifted = np.zeros((math.prod(kept_dims),) * 2, dtype=complex)
+    flat = [np.ravel_multi_index(p, kept_dims) for p in view.basis]
+    lifted[np.ix_(flat, flat)] = view.matrix
+    assert np.max(np.abs(lifted - oracles.dense_reduced_density(psi, keep))) <= TOL
+    assert list(view.basis) == sorted(view.basis)
+
+
+@SETTINGS
+@given(psi=plain_states(), order=st.permutations(range(5)), extra=st.integers(0, 2))
+def test_embed_places_amplitudes_and_restrict_undoes_it(psi, order, extra):
+    reg = psi.register
+    labels = list(reg.modes) + [mode(p) for p in (7, 8)]
+    order = [i for i in order if i < len(labels)]
+    big = ModeRegister(tuple(labels[i] for i in order),
+                       tuple((reg.cutoffs[i] + extra if i < reg.n_modes else 2) for i in order))
+    lifted = embed(psi, big)
+    src = dense(psi)
+    ref = np.zeros(oracles.dims(big), dtype=complex)
+    for occ in product(*(range(d) for d in src.shape)):
+        target = [0] * big.n_modes
+        for i, n in enumerate(occ):
+            target[big.index(reg.modes[i])] = n
+        ref[tuple(target)] = src[occ]
+    assert np.max(np.abs(dense(lifted) - ref)) <= TOL
+    back = restrict(lifted, list(reg.modes))
+    assert back.register == ModeRegister(reg.modes, tuple(c + extra for c in reg.cutoffs))
+    assert np.max(np.abs(dense(embed(psi, back.register)) - dense(back))) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# gate permutations
+
+
+@SETTINGS
+@given(psi=polarized_states(paths=(2, 3)))
+def test_pbs_and_hwp_permute_as_written(psi):
+    idx = psi.register.index
+    v1, v2 = idx(mode(1, "V")), idx(mode(2, "V"))
+    assert np.array_equal(dense(pbs(psi, 1, 2)), permuted(psi, lambda o: swap(o, (v1, v2))))
+    h2 = idx(mode(2, "H"))
+    assert np.array_equal(dense(hwp(psi, 2)), permuted(psi, lambda o: swap(o, (h2, v2))))
+
+
+@SETTINGS
+@given(psi=polarized_states(paths=(3, 3)))
+def test_cswap_and_parity_flip_permute_as_written(psi):
+    idx = psi.register.index
+    c = {(p, s): idx(mode(p, s)) for p in (1, 2, 3) for s in "HV"}
+
+    def fredkin(o):
+        if o[c[3, "V"]] > 0 and o[c[3, "H"]] == 0:
+            return swap(o, (c[1, "H"], c[2, "V"]), (c[1, "V"], c[2, "H"]))
+        return o
+
+    out = cswap_pol(psi, 3, 1, 2, on_ambiguous="pass")
+    assert np.max(np.abs(dense(out) - permuted(psi, fredkin))) <= TOL
+
+    def parity(o):
+        return swap(o, (c[2, "H"], c[2, "V"])) if o[c[3, "V"]] % 2 else o
+
+    out = parity_controlled_flip(psi, mode(3, "V"), 2)
+    assert np.max(np.abs(dense(out) - permuted(psi, parity))) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# the state's own contract
+
+
+def test_register_whose_keys_overflow_int64_is_refused():
+    ModeRegister((mode(1), mode(2)), (2**31 - 1, 2**31 - 1))  # 2**62 patterns fit
+    with pytest.raises(CutoffError):
+        ModeRegister((mode(1), mode(2)), (2**32, 2**32))
+
+
+def test_amps_is_a_read_only_mapping_over_read_only_arrays():
+    reg = polarized_register([1], 3)
+    psi = PureState(reg, {(2, 1): 0.6j, (0, 3): 0.8}, 0.0)
+    assert psi.amps == {(0, 3): 0.8, (2, 1): 0.6j}
+    assert len(psi.amps) == 2 and psi.amps.get((1, 1)) is None
+    (occ, amp), _ = psi.amps.items()
+    assert all(type(n) is int for n in occ) and type(amp) is complex
+    with pytest.raises(TypeError):
+        psi.amps[(1, 1)] = 1.0
+    for array in (psi.keys, psi.coeffs):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+@SETTINGS
+@given(psi=plain_states(), seed=st.integers(0, 2**32 - 1))
+def test_iteration_order_is_sorted_whatever_the_insertion_order(psi, seed):
+    items = list(psi.amps.items())
+    shuffled = [items[k] for k in np.random.default_rng(seed).permutation(len(items))]
+    again = PureState(psi.register, dict(shuffled), 0.0)
+    assert list(again.amps) == list(psi.amps) == sorted(psi.amps)
+    assert again.amps.items() == items
+
+
+def test_occupation_beyond_a_cutoff_is_refused():
+    with pytest.raises(CutoffError):
+        PureState(polarized_register([1], 2), {(3, 0): 1.0}, 0.0)
