@@ -5,9 +5,9 @@ phase-space interference fringes of the cat pair run along the imaginary
 displacement axis, so that is where the search lives.  The optimized
 value |B| violates the local bound 2 at every amplitude and grows toward
 the Tsirelson bound 2*sqrt(2); for this anti-correlated pair the
-optimal settings give B < -2.  Those settings shrink like 1/alpha with the
-fringe period pi/(2 alpha), so the search radius shrinks with alpha too,
-keeping the fixed 13-point grid fine enough to seed the right basin.
+optimal settings give B < -2.  They shrink like 1/alpha with the fringe
+period pi/(2 alpha); the default 25-point grid over radius 1 is fine enough
+to seed the right basin at every amplitude shown, so no radius is tuned.
 """
 
 import math
@@ -23,10 +23,10 @@ from dualcat import (
 
 print(f"{'alpha':>6} {'|CHSH|':>10} {'settings (imaginary parts)':>42}")
 for alpha in (0.5, 1.0, 1.5, 2.0, 2.5):
-    radius = min(1.0, 2.0 / alpha)
-    reg = plain_register([1, 2], coherent_cutoff(alpha + radius + 0.3))
+    search = BellSearch()
+    reg = plain_register([1, 2], coherent_cutoff(alpha + search.radius + 0.3))
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
-    settings, value = chsh_optimize(pair, BellSearch(radius=radius))
+    settings, value = chsh_optimize(pair, search)
     ys = [settings.beta1.imag, settings.beta1p.imag,
           settings.beta2.imag, settings.beta2p.imag]
     print(f"{alpha:>6} {value:>10.6f}   [{', '.join(f'{y:+.4f}' for y in ys)}]")

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .elements import displaced_parity_expect
+from .elements import ParityLineCorrelator, displaced_parity_expect
 from .fock import (
     CutoffError,
     ModeLabel,
@@ -68,7 +67,7 @@ class BellSearch:
     and real line searches.
     """
 
-    grid_density: int = 13
+    grid_density: int = 25
     refine_iters: int = 600
     radius: float = 1.0
     axis: str = "imag"
@@ -193,33 +192,62 @@ def chsh_displaced_parity(state: PureState, settings: BellSettings) -> float:
             - e(state, settings.beta1p, settings.beta2p))
 
 
-def _chsh_from_pairs(E: dict, a: float, ap: float, b: float, bp: float) -> float:
-    return E[(a, b)] + E[(a, bp)] + E[(ap, b)] - E[(ap, bp)]
-
-
-def _refine(state: PureState, search: BellSearch, x0: np.ndarray, to_settings,
-            start_val: float) -> tuple[BellSettings, float]:
-    """Fixed-budget Nelder-Mead on |B| from ``x0``; keeps the start if it is
-    better."""
+def _refine(chsh, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.ndarray, float]:
+    """Fixed-budget Nelder-Mead on |chsh(x)| from ``x0``; keeps the start if
+    it is better.  A setting that raises a cutoff error scores -inf."""
+    from scipy.optimize import minimize
 
     def objective(x):
         try:
-            return -abs(chsh_displaced_parity(state, to_settings(x)))
+            return -abs(chsh(x))
         except CutoffError:
             return np.inf
 
     res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": search.refine_iters, "xatol": 1e-8,
+                   options={"maxiter": iters, "xatol": 1e-8,
                             "fatol": 1e-11, "adaptive": False})
     if float(-res.fun) >= start_val:
-        return to_settings(res.x), float(-res.fun)
-    return to_settings(x0), start_val
+        return res.x, float(-res.fun)
+    return x0, start_val
+
+
+def _best_seed(E: np.ndarray) -> tuple[float, tuple]:
+    """Grid indices (a, a', b, b') with a != a', b != b' that maximize
+    B = E[a,b] + E[a,b'] + E[a',b] - E[a',b'], and that B.
+
+    For fixed (a, a'), B = s[b] + d[b'] with s = E[a] + E[a'] and
+    d = E[a] - E[a'], so the best b != b' pairs the top two entries of s
+    and of d; one row of a at a time keeps the memory O(n^2).
+    """
+    n = len(E)
+    rows = np.arange(n)
+    best, seed = -np.inf, None
+    for a in range(n):
+        s, d = E[a] + E, E[a] - E
+        i1, j1 = s.argmax(axis=1), d.argmax(axis=1)
+        s1, d1 = s[rows, i1], d[rows, j1]
+        s[rows, i1] = d[rows, j1] = -np.inf
+        i2, j2 = s.argmax(axis=1), d.argmax(axis=1)
+        s2, d2 = s[rows, i2], d[rows, j2]
+        # b == b' is excluded: on a shared argmax, swap in one runner-up
+        clash = i1 == j1
+        take_s2 = clash & (s2 + d1 > s1 + d2)
+        b = np.where(take_s2, i2, i1)
+        bp = np.where(clash & ~take_s2, j2, j1)
+        val = np.where(clash, np.maximum(s1 + d2, s2 + d1), s1 + d1)
+        val[a] = -np.inf  # a == a'
+        ap = int(np.argmax(val))
+        if val[ap] > best:
+            best, seed = float(val[ap]), (a, ap, int(b[ap]), int(bp[ap]))
+    return best, seed
 
 
 def _line_search(state: PureState, search: BellSearch, unit: complex
                  ) -> tuple[BellSettings, float]:
     """Grid over the line ``unit * [-r, r]``, then refine along that line.
 
+    Every correlator comes from one ``ParityLineCorrelator`` of the state:
+    the grid is one matrix product and each refinement step one 2x2 block.
     Maximizing B and maximizing -B are separate problems, so the best grid
     point of each sign seeds its own refinement and the larger |B| wins.
     Grid points with a == a' or b == b' are skipped as seeds: there B
@@ -228,28 +256,19 @@ def _line_search(state: PureState, search: BellSearch, unit: complex
     """
     r = float(search.radius)
     axis = np.linspace(-r, r, search.grid_density)
-    E = {(a, b): displaced_parity_expect(state, unit * a, unit * b)
-         for a in axis for b in axis}
-    best = {1.0: (-np.inf, None), -1.0: (-np.inf, None)}
-    for a in axis:
-        for ap in axis:
-            if ap == a:
-                continue
-            for b in axis:
-                for bp in axis:
-                    if bp == b:
-                        continue
-                    v = _chsh_from_pairs(E, a, ap, b, bp)
-                    for sign in (1.0, -1.0):
-                        if sign * v > best[sign][0]:
-                            best[sign] = (sign * v, (a, ap, b, bp))
+    corr = ParityLineCorrelator(state, unit)
+    E = corr(axis, axis)
 
-    def to_settings(x):
-        return BellSettings(*(complex(unit * v) for v in x))
+    def chsh(x):
+        e = corr(x[:2], x[2:])
+        return e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
 
-    return max((_refine(state, search, np.array(seed, dtype=float), to_settings, abs(val))
-                for val, seed in best.values()),
-               key=lambda found: found[1])
+    found = []
+    for sign in (1.0, -1.0):
+        val, seed = _best_seed(sign * E)
+        found.append(_refine(chsh, axis[list(seed)], abs(val), search.refine_iters))
+    x, val = max(found, key=lambda f: f[1])
+    return BellSettings(*(complex(unit * v) for v in x)), val
 
 
 def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
@@ -261,9 +280,9 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     B: the search maximizes |B|, returns it, and the returned settings give
     ``chsh_displaced_parity(state, settings) == +value`` or ``-value``.
 
-    Deterministic: a grid along the search line (correlators cached over the
-    grid pairs) followed by fixed-budget Nelder-Mead refinements from the
-    best grid point of each sign of B.  The "complex" search runs both the
+    Deterministic: a grid along the search line (one matrix product of a
+    ``ParityLineCorrelator``) followed by fixed-budget Nelder-Mead
+    refinements from the best grid point of each sign of B.  The "complex" search runs both the
     imaginary and the real line search and refines all 8 real parameters
     from the better of the two, so it never returns less than either line
     search.  Raises a cutoff error if the search radius would push the
@@ -287,7 +306,9 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
         return BellSettings(x[0] + 1j * x[1], x[2] + 1j * x[3],
                             x[4] + 1j * x[5], x[6] + 1j * x[7])
 
-    return _refine(state, search, x0, to_settings, seed_val)
+    x, val = _refine(lambda x: chsh_displaced_parity(state, to_settings(x)), x0,
+                     seed_val, search.refine_iters)
+    return to_settings(x), val
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ class RunConfig:
 DEFAULTS: dict = {
     "generate": {"alpha": 1.2, "sign": "-", "parity": "odd"},
     "duality": {"alpha": 1.2},
-    "bell": {"alpha_grid": "0.5:2.0:0.5", "radius": 1.0, "grid_density": 13,
+    "bell": {"alpha_grid": "0.5:2.0:0.5", "radius": 1.0, "grid_density": 25,
              "refine_iters": 600, "axis": "imag"},
     "ifm": {"state": "entangled", "theta": math.pi / 6, "bomb": False},
     "fisher": {"alpha_grid": "1.0:2.5:0.5"},

@@ -449,6 +449,19 @@ _COUPLINGS = {
 _SPECTRA: dict = {}
 
 
+def generator_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) with i*G = V diag(lam) V† for a generator kind of ``_COUPLINGS``
+    on ``dim`` levels; computed once per (kind, dim), returned read-only."""
+    if (kind, dim) not in _SPECTRA:
+        step, couplings = _COUPLINGS[kind]
+        c = couplings(np.arange(dim, dtype=float))
+        spectrum = np.linalg.eigh(1j * (np.diag(c, -step) - np.diag(c, step)))
+        for arr in spectrum:
+            arr.setflags(write=False)
+        _SPECTRA[kind, dim] = tuple(spectrum)
+    return _SPECTRA[kind, dim]
+
+
 def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.ndarray:
     """exp(t G) conjugated by diag(e^{i phase n}), from the cached spectrum of i*G.
 
@@ -456,11 +469,7 @@ def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.n
     The conjugation turns a† into e^{i phase} a† (a†b into e^{i phase} a†b),
     exactly on the truncated space too.
     """
-    if (kind, dim) not in _SPECTRA:
-        step, couplings = _COUPLINGS[kind]
-        c = couplings(np.arange(dim, dtype=float))
-        _SPECTRA[kind, dim] = np.linalg.eigh(1j * (np.diag(c, -step) - np.diag(c, step)))
-    lam, vecs = _SPECTRA[kind, dim]
+    lam, vecs = generator_spectrum(kind, dim)
     if phase:
         vecs = np.exp(1j * phase * np.arange(dim))[:, None] * vecs
     return (vecs * np.exp(-1j * t * lam)) @ vecs.conj().T

@@ -123,6 +123,22 @@ def cached_dense_correlator(state: PureState):
     return corr
 
 
+def truncated_displaced_parity(state: PureState, beta1: complex, beta2: complex) -> float:
+    """<psi| D1 P1 D1† (x) D2 P2 D2† |psi> with each D = expm(b a† - b* a) on
+    the register's truncated mode, on the dense Kronecker space."""
+    from scipy.linalg import expm
+
+    reg = state.register
+    assert reg.n_modes == 2
+    psi = dense_vector(state)
+    full = np.eye(len(psi), dtype=complex)
+    for index, (beta, dim) in enumerate(zip((beta1, beta2), dims(reg))):
+        a = annihilation_matrix(dim)
+        d = expm(beta * a.conj().T - np.conj(beta) * a)
+        full = full @ mode_operator(reg, index, d @ np.diag(parity_vector(dim)) @ d.conj().T)
+    return float(np.vdot(psi, full @ psi).real)
+
+
 def dense_reduced_density(state: PureState, keep: list) -> np.ndarray:
     """Reduced density matrix over the modes at positions ``keep`` (full
     product basis of the kept modes)."""

@@ -101,6 +101,30 @@ def test_duality_run_reports_matching_entropies(tmp_path, capsys):
     assert scalars["bell_fidelity"] >= 1.0 - 1e-6
 
 
+def test_bell_defaults_find_the_global_optimum_at_large_alpha(tmp_path, capsys):
+    # the default grid must seed the global |B| basin at alpha 2.5 and 3.0,
+    # where a 13-point grid over radius 1 settled on 2.617 and 2.678
+    import oracles
+
+    out_file = tmp_path / "bell.json"
+    code, _, _ = run_main(["--output", str(out_file), "bell", "--alpha-grid", "2.5,3.0"],
+                          capsys)
+    assert code == 0
+    table = load_result(out_file)["result"]["tables"]["bell"]
+    chsh_col = table["columns"].index("chsh")
+    for row in table["rows"]:
+        want = oracles.zoom_grid_chsh(oracles.cat_pair_correlator(row[0]), 1.0)
+        assert abs(row[chsh_col] - want) <= 1e-3
+
+
+def test_import_leaves_scipy_optimize_out():
+    import subprocess
+    import sys
+
+    code = "import sys, dualcat.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_bell_run_emits_increasing_table(tmp_path, capsys):
     out_file = tmp_path / "bell.json"
     code, _, _ = run_main(["--output", str(out_file), "bell",

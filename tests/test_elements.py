@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from dualcat.elements import (
+    ParityLineCorrelator,
     absorb_arm,
     cnot_pol,
     cphase_pol,
@@ -505,6 +506,35 @@ def test_displaced_parity_shift_consistency():
         base = displaced_parity_expect(pair, b1, b2)
         shifted = displaced_parity_expect(moved, b1 + shift, b2 + shift)
         assert shifted == pytest.approx(base, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+@pytest.mark.parametrize("unit", [1j, 1.0])
+def test_line_correlator_raises_exactly_where_displaced_parity_does(alpha, unit):
+    # the criterion-6 pair; settings out to |beta| = 5 push well past the cutoff
+    from dualcat.states import entangled_cat_pair
+
+    reg = plain_register([1, 2], coherent_cutoff(alpha + 1.3))
+    pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
+    corr = ParityLineCorrelator(pair, unit)
+    ts = np.linspace(-5.0, 5.0, 25)
+    refused = np.zeros((len(ts), len(ts)), dtype=bool)
+    for i, t1 in enumerate(ts):
+        for j, t2 in enumerate(ts):
+            try:
+                want = displaced_parity_expect(pair, t1 * unit, t2 * unit)
+            except CutoffError:
+                refused[i, j] = True
+                with pytest.raises(CutoffError):
+                    corr([t1], [t2])
+                continue
+            assert corr([t1], [t2])[0, 0] == pytest.approx(want, abs=1e-12)
+    assert 0 < refused.sum() < refused.size
+    # a grid is refused when any of its pairs is
+    with pytest.raises(CutoffError):
+        corr(ts, ts)
+    safe = ~refused.any(axis=1)
+    assert corr(ts[safe], ts[safe]).shape == (safe.sum(), safe.sum())
 
 
 def test_displaced_parity_needs_two_modes():

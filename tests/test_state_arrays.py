@@ -7,6 +7,7 @@ engine operation must agree with the dense Kronecker-product reference of
 out here index by index.
 """
 
+import cmath
 import math
 from itertools import product
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dualcat.elements import (
+    ParityLineCorrelator,
     cswap_pol,
     displaced_parity_expect,
     hwp,
@@ -32,6 +34,7 @@ from dualcat.fock import (
     apply_two_mode_mixer,
     embed,
     mode,
+    normalized,
     partial_trace,
     polarized_register,
     restrict,
@@ -139,6 +142,46 @@ def test_displaced_parity_matches_laguerre_oracle(cutoffs, seed, b1, b2):
     psi = random_state(reg, seed, 8, top=3)
     got = displaced_parity_expect(psi, b1, b2, tail_eps=1.0)
     assert abs(got - oracles.dense_displaced_parity(psi, b1, b2)) <= TOL
+
+
+units = st.one_of(st.just(1j), st.just(1.0),
+                 st.floats(-math.pi, math.pi).map(lambda phi: cmath.exp(1j * phi)))
+
+
+@st.composite
+def line_cases(draw, cutoffs, top, reach):
+    """A normalized two-mode state on unequal cutoffs, a line unit and two
+    short lists of line coordinates in [-reach, reach]."""
+    c1 = draw(cutoffs)
+    c2 = draw(cutoffs.filter(lambda c: c != c1))
+    reg = ModeRegister((mode(1), mode(2)), (c1, c2))
+    psi = normalized(random_state(reg, draw(st.integers(0, 2**32 - 1)),
+                                  draw(st.integers(1, 12)), top))
+    ts = st.lists(st.floats(-reach, reach), min_size=1, max_size=4)
+    return psi, draw(units), np.array(draw(ts)), np.array(draw(ts))
+
+
+@SETTINGS
+@given(case=line_cases(st.integers(1, 8), None, 1.5))
+def test_line_correlator_grid_matches_truncated_dense_parity(case):
+    # exact on the truncated space, at any occupation and amplitude
+    psi, unit, t1, t2 = case
+    got = ParityLineCorrelator(psi, unit, tail_eps=math.inf)(t1, t2)
+    want = [[oracles.truncated_displaced_parity(psi, a * unit, b * unit) for b in t2]
+            for a in t1]
+    assert np.max(np.abs(got - want)) <= TOL
+
+
+@SETTINGS
+@given(case=line_cases(st.integers(24, 30), 3, 0.6))
+def test_line_correlator_grid_matches_laguerre_oracle(case):
+    # low occupations keep the truncated displacement equal to the
+    # infinite-space Laguerre elements far below the tolerance
+    psi, unit, t1, t2 = case
+    got = ParityLineCorrelator(psi, unit, tail_eps=math.inf)(t1, t2)
+    dense = oracles.cached_dense_correlator(psi)
+    want = [[dense(a * unit, b * unit) for b in t2] for a in t1]
+    assert np.max(np.abs(got - want)) <= TOL
 
 
 # ---------------------------------------------------------------------------
