@@ -192,10 +192,65 @@ def chsh_displaced_parity(state: PureState, settings: BellSettings) -> float:
             - e(state, settings.beta1p, settings.beta2p))
 
 
+def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float, fatol: float
+                 ) -> tuple[np.ndarray, float]:
+    """Minimize ``f`` by the Nelder-Mead simplex from ``x0``: the standard,
+    non-adaptive and unbounded method of ``scipy.optimize.minimize``, step
+    for step (reflection 1, expansion 2, contractions and shrink 1/2, a first
+    simplex 5 % or 0.00025 off ``x0`` along each axis).  It stops after
+    ``maxiter`` iterations, or once every vertex lies within ``xatol`` of the
+    best and every value within ``fatol``.  Returns the best vertex and value.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    # sorted twice, as scipy does: argsort need not keep the order of ties
+    sim, fsim = order(*order(sim, fsim))
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                keep = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = order(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def _refine(chsh, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.ndarray, float]:
     """Fixed-budget Nelder-Mead on |chsh(x)| from ``x0``; keeps the start if
     it is better.  A setting that raises a cutoff error scores -inf."""
-    from scipy.optimize import minimize
 
     def objective(x):
         try:
@@ -203,11 +258,9 @@ def _refine(chsh, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.ndar
         except CutoffError:
             return np.inf
 
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": iters, "xatol": 1e-8,
-                            "fatol": 1e-11, "adaptive": False})
-    if float(-res.fun) >= start_val:
-        return res.x, float(-res.fun)
+    x, fun = _nelder_mead(objective, x0, iters, xatol=1e-8, fatol=1e-11)
+    if float(-fun) >= start_val:
+        return x, float(-fun)
     return x0, start_val
 
 

@@ -164,10 +164,9 @@ def _infer_cat_amplitude(state: PureState) -> float:
     """Cat amplitude of an H/V entangled cat pair on path 1.
 
     The total path photon number of (|e>|o> ± |o>|e>)/sqrt2 with cat
-    amplitude a is 2 a^2 coth(2 a^2); invert that numerically.
+    amplitude a is 2 a^2 coth(2 a^2), which rises with a; invert it by
+    bisection down to adjacent floats.
     """
-    from scipy.optimize import brentq
-
     n_tot = (mean_occupation(state, mode(1, "H"))
              + mean_occupation(state, mode(1, "V"))) / state.norm_sq()
 
@@ -175,9 +174,12 @@ def _infer_cat_amplitude(state: PureState) -> float:
         x = 2.0 * a * a
         return a * a / math.tanh(x) * 2.0 - n_tot
 
-    if gap(1e-4) > 0:  # below any resolvable amplitude
+    lo, hi = 1e-4, max(4.0 * math.sqrt(n_tot), 1.0)
+    if gap(lo) > 0:  # below any resolvable amplitude
         return math.sqrt(max(n_tot / 2.0, 1e-12))
-    return float(brentq(gap, 1e-4, max(4.0 * math.sqrt(n_tot), 1.0), xtol=1e-14))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if gap(mid) > 0 else (mid, hi)
+    return float(lo)
 
 
 def tag_cutoff(envelope: float, imperfection: Imperfection, tail_eps: float) -> int:

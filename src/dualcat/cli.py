@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,6 +347,8 @@ def _map_jobs(fn, args: list, jobs: int) -> list:
         raise ConfigError("empty parameter grid")
     if jobs <= 1 or len(args) == 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel grid pays its import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, args))
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betainc, pdtrc
 
 DEFAULT_PRUNE_EPS = 1e-16
 DEFAULT_TAIL_EPS = 1e-12
@@ -614,34 +613,70 @@ def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> DensityView:
 # ---------------------------------------------------------------------------
 # cutoff selection rule
 
+# a tail that needs more terms than this belongs to a cutoff in the tens of
+# thousands at least, far beyond any register the engine can build
+_MAX_TAIL_TERMS = 1 << 16
 
-def _first_below(tail, tail_eps: float) -> int:
-    """Smallest k >= 0 with ``tail(k) <= tail_eps`` for a tail falling in k,
-    by doubling then bisection; a tail that never gets there raises."""
-    lo, hi = -1, 1  # the whole mass lies above -1
-    while not tail(hi) <= tail_eps:
-        if hi > 2**60:
-            raise CutoffError(f"no cutoff below 2**60 leaves tail mass <= {tail_eps:.3g}")
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if tail(mid) <= tail_eps else (mid, hi)
-    return hi
+
+def _smallest_cut(terms: np.ndarray, first: int, tail_eps: float) -> int:
+    """Smallest n >= first with ``sum(t_k for k > n) <= tail_eps``, where
+    ``terms`` is the upward pass t_first, t_first+1, ... and the mass past
+    its end is negligible next to ``tail_eps``.
+
+    One top-down cumulative sum gives every tail at once, each summed from
+    its smallest term toward its first omitted one, never as 1 - (kept
+    mass); the tails fall, so counting those above ``tail_eps`` places the cut.
+    """
+    tails = np.cumsum(terms[::-1])[::-1]  # tails[i] is the mass above first + i - 1
+    return first + max(int(np.count_nonzero(tails > tail_eps)) - 1, 0)
+
+
+def _pass_length(n_terms: int, what: str) -> int:
+    if not n_terms <= _MAX_TAIL_TERMS:
+        raise CutoffError(f"the {what} tail needs over {_MAX_TAIL_TERMS} terms: its cutoff "
+                          "lies far beyond any register the engine can build")
+    return n_terms
+
+
+def _log_negligible(tail_eps: float) -> float:
+    """log of 2^-53 tail_eps: mass below it cannot move a comparison with tail_eps."""
+    return math.log(tail_eps) - 53.0 * math.log(2.0)
 
 
 def coherent_cutoff(amplitude: complex, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Smallest cutoff with Poisson tail mass below ``tail_eps`` for |amplitude|."""
     lam = abs(amplitude) ** 2
-    if lam == 0.0:
+    if not (math.isfinite(lam) and tail_eps > 0.0):
+        raise CutoffError(f"no Poisson tail is <= {tail_eps!r} for |alpha|^2 = {lam!r}")
+    if lam == 0.0 or tail_eps >= 1.0:
         return 1
-    # pdtrc(n, lam) is the Poisson mass above n
-    return max(_first_below(lambda n: pdtrc(n, lam), tail_eps), 1)
+    # less than e^-50 of the mass lies below lam - 10 sqrt(lam) - 10
+    # (Chernoff), so no cutoff does; by Bennett, P(N >= lam + u) <=
+    # exp(-u^2 / (2 (lam + u/3))), which is negligible for this u
+    big = -_log_negligible(tail_eps)
+    u = big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * lam)
+    first = max(0, math.ceil(lam - 10.0 * math.sqrt(lam) - 10.0))
+    n = _pass_length(math.ceil(lam + u) - first, f"Poisson (|alpha|^2 = {lam:.6g})")
+    # the pass starts in log space, so its first term cannot underflow
+    t_first = math.exp(first * math.log(lam) - lam - math.lgamma(first + 1))
+    ratios = lam / np.arange(first + 1, first + n + 1, dtype=float)
+    terms = np.cumprod(np.concatenate(([t_first], ratios)))
+    return max(_smallest_cut(terms, first, tail_eps), 1)
 
 
 def squeezed_cutoff(r: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Smallest cutoff with squeezed-vacuum tail mass below ``tail_eps``."""
+    x = math.tanh(r) ** 2
+    if not (x < 1.0 and tail_eps > 0.0):
+        raise CutoffError(f"no squeezed-vacuum tail is <= {tail_eps!r} for r = {r!r} "
+                          f"(tanh^2 r = {x!r})")
     if r == 0.0:
         return 1
-    x = math.tanh(r) ** 2
-    # betainc(m + 1, 1/2, tanh^2 r) is the squeezed-vacuum mass above 2m
-    return max(2 * _first_below(lambda m: betainc(m + 1, 0.5, x), tail_eps), 2)
+    # |2j> carries c_j = sech(r) (2j)!/(j!^2 4^j) x^j <= x^j, so the mass
+    # past j = n is below x^n / (1 - x), which is negligible for this n
+    n = 1 if x == 0.0 else math.ceil((_log_negligible(tail_eps) + math.log1p(-x))
+                                     / math.log(x))
+    n = _pass_length(n, f"squeezed-vacuum (r = {r:.6g})")
+    ratios = x * np.arange(1, 2 * n, 2, dtype=float) / np.arange(2, 2 * n + 1, 2, dtype=float)
+    terms = np.cumprod(np.concatenate(([1.0 / math.cosh(r)], ratios)))
+    return max(2 * _smallest_cut(terms, 0, tail_eps), 2)

@@ -17,7 +17,13 @@ from dualcat.analysis import (
     subsystem_fidelity,
     total_mean_photons,
 )
-from dualcat.circuits import _mode_product, analytic_dual_rail_pair, noon_from_cat_pair
+from dualcat.circuits import (
+    _infer_cat_amplitude,
+    _mode_product,
+    analytic_dual_rail_pair,
+    generate_entangled_cat,
+    noon_from_cat_pair,
+)
 from dualcat.elements import displace, displaced_parity_expect
 from dualcat.fock import (
     CutoffError,
@@ -26,6 +32,7 @@ from dualcat.fock import (
     apply_two_mode_mixer,
     basis_state,
     coherent_cutoff,
+    mean_occupation,
     mode,
     normalized,
     plain_register,
@@ -273,6 +280,45 @@ def test_chsh_optimize_rejects_unsafe_radius():
     pair = entangled_cat_pair(reg, mode(1), mode(2), 0.5, "-", tail_eps=1e-6)
     with pytest.raises(CutoffError):
         chsh_optimize(pair, BellSearch(radius=2.5))
+
+
+@pytest.mark.parametrize("alpha, axis", [(0.5, "imag"), (1.0, "imag"), (2.0, "imag"),
+                                         (3.0, "imag"), (1.0, "real"), (0.5, "complex")])
+def test_nelder_mead_is_bit_identical_to_scipy(monkeypatch, alpha, axis):
+    # every refinement of a real search, from its real seed, against
+    # scipy.optimize.minimize on the same objective
+    from scipy.optimize import minimize
+
+    from dualcat import analysis
+
+    port, pairs = analysis._nelder_mead, []
+
+    def both(f, x0, maxiter, xatol, fatol):
+        got = port(f, x0, maxiter, xatol, fatol)
+        ref = minimize(f, x0, method="Nelder-Mead", options={
+            "maxiter": maxiter, "xatol": xatol, "fatol": fatol, "adaptive": False})
+        pairs.append((got, (ref.x, ref.fun)))
+        return got
+
+    monkeypatch.setattr(analysis, "_nelder_mead", both)
+    reg = plain_register([1, 2], coherent_cutoff(alpha + 1.3))
+    chsh_optimize(entangled_cat_pair(reg, mode(1), mode(2), alpha, "-"), BellSearch(axis=axis))
+    assert len(pairs) == (5 if axis == "complex" else 2)
+    for (x, fun), (ref_x, ref_fun) in pairs:
+        assert x.tobytes() == ref_x.tobytes()
+        assert fun == ref_fun
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.49, 1.0, 1.5, 3.0])
+def test_cat_amplitude_inference_matches_brentq(alpha):
+    from scipy.optimize import brentq
+
+    state = generate_entangled_cat(alpha).output_state
+    n_tot = (mean_occupation(state, mode(1, "H"))
+             + mean_occupation(state, mode(1, "V"))) / state.norm_sq()
+    root = brentq(lambda a: 2.0 * a * a / math.tanh(2.0 * a * a) - n_tot,
+                  1e-4, max(4.0 * math.sqrt(n_tot), 1.0), xtol=1e-14)
+    assert abs(_infer_cat_amplitude(state) - root) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

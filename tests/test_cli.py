@@ -117,12 +117,30 @@ def test_bell_defaults_find_the_global_optimum_at_large_alpha(tmp_path, capsys):
         assert abs(row[chsh_col] - want) <= 1e-3
 
 
-def test_import_leaves_scipy_optimize_out():
+SCIPY_BLOCKED_RUN = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from dualcat import cli
+runs = [["generate"], ["sv-access"], ["fisher"],
+        ["imperfection-sweep", "--b-offsets", "0.0,0.3"],
+        ["bell", "--alpha-grid", "1.0", "--grid-density", "9"],
+        ["bell", "--alpha-grid", "1.0", "--grid-density", "9", "--axis", "complex"]]
+for i, argv in enumerate(runs):
+    code = cli.main(["--output", f"{sys.argv[1]}/run{i}.json"] + argv)
+    assert code == 0, (argv, code)
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+assert not loaded, loaded
+"""
+
+
+def test_experiments_run_with_scipy_blocked(tmp_path):
+    # the engine runs on numpy alone; scipy is a test-only dependency
     import subprocess
     import sys
 
-    code = "import sys, dualcat.cli; sys.exit('scipy.optimize' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bell_run_emits_increasing_table(tmp_path, capsys):
@@ -354,6 +372,14 @@ def test_imperfection_sweep_reports_the_largest_output_deficit(tmp_path, capsys)
     assert got == expected > 0.0
 
 
+HUGE_INPUTS = [
+    ["sv-access", "--r", "10"],
+    ["sv-access", "--r", "30"],
+    ["generate", "--alpha", "1e6"],
+    ["bell", "--alpha-grid", "1e4"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["sv-generate", "--r", "6"],
     ["sv-access", "--r", "6"],
@@ -361,7 +387,7 @@ def test_imperfection_sweep_reports_the_largest_output_deficit(tmp_path, capsys)
     ["duality", "--alpha", "80"],
     ["fisher", "--alpha-grid", "1.0,60"],
     ["imperfection-sweep", "--b-offsets", "0.0,90"],
-])
+] + HUGE_INPUTS)
 def test_every_experiment_refuses_registers_beyond_the_budget(tmp_path, capsys, argv):
     # the guard runs before any state is built, so each case exits at once
     out_file = tmp_path / "out.json"
@@ -369,6 +395,18 @@ def test_every_experiment_refuses_registers_beyond_the_budget(tmp_path, capsys, 
     assert code == cli.EXIT_CUTOFF
     assert "cutoff" in err.lower()
     assert not out_file.exists()
+
+
+def test_huge_inputs_are_refused_fast(tmp_path, capsys):
+    # the cutoff rules must neither underflow nor loop toward cutoffs of 1e9 and more
+    import time
+
+    start = time.perf_counter()
+    for argv in HUGE_INPUTS:
+        code, _, err = run_main(["--output", str(tmp_path / "out.json")] + argv, capsys)
+        assert code == cli.EXIT_CUTOFF
+        assert "traceback" not in err.lower()
+    assert time.perf_counter() - start < 2.0
 
 
 def test_jobs_are_clamped_to_the_processor_count(monkeypatch):

@@ -433,6 +433,30 @@ def test_cutoff_rules_past_their_old_loop_caps():
             uncertifiable()
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_coherent_cutoff_matches_the_scipy_poisson_tail(eps):
+    # pdtrc(n, lam) is the Poisson mass above n
+    from scipy.special import pdtrc
+
+    ns = np.arange(400)
+    for alpha in 0.02 * np.arange(1, 401):
+        above = pdtrc(ns, alpha**2) <= eps
+        assert above[-1]
+        assert coherent_cutoff(alpha, eps) == max(int(np.argmax(above)), 1)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-15])
+def test_squeezed_cutoff_matches_the_scipy_beta_tail(eps):
+    # betainc(m + 1, 1/2, tanh^2 r) is the squeezed-vacuum mass above 2m
+    from scipy.special import betainc
+
+    ms = np.arange(1000)
+    for r in 0.01 * np.arange(1, 201):
+        above = betainc(ms + 1, 0.5, np.tanh(r) ** 2) <= eps
+        assert above[-1]
+        assert squeezed_cutoff(r, eps) == max(2 * int(np.argmax(above)), 2)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-gate unitaries against a dense matrix exponential
 
