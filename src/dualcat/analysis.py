@@ -19,6 +19,7 @@ from .fock import (
     PureState,
     _lookup,
     _mass,
+    _one_blas_thread,
     _sum_by,
     amplitude_matrix,
     group_by,
@@ -65,6 +66,11 @@ class BellSearch:
     to 2 as alpha grows), and "complex" opens the full 8-parameter refinement for
     states with no such symmetry, seeded from the better of the imaginary
     and real line searches.
+
+    ``grid_density`` is a floor on the points of each line grid: the search
+    uses more where the state needs them, so that the grid spacing stays at
+    most 1/8 of the fringe period pi / (2 sqrt(nbar)) of its larger per-mode
+    mean photon number nbar.
     """
 
     grid_density: int = 25
@@ -79,6 +85,7 @@ class BellSearch:
             raise ValueError("grid_density must be at least 2")
 
 
+@_one_blas_thread
 def entanglement(state: PureState, partition: Sequence[ModeLabel],
                  norm_tol: float = 1e-8) -> EntanglementSummary:
     """Schmidt decomposition of a normalized pure state across ``partition``.
@@ -149,6 +156,7 @@ class QubitExtraction:
 _PATTERNS = (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))
 
 
+@_one_blas_thread
 def polarization_qubit_state(state: PureState, path_a: int, path_b: int) -> QubitExtraction:
     rest, group, occ = group_by(state, [mode(path, s) for path in (path_a, path_b)
                                         for s in ("H", "V")])
@@ -171,6 +179,7 @@ def polarization_qubit_state(state: PureState, path_a: int, path_b: int) -> Qubi
     return QubitExtraction(rho, captured / total if total > 0 else 0.0)
 
 
+@_one_blas_thread
 def negativity_two_qubit(rho: np.ndarray) -> tuple[float, float]:
     """(negativity, logarithmic negativity) of a 4x4 two-qubit density matrix."""
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
@@ -308,7 +317,11 @@ def _line_search(state: PureState, search: BellSearch, unit: complex
     eigenstate, every one with a = b = 0) and would pick an arbitrary seed.
     """
     r = float(search.radius)
-    axis = np.linspace(-r, r, search.grid_density)
+    n2 = state.norm_sq()
+    nbar = max(occupation_moments(state, m)[0] for m in state.register.modes) / n2 if n2 else 0.0
+    # spacing 2r / (n - 1) <= pi / (16 sqrt(nbar)), 1/8 of the fringe period
+    n = max(search.grid_density, 1 + math.ceil(32.0 * r * math.sqrt(nbar) / math.pi))
+    axis = np.linspace(-r, r, n)
     corr = ParityLineCorrelator(state, unit)
     E = corr(axis, axis)
 
@@ -324,6 +337,7 @@ def _line_search(state: PureState, search: BellSearch, unit: complex
     return BellSettings(*(complex(unit * v) for v in x)), val
 
 
+@_one_blas_thread
 def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
                   ) -> tuple[BellSettings, float]:
     """Maximize the displaced-parity CHSH value |B| over the four settings.

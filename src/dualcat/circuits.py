@@ -4,6 +4,7 @@ Every circuit returns a :class:`CircuitReport` whose ``branch_log`` records
 the probability of each measurement branch that was kept; the product of
 those probabilities is the reported post-selection probability.  States are
 never renormalized behind the caller's back: conditioning is explicit.
+Each circuit runs as a whole on one OpenBLAS thread (see ``fock._one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .fock import (
     ModeLabel,
     ModeRegister,
     PureState,
+    _one_blas_thread,
     _wrap,
     add,
     apply_annihilation,
@@ -80,6 +82,7 @@ def generate_even_cat_control(alpha: float, sign: str = "-",
     return _generate(alpha, "even", sign, tail_eps)
 
 
+@_one_blas_thread
 def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitReport:
     if alpha == 0 and parity == "odd":
         raise DegenerateInputError("odd cat input is undefined at alpha = 0")
@@ -189,6 +192,7 @@ def tag_cutoff(envelope: float, imperfection: Imperfection, tail_eps: float) -> 
     return coherent_cutoff(tag_amp, tail_eps)
 
 
+@_one_blas_thread
 def access_polarization(state: PureState, imperfection: Imperfection | None = None,
                         tail_eps: float = 1e-12) -> CircuitReport:
     """Sort the polarization entanglement of the H/V cat pair onto a common
@@ -274,6 +278,7 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
 SINGLE_PHOTON_THETA = 1e-5
 
 
+@_one_blas_thread
 def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
             sign: str = "+") -> ExperimentResult:
     """Bomb test in a polarizing Mach-Zehnder interferometer.
@@ -297,7 +302,7 @@ def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
     else:
         raise ValueError(f"unknown state kind {state_kind!r}")
 
-    probs_bomb, probs_ref = events(True), events(False)
+    (probs_bomb, deficit_bomb), (probs_ref, deficit_ref) = events(True), events(False)
     probs = probs_bomb if bomb else probs_ref
     p_ifm_bomb = probs_bomb["diff_pol"]
     p_bomb = probs_bomb["explode"]
@@ -310,10 +315,12 @@ def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
     scalars["eta"] = eta
     scalars["discriminable"] = float(discriminable)
     return ExperimentResult(scalars=scalars,
-                            convergence={"norm_deficit": 0.0})
+                            convergence={"norm_deficit": max(deficit_bomb, deficit_ref)})
 
 
-def _polarization_events(theta: float, bomb: bool, sign: str) -> dict:
+def _polarization_events(theta: float, bomb: bool, sign: str) -> tuple[dict, float]:
+    """Detection probabilities of one run and the norm deficit of its final
+    state (deficits only grow along the run)."""
     reg = polarized_register([1, 2], 2)
     hv = basis_state(reg, {mode(1, "H"): 1, mode(2, "V"): 1})
     vh = basis_state(reg, {mode(1, "V"): 1, mode(2, "H"): 1})
@@ -334,11 +341,12 @@ def _polarization_events(theta: float, bomb: bool, sign: str) -> dict:
     rail = on[:, ::2].astype(int) - on[:, 1::2]
     w = np.abs(psi.coeffs) ** 2
     product = rail[:, 0] * rail[:, 1]
-    return {"same_pol": float(w[product == 1].sum()), "diff_pol": float(w[product == -1].sum()),
-            "other": float(w[product == 0].sum()), "explode": explode}
+    return ({"same_pol": float(w[product == 1].sum()), "diff_pol": float(w[product == -1].sum()),
+             "other": float(w[product == 0].sum()), "explode": explode}, psi.norm_deficit)
 
 
-def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> dict:
+def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> tuple[dict, float]:
+    """As :func:`_polarization_events`, for the one-photon interferometer."""
     reg = plain_register([1, 2], 2)
     psi = basis_state(reg, {mode(1): 1})
     psi = apply_two_mode_mixer(psi, mode(1), mode(2), theta)
@@ -352,14 +360,15 @@ def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> dic
     dark = abs(psi.amps.get((0, 1), 0.0)) ** 2
     other = psi.norm_sq() - bright - dark
     # the dark port plays the role of the diff-pol signature
-    return {"same_pol": bright, "diff_pol": dark, "other": abs(other),
-            "explode": explode}
+    return ({"same_pol": bright, "diff_pol": dark, "other": abs(other),
+             "explode": explode}, psi.norm_deficit)
 
 
 # ---------------------------------------------------------------------------
 # NOON-type coherent state
 
 
+@_one_blas_thread
 def noon_from_cat_pair(alpha: float, tail_eps: float = 1e-12,
                        extra_cutoff: int = 0) -> PureState:
     """Displace each mode of the two-path entangled cat pair by alpha,
@@ -376,6 +385,7 @@ def noon_from_cat_pair(alpha: float, tail_eps: float = 1e-12,
 # squeezed-vacuum alternative
 
 
+@_one_blas_thread
 def sv_generate(r: float, transmittance: float = 0.5,
                 tail_eps: float = 1e-12) -> CircuitReport:
     """Subtraction-superposition source on two squeezed vacua, folded onto
@@ -407,6 +417,7 @@ def _mode_product(a: PureState, b: PureState) -> PureState:
     return _wrap(a.register, keys, np.outer(a.coeffs, b.coeffs).ravel(), 0.0)
 
 
+@_one_blas_thread
 def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = 1e-12) -> CircuitReport:
     """Anti-squeeze each path of the two-path subtraction-superposition state,
     landing on the single-photon entangled state (|1,0> + |0,1>)/sqrt2."""
@@ -424,6 +435,7 @@ def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = 1e-12) -> Circui
     return CircuitReport(out, 1.0, ())
 
 
+@_one_blas_thread
 def sv_access_polarization(report_or_state, skip_cswap: bool = False) -> CircuitReport:
     """Nondestructive parity sorting of the squeezed pair into a heralded
     polarization Bell state on identical photon-subtracted envelopes.

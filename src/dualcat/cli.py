@@ -16,10 +16,13 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, circuits
 from .elements import Imperfection
@@ -29,6 +32,7 @@ from .fock import (
     FockError,
     coherent_cutoff,
     mode,
+    openblas,
     plain_register,
     polarized_register,
     squeezed_cutoff,
@@ -460,12 +464,24 @@ def sweep(config: RunConfig) -> ExperimentResult:
     return run(config)
 
 
+def provenance() -> dict:
+    """The library versions and BLAS settings that produce a result."""
+    blas = openblas()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas": None if blas is None else {"library": blas.library, "config": blas.config},
+        "engine_blas_threads": None if blas is None else 1,
+    }
+
+
 def write_output(config: RunConfig, result: ExperimentResult) -> str:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_json_dict(),
         "result": result.to_json_dict(),
         "converged": _is_converged(result),
+        "provenance": provenance(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)

@@ -32,6 +32,7 @@ from .fock import (
     RegisterMismatchError,
     _finish,
     _mass,
+    _one_blas_thread,
     _wrap,
     apply_single_mode_matrix,
     apply_two_mode_mixer,
@@ -291,6 +292,7 @@ def _state_matrix(state: PureState) -> np.ndarray:
     return out.reshape(reg.dims)
 
 
+@_one_blas_thread
 def displaced_parity_expect(state: PureState, beta1: complex, beta2: complex,
                             tail_eps: float = 1e-9) -> float:
     """< D(b1)D(b2) (-1)^{n1+n2} D†(b2)D†(b1) > for a two-mode state.
@@ -329,6 +331,7 @@ class ParityLineCorrelator:
     the edge check of ``displaced_parity_expect``.
     """
 
+    @_one_blas_thread
     def __init__(self, state: PureState, unit: complex, tail_eps: float = 1e-9):
         m = _state_matrix(state)
         self.unit, self.tail_eps = complex(unit), tail_eps
@@ -343,12 +346,14 @@ class ParityLineCorrelator:
         self.sides = [(lam, v[-1], pv.conj().T @ mm @ pv) for (lam, v), pv, mm
                       in zip(spectra, (pv1, pv2), (m @ m.conj().T, m.T @ m.conj()))]
 
+    @_one_blas_thread
     def _side(self, t: np.ndarray, lam: np.ndarray, top: np.ndarray, c: np.ndarray):
         """Cutoff-edge mass and correlator phase vector at each coordinate."""
         phases = np.exp(1j * abs(self.unit) * t[:, None] * lam)
         x = top * phases
         return ((x @ c) * x.conj()).sum(axis=1).real, phases.conj() ** 2
 
+    @_one_blas_thread
     def __call__(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         """E[i, j] = displaced_parity_expect(state, t1[i] * unit, t2[j] * unit).
 

@@ -12,15 +12,131 @@ renormalized.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 DEFAULT_PRUNE_EPS = 1e-16
 DEFAULT_TAIL_EPS = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one OpenBLAS thread while the engine runs
+#
+# The engine's products are small or tall and narrow (gate blocks, norms,
+# 42x42 correlator forms); a second OpenBLAS thread only spins on them and
+# doubles the CPU time.  So every function that calls BLAS or LAPACK runs in
+# a process-wide scope that sets one thread and gives the caller's count back.
+
+
+class OpenBlas(NamedTuple):
+    """The OpenBLAS numpy loaded: file name, configuration string and the
+    calls that read and set its thread count."""
+
+    library: str
+    config: str
+    get_num_threads: Callable[[], int]
+    set_num_threads: Callable[[int], None]
+
+
+@functools.cache
+def openblas() -> OpenBlas | None:
+    """The OpenBLAS numpy loaded, found among the shared objects this process
+    maps; None without one (another BLAS, or no ``/proc``).  Looked up on the
+    first call, never at import."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    # scipy may map an OpenBLAS of its own; numpy's sits in or beside numpy
+    numpy_dir = os.path.dirname(os.path.abspath(np.__file__))
+    for path in sorted(paths, key=lambda p: (not p.startswith(numpy_dir), p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                names = [f"{prefix}_{call}{suffix}"
+                         for call in ("get_num_threads", "set_num_threads", "get_config")]
+                if not all(hasattr(lib, name) for name in names):
+                    continue
+                get, put, config = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                return OpenBlas(os.path.basename(path), config().decode().strip(), get, put)
+    return None
+
+
+class _OneBlasThread:
+    """Process-wide scope in which numpy's OpenBLAS runs on one thread.
+
+    The depth counts the threads inside the scope.  The first to enter saves
+    the caller's thread count and sets 1; the last to leave restores the
+    saved count, also when it leaves by an exception.  The others only move
+    the depth, under a lock.  Without an OpenBLAS the scope changes nothing.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None  # (OpenBlas, caller's count) while the depth is > 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                blas = openblas()
+                if blas is not None:
+                    self._restore = blas, blas.get_num_threads()
+                    blas.set_num_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                blas, count = self._restore
+                self._restore = None
+                blas.set_num_threads(count)
+
+
+class _ThreadInside(threading.local):
+    inside = False  # this thread runs a decorated call, so holds the scope
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+_THREAD = _ThreadInside()
+
+
+def _one_blas_thread(fn):
+    """Decorator: run ``fn`` inside the process-wide one-OpenBLAS-thread scope.
+
+    A call nested in another decorated call of the same thread is already
+    inside and goes straight through: the engine makes thousands of them per
+    run, and a lock round trip would cost more than many of their kernels.
+    """
+
+    @functools.wraps(fn)
+    def scoped(*args, **kwargs):
+        if _THREAD.inside:
+            return fn(*args, **kwargs)
+        _THREAD.inside = True
+        try:
+            with _ONE_BLAS_THREAD:
+                return fn(*args, **kwargs)
+        finally:
+            _THREAD.inside = False
+
+    return scoped
 
 
 class FockError(Exception):
@@ -262,6 +378,7 @@ class DensityView:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
+    @_one_blas_thread
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
 
@@ -270,6 +387,7 @@ class DensityView:
 # construction helpers
 
 
+@_one_blas_thread
 def _mass(coeffs: np.ndarray) -> float:
     return float(np.vdot(coeffs, coeffs).real)
 
@@ -448,6 +566,7 @@ _COUPLINGS = {
 _SPECTRA: dict = {}
 
 
+@_one_blas_thread
 def generator_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(lam, V) with i*G = V diag(lam) V† for a generator kind of ``_COUPLINGS``
     on ``dim`` levels; computed once per (kind, dim), returned read-only."""
@@ -461,6 +580,7 @@ def generator_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _SPECTRA[kind, dim]
 
 
+@_one_blas_thread
 def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.ndarray:
     """exp(t G) conjugated by diag(e^{i phase n}), from the cached spectrum of i*G.
 
@@ -474,6 +594,7 @@ def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.n
     return (vecs * np.exp(-1j * t * lam)) @ vecs.conj().T
 
 
+@_one_blas_thread
 def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
                          theta: float, phase: float = 0.0) -> PureState:
     """Beam-splitter-type mixing of two modes.
@@ -515,6 +636,7 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
 # single-mode dense matrix application (displacement, squeezing)
 
 
+@_one_blas_thread
 def apply_single_mode_matrix(state: PureState, m: ModeLabel, matrix: np.ndarray,
                              tail_eps: float | None = None) -> PureState:
     """Apply a (cutoff+1)x(cutoff+1) matrix to one mode.
@@ -557,6 +679,7 @@ def squeeze_matrix(r: float, dim: int) -> np.ndarray:
 # inner products, moments, partial trace
 
 
+@_one_blas_thread
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b> over a common register."""
     if a.register != b.register:
@@ -569,6 +692,7 @@ def mean_occupation(state: PureState, m: ModeLabel) -> float:
     return occupation_moments(state, m)[0]
 
 
+@_one_blas_thread
 def occupation_moments(state: PureState, m: ModeLabel) -> tuple[float, float]:
     """(⟨n⟩, ⟨n²⟩) for one mode."""
     n = state.register.digit(state.keys, state.register.index(m)).astype(float)
@@ -576,6 +700,7 @@ def occupation_moments(state: PureState, m: ModeLabel) -> tuple[float, float]:
     return float(n @ w), float((n * n) @ w)
 
 
+@_one_blas_thread
 def parity_expectation(state: PureState, modes: Sequence[ModeLabel] | None = None) -> float:
     """⟨(-1)^{sum of occupations}⟩ over the given modes (all by default)."""
     reg = state.register
@@ -598,6 +723,7 @@ def amplitude_matrix(state: PureState, keep: Sequence[ModeLabel]) -> tuple[np.nd
     return matrix, tuple(map(tuple, basis))
 
 
+@_one_blas_thread
 def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> DensityView:
     """Reduced density matrix over ``keep`` (positive semidefinite, trace =
     squared norm of the input)."""

@@ -117,6 +117,22 @@ def test_bell_defaults_find_the_global_optimum_at_large_alpha(tmp_path, capsys):
         assert abs(row[chsh_col] - want) <= 1e-3
 
 
+def test_bell_grid_follows_the_fringes_at_large_alpha(tmp_path, capsys):
+    # 25 points over radius 1 gave 2.643531, 2.680331 and 2.609157 here: the
+    # optimal settings fell inside one grid step of the fringe pattern
+    import oracles
+
+    out_file = tmp_path / "bell.json"
+    code, _, _ = run_main(["--output", str(out_file), "bell", "--alpha-grid", "4.0,4.5,5.0"],
+                          capsys)
+    assert code == 0
+    table = load_result(out_file)["result"]["tables"]["bell"]
+    chsh_col = table["columns"].index("chsh")
+    for row in table["rows"]:
+        want = oracles.zoom_grid_chsh(oracles.cat_pair_correlator(row[0]), 1.0)
+        assert abs(row[chsh_col] - want) <= 1e-3
+
+
 SCIPY_BLOCKED_RUN = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now fails
@@ -217,6 +233,26 @@ def test_reruns_are_byte_identical_except_timestamp(tmp_path, capsys):
     a.pop("timestamp")
     b.pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_output_records_versions_and_blas_threads(capsys, monkeypatch):
+    import platform
+
+    import numpy as np
+
+    from dualcat.fock import openblas
+
+    code, out, _ = run_main(["ifm"], capsys)
+    assert code == 0
+    prov = json.loads(out)["provenance"]
+    assert (prov["python"], prov["numpy"]) == (platform.python_version(), np.__version__)
+    if openblas() is not None:
+        assert prov["openblas"]["library"] == openblas().library
+        assert prov["engine_blas_threads"] == 1
+    monkeypatch.setattr(cli, "openblas", lambda: None)
+    code, out, _ = run_main(["ifm"], capsys)
+    prov = json.loads(out)["provenance"]
+    assert prov["openblas"] is None and prov["engine_blas_threads"] is None
 
 
 def test_stdout_mode_prints_json(capsys):
@@ -370,6 +406,25 @@ def test_imperfection_sweep_reports_the_largest_output_deficit(tmp_path, capsys)
         expected = max(access_polarization(gen, Imperfection(displacement_offset=o))
                        .output_state.norm_deficit for o in (0.0, 0.3))
     assert got == expected > 0.0
+
+
+@pytest.mark.parametrize("state", ["entangled", "nonmaximal", "single-photon"])
+def test_ifm_reports_the_deficit_its_states_carry(tmp_path, capsys, monkeypatch, state):
+    # every basis state the bomb test builds starts 1e-6 short; the gates
+    # carry that deficit to the reported one, which flags the run
+    from dualcat import circuits
+    from dualcat.fock import _wrap, basis_state
+
+    def short_basis_state(register, occupations):
+        exact = basis_state(register, occupations)
+        return _wrap(register, exact.keys, exact.coeffs, 1e-6)
+
+    monkeypatch.setattr(circuits, "basis_state", short_basis_state)
+    out_file = tmp_path / "ifm.json"
+    code, _, _ = run_main(["--output", str(out_file), "ifm", "--state", state], capsys)
+    doc = load_result(out_file)
+    assert code == cli.EXIT_NONCONVERGED and doc["converged"] is False
+    assert doc["result"]["convergence"]["norm_deficit"] == pytest.approx(1e-6, rel=1e-12)
 
 
 HUGE_INPUTS = [
