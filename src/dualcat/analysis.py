@@ -20,7 +20,6 @@ from .fock import (
     _lookup,
     _mass,
     _one_blas_thread,
-    _sum_by,
     amplitude_matrix,
     group_by,
     inner_product,
@@ -131,7 +130,9 @@ def subsystem_fidelity(state: PureState, target: PureState,
     inside = (occ < t_reg.dims[t_idx]).all(axis=1)
     pos, hit = _lookup(target, occ[inside] @ t_reg.strides[t_idx])
     weights = target.coeffs[pos[hit]].conj() * state.coeffs[inside][hit]
-    overlaps = _sum_by(group[inside][hit], weights, len(rest))
+    group = group[inside][hit]
+    overlaps = (np.bincount(group, weights.real, len(rest))
+                + 1j * np.bincount(group, weights.imag, len(rest)))
     return _mass(overlaps) / (state.norm_sq() * target.norm_sq())
 
 

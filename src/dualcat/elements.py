@@ -34,6 +34,7 @@ from .fock import (
     _mass,
     _one_blas_thread,
     _wrap,
+    add,
     apply_single_mode_matrix,
     apply_two_mode_mixer,
     displacement_matrix,
@@ -200,6 +201,8 @@ def cnot_pol(state: PureState, control_path: int, target_path: int,
 
     A partial ``flip_angle`` z applies exp[i(z/2)(F - 1)] on the conditioned
     components, F being the H/V exchange: identity at z=0, exact flip at z=pi.
+    The exchanged part can land on patterns the state already holds, so it
+    joins the part that stays through :func:`add`.
     """
     ich, icv = _pol_pair(state, control_path)
     ith, itv = _pol_pair(state, target_path)
@@ -209,10 +212,9 @@ def cnot_pol(state: PureState, control_path: int, target_path: int,
     swap = 0.5 * (1.0 - np.exp(-1j * flip_angle))
     flipped = _swapped(state, [(ith, itv)], _control(state, ich, icv, on_ambiguous))
     moved = flipped != state.keys
-    return _finish(state.register, np.concatenate([state.keys, flipped[moved]]),
-                   np.concatenate([np.where(moved, state.coeffs * stay, state.coeffs),
-                                   state.coeffs[moved] * swap]),
-                   state.norm_deficit)
+    return add(_wrap(state.register, state.keys,
+                     np.where(moved, state.coeffs * stay, state.coeffs), state.norm_deficit),
+               _wrap(state.register, flipped[moved], state.coeffs[moved] * swap, 0.0))
 
 
 def cphase_pol(state: PureState, control_path: int, target_path: int,
@@ -222,7 +224,8 @@ def cphase_pol(state: PureState, control_path: int, target_path: int,
     ith, itv = _pol_pair(state, target_path)
     flip = _control(state, ich, icv, on_ambiguous)
     reg, keys = state.register, state.keys
-    phase = np.exp(1j * angle * (reg.digit(keys, ith) + reg.digit(keys, itv)))
+    phases = np.exp(1j * angle * np.arange(reg.cutoffs[ith] + reg.cutoffs[itv] + 1))
+    phase = phases[reg.digit(keys, ith) + reg.digit(keys, itv)]
     return _wrap(reg, keys, np.where(flip, state.coeffs * phase, state.coeffs),
                  state.norm_deficit)
 
@@ -231,8 +234,12 @@ def parity_controlled_flip(state: PureState, control_mode: ModeLabel,
                            target_path: int) -> PureState:
     """Swap the target path's H/V contents on components whose control-mode
     occupation is odd; even components pass untouched."""
-    odd = state.register.digit(state.keys, state.register.index(control_mode)) % 2 == 1
-    keys = _swapped(state, [_pol_pair(state, target_path)], odd)
+    target = _pol_pair(state, target_path)
+    ic = state.register.index(control_mode)
+    if ic in target:
+        raise ValueError("the control mode must not lie on the target path")
+    odd = state.register.digit(state.keys, ic) % 2 == 1
+    keys = _swapped(state, [target], odd)
     return _finish(state.register, keys, state.coeffs, state.norm_deficit)
 
 
@@ -249,6 +256,8 @@ def cswap_pol(state: PureState, control_path: int, path_a: int, path_b: int,
     ibh, ibv = _pol_pair(state, path_b)
     if path_a == path_b:
         raise ValueError("the exchanged paths must differ")
+    if control_path in (path_a, path_b):
+        raise ValueError("the control path must not be one of the exchanged paths")
     keys = _swapped(state, [(iah, ibv), (iav, ibh)], _control(state, ich, icv, on_ambiguous))
     return _finish(state.register, keys, state.coeffs, state.norm_deficit)
 

@@ -8,6 +8,11 @@ arithmetic on the keys, or :func:`group_by` followed by small dense
 products, and returns a new state; probability mass lost to the per-mode
 cutoffs is tracked explicitly in ``norm_deficit`` instead of being silently
 renormalized.
+
+Every gate maps distinct keys to distinct keys, so building its output
+sorts and never sums: the one sort is stable, because gate outputs arrive
+as runs of sorted keys, which timsort merges in near-linear time.  The only
+place where amplitudes of one pattern meet is :func:`add`.
 """
 
 from __future__ import annotations
@@ -236,13 +241,21 @@ class ModeRegister:
 
     def digit(self, keys: np.ndarray, i: int) -> np.ndarray:
         """Occupation of the mode at position ``i`` in each key."""
-        return keys // self.strides[i] % self.dims[i]
+        # numpy divides by a scalar divisor on a fast path that ``%`` lacks,
+        # so the remainder of the non-negative quotient is q - (q // d) d
+        quotient = keys // self.strides[i]
+        quotient -= quotient // self.dims[i] * self.dims[i]
+        return quotient
 
     def digits(self, keys: np.ndarray, idx: Sequence[int] | None = None) -> np.ndarray:
         """Occupations of the modes at positions ``idx`` (all by default),
-        one row per key and one column per mode."""
-        idx = slice(None) if idx is None else list(idx)
-        return keys[:, None] // self.strides[idx] % self.dims[idx]
+        one row per key and one column per mode, stored column-major: a
+        sum or test along the rows then runs several times faster."""
+        idx = range(self.n_modes) if idx is None else idx
+        out = np.empty((len(keys), len(idx)), dtype=np.int64, order="F")
+        for col, i in enumerate(idx):
+            out[:, col] = self.digit(keys, i)
+        return out
 
 
 def polarized_register(paths: Iterable[int], cutoff: int | Mapping[ModeLabel, int]) -> ModeRegister:
@@ -394,10 +407,17 @@ def _mass(coeffs: np.ndarray) -> float:
 
 def _fill(state: PureState, register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray,
           deficit: float) -> PureState:
-    """Set the slots from distinct keys in any order."""
+    """Set the slots from distinct keys in any order; a repeated key raises.
+
+    The sort is stable (timsort): gate outputs come as runs of sorted keys,
+    which it merges in up to half of quicksort's time.  On shuffled keys it
+    would take about five times as long as quicksort.
+    """
     if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
-        order = np.argsort(keys)
+        order = np.argsort(keys, kind="stable")
         keys, coeffs = keys[order], coeffs[order]
+        if not (keys[1:] > keys[:-1]).all():
+            raise FockError("a state cannot hold the same Fock pattern twice")
     keys.flags.writeable = coeffs.flags.writeable = False
     state.register, state.keys, state.coeffs, state.norm_deficit = register, keys, coeffs, deficit
     return state
@@ -411,21 +431,16 @@ def _wrap(register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray,
 
 def _finish(register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray, deficit: float,
             prune_eps: float = DEFAULT_PRUNE_EPS) -> PureState:
-    """Sum amplitudes that share a key, prune tiny ones (mass goes to the
-    deficit) and wrap up."""
-    if len(keys) > 1 and not (keys[1:] > keys[:-1]).all():
-        keys, inverse = np.unique(keys, return_inverse=True)
-        coeffs = _sum_by(inverse, coeffs, len(keys))
+    """Prune tiny amplitudes (their mass goes to the deficit) and wrap up.
+
+    The keys must be distinct, as for :func:`_wrap`: nothing is summed here.
+    Amplitudes that share a pattern are summed by :func:`add` alone.
+    """
     small = np.abs(coeffs) <= prune_eps
     if small.any():
         deficit += _mass(coeffs[small])
         keys, coeffs = keys[~small], coeffs[~small]
     return _wrap(register, keys, coeffs, deficit)
-
-
-def _sum_by(group: np.ndarray, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Sum of the amplitudes in each of ``n`` groups."""
-    return np.bincount(group, coeffs.real, n) + 1j * np.bincount(group, coeffs.imag, n)
 
 
 def _lookup(state: PureState, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,8 +462,16 @@ def group_by(state: PureState, modes: Sequence[ModeLabel]
     reg = state.register
     idx = [reg.index(m) for m in modes]
     occ = reg.digits(state.keys, idx)
-    rest, group = np.unique(state.keys - occ @ reg.strides[idx], return_inverse=True)
-    return rest, group, occ
+    emptied = state.keys - occ @ reg.strides[idx]
+    # the emptied keys are runs of sorted keys, so the stable sort is cheap
+    order = np.argsort(emptied, kind="stable")
+    emptied = emptied[order]
+    first = np.empty(len(emptied), dtype=bool)
+    first[:1] = True
+    np.not_equal(emptied[1:], emptied[:-1], out=first[1:])
+    group = np.empty(len(emptied), dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    return emptied[first], group, occ
 
 
 def vacuum(register: ModeRegister) -> PureState:
@@ -609,9 +632,14 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     if ia == ib:
         raise ValueError("mixer needs two distinct modes")
     rest, group, occ = group_by(state, [mode_a, mode_b])
-    # one block per (rest, total) component, ordered by total, packed end to end
-    comps, comp = np.unique(occ.sum(axis=1) * len(rest) + group, return_inverse=True)
-    total, comp_rest = np.divmod(comps, len(rest))
+    # one block per (total, rest) component that occurs, numbered by total
+    # and then rest in a presence table, packed end to end
+    n_total = occ.sum(axis=1)
+    code = n_total * len(rest) + group
+    present = np.zeros((int(n_total.max(initial=0)) + 1, len(rest)), dtype=bool)
+    present.ravel()[code] = True
+    comp = (np.cumsum(present) - 1)[code]
+    total, comp_rest = np.nonzero(present)
     start = np.cumsum(total + 1) - (total + 1)
     packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
     packed[start[comp] + occ[:, 0]] = state.coeffs

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 from scipy.special import eval_genlaguerre
 
-from dualcat.fock import ModeRegister, PureState
+from dualcat.fock import ModeLabel, ModeRegister, PureState
 
 
 def dims(register: ModeRegister) -> tuple:
@@ -39,6 +39,55 @@ def from_dense(vec: np.ndarray, register: ModeRegister) -> PureState:
         if abs(arr[occ]) > 1e-16:
             amps[occ] = complex(arr[occ])
     return PureState(register, amps, 0.0)
+
+
+def basis(register: ModeRegister) -> list:
+    """Occupation tuples of the product basis, in C order."""
+    return list(product(*(range(d) for d in dims(register))))
+
+
+def dense_pol_exchange(register: ModeRegister, path: int) -> np.ndarray:
+    """Permutation matrix exchanging the H and V occupations of one path
+    (whose two modes share a cutoff)."""
+    ih, iv = register.index(ModeLabel(path, "H")), register.index(ModeLabel(path, "V"))
+    patterns = basis(register)
+    row = {occ: k for k, occ in enumerate(patterns)}
+    out = np.zeros((len(patterns), len(patterns)))
+    for k, occ in enumerate(patterns):
+        swapped = list(occ)
+        swapped[ih], swapped[iv] = occ[iv], occ[ih]
+        out[row[tuple(swapped)], k] = 1.0
+    return out
+
+
+def v_controlled(register: ModeRegister, control_path: int, gate: np.ndarray) -> np.ndarray:
+    """``gate`` on the patterns whose control path holds V light and no H
+    light, identity on the others (``gate`` leaves the control path alone)."""
+    ch = register.index(ModeLabel(control_path, "H"))
+    cv = register.index(ModeLabel(control_path, "V"))
+    on = np.array([float(occ[cv] > 0 and occ[ch] == 0) for occ in basis(register)])
+    return np.diag(on) @ gate + np.diag(1.0 - on)
+
+
+def dense_cnot_pol(register: ModeRegister, control_path: int, target_path: int,
+                   flip_angle: float) -> np.ndarray:
+    """exp[i (z/2)(F - 1)], F the target path's H/V exchange, where the
+    control path is V-polarized."""
+    from scipy.linalg import expm
+
+    f = dense_pol_exchange(register, target_path)
+    return v_controlled(register, control_path,
+                        expm(0.5j * flip_angle * (f - np.eye(len(f)))))
+
+
+def dense_cphase_pol(register: ModeRegister, control_path: int, target_path: int,
+                     angle: float) -> np.ndarray:
+    """e^{i angle (n_H + n_V)} on the target path where the control path is
+    V-polarized."""
+    th = register.index(ModeLabel(target_path, "H"))
+    tv = register.index(ModeLabel(target_path, "V"))
+    n = np.array([occ[th] + occ[tv] for occ in basis(register)])
+    return v_controlled(register, control_path, np.diag(np.exp(1j * angle * n)))
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:

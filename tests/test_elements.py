@@ -365,6 +365,24 @@ def test_cswap_pol_needs_two_distinct_paths():
         cswap_pol(basis_state(reg, {mode(2, "V"): 1}), 2, 1, 1)
 
 
+def test_cswap_pol_refuses_a_control_path_among_the_exchanged_paths():
+    # the exchange would move the control light and merge two components
+    reg = polarized_register([1, 2], 2)
+    psi = normalized(PureState(reg, {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}))
+    with pytest.raises(ValueError):
+        cswap_pol(psi, 1, 1, 2)
+    with pytest.raises(ValueError):
+        cswap_pol(psi, 2, 1, 2)
+
+
+def test_parity_controlled_flip_refuses_a_control_mode_on_the_target_path():
+    reg = polarized_register([1], 1)
+    psi = normalized(PureState(reg, {(1, 0): 1, (0, 1): 1}))
+    for control in (mode(1, "H"), mode(1, "V")):
+        with pytest.raises(ValueError):
+            parity_controlled_flip(psi, control, 1)
+
+
 def test_cswap_pol_cross_exchanges_contents_on_v_control():
     reg = polarized_register([1, 2, 3], 8)
     s = _mode_product(_mode_product(coherent(reg, mode(1, "V"), 0.6, tail_eps=1e-6),

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import oracles
 from dualcat.elements import (
     ParityLineCorrelator,
+    cnot_pol,
+    cphase_pol,
     cswap_pol,
     displaced_parity_expect,
     hwp,
@@ -27,13 +29,17 @@ from dualcat.elements import (
 )
 from dualcat.fock import (
     CutoffError,
+    FockError,
     ModeRegister,
     PureState,
+    _wrap,
     add,
+    apply_creation,
     apply_single_mode_matrix,
     apply_two_mode_mixer,
     embed,
     mode,
+    group_by,
     normalized,
     partial_trace,
     polarized_register,
@@ -260,8 +266,84 @@ def test_cswap_and_parity_flip_permute_as_written(psi):
     assert np.max(np.abs(dense(out) - permuted(psi, parity))) <= TOL
 
 
+@st.composite
+def flip_closed_states(draw):
+    """Random states on two polarized paths that also hold, for each pattern,
+    the pattern with the target path's H and V occupations exchanged, so
+    exchanged components land on patterns already present."""
+    control, target = draw(st.permutations((1, 2)))
+    reg = polarized_register([1, 2], draw(st.integers(1, 3)))
+    th, tv = reg.index(mode(target, "H")), reg.index(mode(target, "V"))
+    psi = random_state(reg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = dict(psi.amps)
+    for occ in list(amps):
+        amps.setdefault(swap(occ, (th, tv)), complex(gen.normal(), gen.normal()))
+    return PureState(reg, amps, 0.0), control, target
+
+
+@SETTINGS
+@given(case=flip_closed_states(), angle=st.floats(0.0, math.pi))
+def test_partial_cnot_pol_matches_dense_oracle(case, angle):
+    psi, control, target = case
+    out = cnot_pol(psi, control, target, flip_angle=angle, on_ambiguous="pass")
+    gate = oracles.dense_cnot_pol(psi.register, control, target, angle)
+    expected = (gate @ oracles.dense_vector(psi)).reshape(oracles.dims(psi.register))
+    assert np.max(np.abs(dense(out) - expected)) <= TOL
+    assert np.all(np.diff(out.keys) > 0)
+
+
+@SETTINGS
+@given(case=flip_closed_states(), angle=st.floats(-7.0, 7.0))
+def test_cphase_pol_matches_dense_oracle(case, angle):
+    psi, control, target = case
+    out = cphase_pol(psi, control, target, angle, on_ambiguous="pass")
+    gate = oracles.dense_cphase_pol(psi.register, control, target, angle)
+    expected = (gate @ oracles.dense_vector(psi)).reshape(oracles.dims(psi.register))
+    assert np.max(np.abs(dense(out) - expected)) <= TOL
+
+
 # ---------------------------------------------------------------------------
 # the state's own contract
+
+
+@SETTINGS
+@given(psi=plain_states(modes=(1, 4)), data=st.data())
+def test_group_by_matches_dict_grouping(psi, data):
+    reg = psi.register
+    chosen = data.draw(st.lists(st.integers(0, reg.n_modes - 1), unique=True))
+    rest, group, occ = group_by(psi, [reg.modes[i] for i in chosen])
+    groups: dict = {}
+    for j, pattern in enumerate(psi.amps):
+        emptied = tuple(0 if i in chosen else n for i, n in enumerate(pattern))
+        groups.setdefault(emptied, []).append(j)
+        assert occ[j].tolist() == [pattern[i] for i in chosen]
+    assert rest.tolist() == [reg.encode(emptied) for emptied in sorted(groups)]
+    for g, emptied in enumerate(sorted(groups)):
+        assert np.flatnonzero(group == g).tolist() == groups[emptied]
+
+
+def test_wrap_refuses_a_repeated_key():
+    reg = polarized_register([1], 2)
+    for keys in ([3, 1, 3], [1, 1]):
+        with pytest.raises(FockError):
+            _wrap(reg, np.array(keys, dtype=np.int64), np.ones(len(keys), dtype=complex), 0.0)
+
+
+@SETTINGS
+@given(psi=polarized_states(paths=(3, 3)), seed=st.integers(0, 2**32 - 1))
+def test_gate_outputs_have_strictly_increasing_keys(psi, seed):
+    dim = psi.register.cutoff_of(mode(2, "H")) + 1
+    gen = np.random.default_rng(seed)
+    matrix = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    outputs = (apply_two_mode_mixer(psi, mode(1, "H"), mode(2, "V"), 0.7, 0.3),
+               apply_single_mode_matrix(psi, mode(2, "H"), matrix),
+               pbs(psi, 1, 2),
+               cnot_pol(psi, 3, 1, flip_angle=1.1, on_ambiguous="pass"),
+               cswap_pol(psi, 3, 1, 2, on_ambiguous="pass"),
+               apply_creation(psi, mode(1, "V")))
+    for out in outputs:
+        assert np.all(np.diff(out.keys) > 0)
 
 
 def test_register_whose_keys_overflow_int64_is_refused():
