@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .fock import (
     coherent_cutoff,
     embed,
     mean_occupation,
+    mixer_dark_branch,
     mode,
     normalized,
     polarized_register,
@@ -206,7 +208,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     the diagonal basis, where the branch tags share a common vertical
     component and an equal-amplitude vacuum projection of the horizontal
     one erases which-branch information.  Conditioning keeps the dark
-    horizontal port and a click on the vertical port.
+    horizontal port and a click on the vertical port; the rotation and the
+    dark port run as one op, ``fock.mixer_dark_branch``.
 
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.
@@ -217,8 +220,6 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     A = alpha_est / SQRT2
     B = imp.actual_displacement(A)
     if abs(A) ** 2 < 1.0 - 1e-9:
-        import warnings
-
         warnings.warn(
             f"envelope |A|^2 = {abs(A)**2:.3f} < 1: the logical qubit pair is "
             f"read out of the occupied-rail pattern regardless",
@@ -226,14 +227,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
 
     cut_path = max(reg.cutoffs)
     cut_tag = tag_cutoff(A, imp, tail_eps)
-    spec: dict[ModeLabel, int] = {}
-    for p in (1, 2):
-        for pol in ("H", "V"):
-            spec[mode(p, pol)] = cut_path
-    for p in (3, 4):
-        for pol in ("H", "V"):
-            spec[mode(p, pol)] = cut_tag
-    big = ModeRegister.of(spec)
+    big = ModeRegister.of({mode(p, pol): cut_path if p < 3 else cut_tag
+                           for p in (1, 2, 3, 4) for pol in ("H", "V")})
     psi = embed(state, big)
 
     psi = elements.pbs(psi, 1, 2)  # H stays on 1, V moves to 2
@@ -253,21 +248,17 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     for target in (1, 2):
         psi = elements.cphase_pol(psi, 3, target, imp.cphase_angle, on_ambiguous=ambiguous)
 
-    psi = elements.polarizer(psi, 3, "diag45").state("pass")
-    log = []
-    dark = elements.onoff_detect(psi, mode(3, "H"))
-    p_dark = dark.probability("no_click") / max(psi.norm_sq(), 1e-300)
-    if dark.probability("no_click") < 1e-12:
-        # at flip_angle = 0 the erasure port interferes to zero: report the
-        # unconditioned state (which carries no polarization entanglement)
-        log.append(("tag_dark_port", 0.0))
-        return CircuitReport(normalized(psi), 0.0, tuple(log), imp)
-    log.append(("tag_dark_port", p_dark))
-    psi = dark.state("no_click")
-    click = elements.onoff_detect(psi, mode(3, "V"))
-    log.append(("tag_click", click.probability("click") / max(psi.norm_sq(), 1e-300)))
+    dark, rotated_sq = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
+    if dark.norm_sq() < 1e-12:
+        # no dark H port: report the unconditioned rotated state.  At flip_angle
+        # 0 the port does stay dark (p ~ 0.05); the V click below is the dust
+        psi = elements.polarizer(psi, 3, "diag45").state("pass")
+        return CircuitReport(normalized(psi), 0.0, (("tag_dark_port", 0.0),), imp)
+    click = elements.onoff_detect(dark, mode(3, "V"))
+    log = (("tag_dark_port", dark.norm_sq() / max(rotated_sq, 1e-300)),
+           ("tag_click", click.probability("click") / max(dark.norm_sq(), 1e-300)))
     out = normalized(click.state("click"))
-    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), tuple(log), imp)
+    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), log, imp)
 
 
 # ---------------------------------------------------------------------------

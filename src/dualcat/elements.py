@@ -137,7 +137,8 @@ def polarizer(state: PureState, path: int, kind: str) -> BranchedOutcome:
 
     ``kind`` "H" or "V" keeps the matching polarization and diverts any
     photons of the orthogonal one into a "blocked" branch.  ``kind``
-    "diag45" is the unitary 45-degree basis rotation (single branch).
+    "diag45" is the unitary 45-degree basis rotation (single branch); its
+    dark-H branch alone is ``fock.mixer_dark_branch``.
     """
     ih, iv = _pol_pair(state, path)
     if kind == "diag45":
@@ -183,11 +184,9 @@ def _control(state: PureState, ich: int, icv: int, on_ambiguous: str) -> np.ndar
     """Mask of the components whose control path is V-polarized (V occupied,
     H empty).  Components with both control polarizations occupied raise
     unless ``on_ambiguous`` is "pass" or their mass is truncation dust."""
-    nh = state.register.digit(state.keys, ich)
-    nv = state.register.digit(state.keys, icv)
-    mass = _mass(state.coeffs[(nv > 0) & (nh > 0)])
-    total = state.norm_sq()
-    if on_ambiguous != "pass" and mass > AMBIGUOUS_TOL * max(total, 1e-300):
+    nh, nv = state.register.digit(state.keys, ich), state.register.digit(state.keys, icv)
+    mass = 0.0 if on_ambiguous == "pass" else _mass(state.coeffs[(nv > 0) & (nh > 0)])
+    if mass > 0.0 and mass > AMBIGUOUS_TOL * max(state.norm_sq(), 1e-300):
         raise ContractViolationError(
             f"control path has both polarizations occupied on probability mass "
             f"{mass:.3g}; the gate is only defined on definite-polarization "

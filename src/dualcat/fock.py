@@ -617,6 +617,33 @@ def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.n
     return (vecs * np.exp(-1j * t * lam)) @ vecs.conj().T
 
 
+def _mixer_blocks(state: PureState, ia: int, ib: int):
+    """Per total t of the modes at positions ``ia``, ``ib`` that occurs: t, the keys with
+    both emptied, their amplitudes as rows over n_a = 0..t and the columns that fit."""
+    reg = state.register
+    if ia == ib:
+        raise ValueError("mixer needs two distinct modes")
+    rest, group, occ = group_by(state, [reg.modes[ia], reg.modes[ib]])
+    # one block per (total, rest) component that occurs, numbered by total
+    # and then rest in a presence table, packed end to end
+    n_total = occ.sum(axis=1)
+    code = n_total * len(rest) + group
+    present = np.zeros((int(n_total.max(initial=0)) + 1, len(rest)), dtype=bool)
+    present.ravel()[code] = True
+    comp = (np.cumsum(present) - 1)[code]
+    total, comp_rest = np.nonzero(present)
+    start = np.cumsum(total + 1) - (total + 1)
+    packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
+    packed[start[comp] + occ[:, 0]] = state.coeffs
+    cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        t = int(total[lo])
+        na = np.arange(t + 1)
+        yield (t, rest[comp_rest[lo:hi]],
+               packed[start[lo]:start[lo] + (hi - lo) * (t + 1)].reshape(hi - lo, t + 1),
+               (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib]))
+
+
 @_one_blas_thread
 def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
                          theta: float, phase: float = 0.0) -> PureState:
@@ -629,35 +656,38 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     """
     reg = state.register
     ia, ib = reg.index(mode_a), reg.index(mode_b)
-    if ia == ib:
-        raise ValueError("mixer needs two distinct modes")
-    rest, group, occ = group_by(state, [mode_a, mode_b])
-    # one block per (total, rest) component that occurs, numbered by total
-    # and then rest in a presence table, packed end to end
-    n_total = occ.sum(axis=1)
-    code = n_total * len(rest) + group
-    present = np.zeros((int(n_total.max(initial=0)) + 1, len(rest)), dtype=bool)
-    present.ravel()[code] = True
-    comp = (np.cumsum(present) - 1)[code]
-    total, comp_rest = np.nonzero(present)
-    start = np.cumsum(total + 1) - (total + 1)
-    packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
-    packed[start[comp] + occ[:, 0]] = state.coeffs
     keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
     deficit = state.norm_deficit
-    cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        t = int(total[lo])
-        block = packed[start[lo]:start[lo] + (hi - lo) * (t + 1)].reshape(hi - lo, t + 1)
+    for t, rest, block, fits in _mixer_blocks(state, ia, ib):
         out = block @ _gaussian_unitary("mix", t + 1, theta, phase).T
-        na = np.arange(t + 1)
-        fits = (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib])
         deficit += _mass(out[:, ~fits])
-        na = na[fits]
-        keys.append((rest[comp_rest[lo:hi], None] + na * reg.strides[ia]
-                     + (t - na) * reg.strides[ib]).ravel())
+        na = np.flatnonzero(fits)
+        keys.append((rest[:, None] + na * reg.strides[ia] + (t - na) * reg.strides[ib]).ravel())
         coeffs.append(out[:, fits].ravel())
     return _finish(reg, np.concatenate(keys), np.concatenate(coeffs), deficit)
+
+
+@_one_blas_thread
+def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
+                      theta: float, phase: float = 0.0) -> tuple[PureState, float]:
+    """The vacuum branch of ``mode_a`` after :func:`apply_two_mode_mixer` and
+    the mixed state's squared norm.  A block whose columns all fit keeps its
+    mass (the mixer is unitary on it) and needs only ``block @ U[0, :]``; any
+    other is mixed in full, and every dropped column's mass joins the deficit."""
+    reg = state.register
+    ia, ib = reg.index(mode_a), reg.index(mode_b)
+    keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    deficit, kept = state.norm_deficit, 0.0
+    for t, rest, block, fits in _mixer_blocks(state, ia, ib):
+        u = _gaussian_unitary("mix", t + 1, theta, phase)
+        whole = not fits.all()  # a block that drops no column needs only n_a = 0
+        out = block @ (u if whole else u[:1]).T
+        deficit += _mass(out[:, ~fits]) if whole else 0.0
+        kept += _mass(out[:, fits] if whole else block)
+        if fits[0]:
+            keys.append(rest + t * reg.strides[ib])
+            coeffs.append(out[:, 0])
+    return _finish(reg, np.concatenate(keys), np.concatenate(coeffs), deficit), kept
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,18 @@ def test_polarization_access_zero_flip_gives_no_entanglement():
     assert neg == pytest.approx(0.0, abs=1e-9)
 
 
+def test_zero_flip_keeps_a_dark_port_but_no_v_click():
+    # without the flip the H port still stays dark; it is the V click that
+    # falls to rounding dust, so normalizing it leaves a huge deficit
+    rep = generate_entangled_cat(1.2)
+    acc = quiet_access(rep.output_state, Imperfection(flip_angle=0.0))
+    (dark, p_dark), (click, p_click) = acc.branch_log
+    assert (dark, click) == ("tag_dark_port", "tag_click")
+    assert p_dark == pytest.approx(0.0531511364, rel=1e-8)
+    assert 0.0 < p_click < 1e-14
+    assert acc.output_state.norm_deficit > 1e3
+
+
 def test_polarization_access_keeps_the_input_deficit():
     # the deficit bounds the missing mass, so conditioning can only raise it
     gen = generate_entangled_cat(1.19).output_state

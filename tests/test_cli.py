@@ -205,6 +205,16 @@ def test_fisher_run(tmp_path, capsys):
         assert row[qfi] > row[shot]
 
 
+def test_zero_flip_sweep_is_flagged_non_converged(tmp_path, capsys):
+    # at flip 0 the conditioned output is normalized rounding dust
+    out_file = tmp_path / "sweep.json"
+    code, _, err = run_main(["--output", str(out_file), "imperfection-sweep",
+                             "--flip-angles", "0,3.141592653589793"], capsys)
+    assert code == cli.EXIT_NONCONVERGED == 5
+    assert "non-converged" in err
+    assert load_result(out_file)["converged"] is False
+
+
 def test_imperfection_sweep_is_monotone(tmp_path, capsys):
     out_file = tmp_path / "imp.json"
     code, _, _ = run_main(["--output", str(out_file), "imperfection-sweep",
@@ -222,17 +232,18 @@ def test_empty_grid_is_a_config_error(capsys):
 
 
 def test_reruns_are_byte_identical_except_timestamp(tmp_path, capsys):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    for path in (out_a, out_b):
-        code, _, _ = run_main(["--output", str(path), "ifm",
-                               "--state", "entangled", "--bomb"], capsys)
-        assert code == 0
-    a = load_result(out_a)
-    b = load_result(out_b)
-    a.pop("timestamp")
-    b.pop("timestamp")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    # duality runs the polarization access, through the fused erasure projection
+    for argv in (["ifm", "--state", "entangled", "--bomb"], ["duality"]):
+        out_a = tmp_path / "a.json"
+        out_b = tmp_path / "b.json"
+        for path in (out_a, out_b):
+            code, _, _ = run_main(["--output", str(path)] + argv, capsys)
+            assert code == 0
+        a = load_result(out_a)
+        b = load_result(out_b)
+        a.pop("timestamp")
+        b.pop("timestamp")
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_output_records_versions_and_blas_threads(capsys, monkeypatch):

@@ -24,8 +24,10 @@ from dualcat.elements import (
     cswap_pol,
     displaced_parity_expect,
     hwp,
+    onoff_detect,
     parity_controlled_flip,
     pbs,
+    polarizer,
 )
 from dualcat.fock import (
     CutoffError,
@@ -40,6 +42,7 @@ from dualcat.fock import (
     embed,
     mode,
     group_by,
+    mixer_dark_branch,
     normalized,
     partial_trace,
     polarized_register,
@@ -188,6 +191,54 @@ def test_line_correlator_grid_matches_laguerre_oracle(case):
     dense = oracles.cached_dense_correlator(psi)
     want = [[dense(a * unit, b * unit) for b in t2] for a in t1]
     assert np.max(np.abs(got - want)) <= TOL
+
+
+@st.composite
+def tag_path_states(draw):
+    """A state on path 1 (H and V, cutoffs 1-3 each) and a plain spectator
+    mode, holding the pattern with both path-1 modes full, so some mixer
+    blocks have a total above a cutoff and drop columns; plus an input
+    deficit."""
+    cuts = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    reg = ModeRegister((mode(1, "H"), mode(1, "V"), mode(2)), cuts)
+    psi = random_state(reg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 12)))
+    full = PureState(reg, {(cuts[0], cuts[1], draw(st.integers(0, cuts[2]))): 1.0}, 0.0)
+    if full.keys[0] not in psi.keys:
+        psi = add(psi, full)
+    return _wrap(reg, psi.keys, psi.coeffs, draw(st.sampled_from([0.0, 0.25])))
+
+
+def dense_dark_branch(psi, theta, phase):
+    """Exact mixer of path 1 on a register wide enough for every total, then
+    the vacuum projection of 1H: the dark branch with nothing dropped."""
+    cuts = psi.register.cutoffs
+    wide = ModeRegister(psi.register.modes, (cuts[0] + cuts[1],) * 2 + cuts[2:])
+    mixed = oracles.dense_mixer(wide, 0, 1, theta, phase) @ oracles.dense_vector(embed(psi, wide))
+    return wide, mixed.reshape(oracles.dims(wide))[0]
+
+
+@SETTINGS
+@given(psi=tag_path_states())
+def test_dark_branch_matches_rotation_then_dark_port(psi):
+    dark, rotated_sq = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
+    rotated = polarizer(psi, 1, "diag45").state("pass")
+    composed = onoff_detect(rotated, mode(1, "H")).state("no_click")
+    assert dark.keys.tolist() == composed.keys.tolist()
+    assert np.max(np.abs(dark.coeffs - composed.coeffs), initial=0.0) <= 1e-14
+    assert abs(rotated_sq - rotated.norm_sq()) <= 1e-14 * rotated.norm_sq()
+    # the mass of the n_1H = 0 column that the cutoff of 1V drops
+    wide, exact = dense_dark_branch(psi, -math.pi / 4.0, 0.0)
+    dropped_dark = np.sum(np.abs(exact[psi.register.cutoffs[1] + 1:]) ** 2)
+    assert psi.norm_deficit + dropped_dark - TOL <= dark.norm_deficit <= composed.norm_deficit
+
+
+@SETTINGS
+@given(psi=tag_path_states(), theta=st.floats(-3.2, 3.2), phase=st.floats(-3.2, 3.2))
+def test_dark_branch_deficit_bounds_its_missing_mass(psi, theta, phase):
+    dark, _ = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), theta, phase)
+    wide, exact = dense_dark_branch(psi, theta, phase)
+    got = dense(embed(dark, wide))[0]
+    assert np.sum(np.abs(exact - got) ** 2) <= dark.norm_deficit + TOL
 
 
 # ---------------------------------------------------------------------------
