@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import ParityLineCorrelator, displaced_parity_expect
+from .elements import ParityLineCorrelator, ParityPolarCorrelator, displaced_parity_expect
 from .fock import (
     CutoffError,
     ModeLabel,
@@ -36,10 +36,6 @@ class EntanglementSummary:
     log_negativity: float
     schmidt_spectrum: tuple
 
-    @property
-    def schmidt_rank(self) -> int:
-        return len(self.schmidt_spectrum)
-
 
 @dataclass(frozen=True)
 class BellSettings:
@@ -56,7 +52,7 @@ class BellSettings:
 
 @dataclass(frozen=True)
 class BellSearch:
-    """Deterministic search plan: coarse line grid + simplex refinement.
+    """Deterministic search plan: coarse line grid + Newton refinement.
 
     ``axis`` selects the line the grid and refinement live on.  The cat
     pairs produced here have their phase-space interference fringes along
@@ -69,7 +65,8 @@ class BellSearch:
     ``grid_density`` is a floor on the points of each line grid: the search
     uses more where the state needs them, so that the grid spacing stays at
     most 1/8 of the fringe period pi / (2 sqrt(nbar)) of its larger per-mode
-    mean photon number nbar.
+    mean photon number nbar.  ``refine_iters`` is a cap on the Newton steps
+    of each refinement; 0 returns the grid seeds as they are.
     """
 
     grid_density: int = 25
@@ -202,76 +199,81 @@ def chsh_displaced_parity(state: PureState, settings: BellSettings) -> float:
             - e(state, settings.beta1p, settings.beta2p))
 
 
-def _nelder_mead(f, x0: np.ndarray, maxiter: int, xatol: float, fatol: float
-                 ) -> tuple[np.ndarray, float]:
-    """Minimize ``f`` by the Nelder-Mead simplex from ``x0``: the standard,
-    non-adaptive and unbounded method of ``scipy.optimize.minimize``, step
-    for step (reflection 1, expansion 2, contractions and shrink 1/2, a first
-    simplex 5 % or 0.00025 off ``x0`` along each axis).  It stops after
-    ``maxiter`` iterations, or once every vertex lies within ``xatol`` of the
-    best and every value within ``fatol``.  Returns the best vertex and value.
+#: CHSH signs of E(side-1 setting a or a', side-2 setting b or b')
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _chsh_derivatives(jets: np.ndarray, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """B, its gradient and its Hessian over the settings (a, a', b, b'), each
+    with ``k`` real parameters.
+
+    ``jets[p, i, q, j]`` is the i-th jet entry of side-1 setting p (a, a')
+    times the j-th of side-2 setting q (b, b'); a jet holds the value, the k
+    first derivatives and the upper triangle of the second ones, row by row.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x) for x in sim], dtype=float)
+    j = jets * _SIGNS[:, None, :, None]
+    first, second = slice(1, 1 + k), slice(1 + k, None)
+    rows, cols = np.triu_indices(k)
+    grad = np.concatenate([j[:, first, :, 0].sum(axis=2).ravel(),
+                           j[:, 0, :, first].sum(axis=0).ravel()])
+    hess = np.zeros((4 * k, 4 * k))
+    for p in range(2):
+        for block, own in ((p, j[p, second, :, 0].sum(axis=1)),
+                           (2 + p, j[:, 0, p, second].sum(axis=0))):
+            hess[block * k + rows, block * k + cols] = hess[block * k + cols, block * k + rows] = own
+    hess[:2 * k, 2 * k:] = j[:, first, :, first].reshape(2 * k, 2 * k)
+    hess[2 * k:, :2 * k] = hess[:2 * k, 2 * k:].T
+    return float(j[:, 0, :, 0].sum()), grad, hess
 
-    def order(sim, fsim):
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
-    # sorted twice, as scipy does: argsort need not keep the order of ties
-    sim, fsim = order(*order(sim, fsim))
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+#: B and its gradient are sums of O(1) terms, so a gain or gradient below is rounding
+_GAIN_TOL, _GRAD_TOL = 1e-14, 1e-12
+
+
+@_one_blas_thread
+def _ascend(evaluate, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.ndarray, float]:
+    """Damped Newton ascent on sign * B from ``x0``, sign that of B there.
+
+    ``evaluate(x)`` returns (B, gradient, Hessian), or raises a cutoff error
+    past the edge.  A step solves (shift - H) s = g, the shift above every
+    eigenvalue of H unless H is negative definite; it is kept only if it
+    raises sign * B, else the shift grows.  A step whose predicted gain is
+    rounding ends the ascent, kept if B holds to that level; so do a gradient
+    at rounding and ``iters`` steps.  Returns the end point and |B| there, or
+    ``x0`` and ``start_val`` if that is better.
+    """
+    if iters <= 0:
+        return x0, start_val
+    try:
+        val, grad, hess = evaluate(x0)
+    except CutoffError:  # a seed within the evaluation's edge margin stays as it is
+        return x0, start_val
+    sign = 1.0 if val >= 0 else -1.0
+    x, f, grad, hess = x0, sign * val, sign * grad, sign * hess
+    shift = 0.0
+    for _ in range(iters):
+        if np.abs(grad).max() <= _GRAD_TOL:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                keep = fxc <= fxr
-            else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                keep = fxc < fsim[-1]
-            if keep:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = order(sim, fsim)
-    return sim[0], np.min(fsim)
-
-
-def _refine(chsh, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.ndarray, float]:
-    """Fixed-budget Nelder-Mead on |chsh(x)| from ``x0``; keeps the start if
-    it is better.  A setting that raises a cutoff error scores -inf."""
-
-    def objective(x):
+        # as a complex Hermitian matrix: the LAPACK routine of the generator
+        # spectra, whose code is mapped already (a real eigh maps 0.4 MB more)
+        lam, vec = np.linalg.eigh(hess.astype(complex))
+        scale = np.abs(lam).max() or 1.0
+        if lam[-1] >= 0:
+            shift = max(shift, 1e-3 * scale)
+        step = (vec @ ((vec.conj().T @ grad) / (max(lam[-1], 0.0) + shift - lam))).real
+        gain = grad @ step + 0.5 * step @ hess @ step
         try:
-            return -abs(chsh(x))
+            trial_val, trial_grad, trial_hess = evaluate(x + step)
         except CutoffError:
-            return np.inf
-
-    x, fun = _nelder_mead(objective, x0, iters, xatol=1e-8, fatol=1e-11)
-    if float(-fun) >= start_val:
-        return x, float(-fun)
-    return x0, start_val
+            trial_val = -sign * np.inf
+        if sign * trial_val > f or (gain <= _GAIN_TOL and sign * trial_val >= f - _GAIN_TOL):
+            x, f, grad, hess = x + step, sign * trial_val, sign * trial_grad, sign * trial_hess
+            shift = shift / 4.0 if shift > 1e-3 * scale else 0.0
+        else:
+            shift = 4.0 * shift if shift else scale
+        if gain <= _GAIN_TOL:
+            break
+    return (x, f) if f >= start_val else (x0, start_val)
 
 
 def _best_seed(E: np.ndarray) -> tuple[float, tuple]:
@@ -310,7 +312,8 @@ def _line_search(state: PureState, search: BellSearch, unit: complex
     """Grid over the line ``unit * [-r, r]``, then refine along that line.
 
     Every correlator comes from one ``ParityLineCorrelator`` of the state:
-    the grid is one matrix product and each refinement step one 2x2 block.
+    the grid is one matrix product, and each Newton step of a refinement
+    takes B, its gradient and its Hessian from one 6x6 block of its jets.
     Maximizing B and maximizing -B are separate problems, so the best grid
     point of each sign seeds its own refinement and the larger |B| wins.
     Grid points with a == a' or b == b' are skipped as seeds: there B
@@ -326,14 +329,13 @@ def _line_search(state: PureState, search: BellSearch, unit: complex
     corr = ParityLineCorrelator(state, unit)
     E = corr(axis, axis)
 
-    def chsh(x):
-        e = corr(x[:2], x[2:])
-        return e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
+    def evaluate(x):
+        return _chsh_derivatives(corr.jets(x[:2], x[2:]), 1)
 
     found = []
     for sign in (1.0, -1.0):
         val, seed = _best_seed(sign * E)
-        found.append(_refine(chsh, axis[list(seed)], abs(val), search.refine_iters))
+        found.append(_ascend(evaluate, axis[list(seed)], abs(val), search.refine_iters))
     x, val = max(found, key=lambda f: f[1])
     return BellSettings(*(complex(unit * v) for v in x)), val
 
@@ -349,10 +351,12 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     ``chsh_displaced_parity(state, settings) == +value`` or ``-value``.
 
     Deterministic: a grid along the search line (one matrix product of a
-    ``ParityLineCorrelator``) followed by fixed-budget Nelder-Mead
-    refinements from the best grid point of each sign of B.  The "complex" search runs both the
-    imaginary and the real line search and refines all 8 real parameters
-    from the better of the two, so it never returns less than either line
+    ``ParityLineCorrelator``) followed by a damped Newton ascent on exact
+    derivatives from the best grid point of each sign of B, capped at
+    ``refine_iters`` Newton steps.  The "complex" search runs both the
+    imaginary and the real line search and refines all 8 real parameters,
+    the polar (rho, phi) of each setting, from the better of the two (a
+    ``ParityPolarCorrelator``), so it never returns less than either line
     search.  Raises a cutoff error if the search radius would push the
     state off the register's cutoffs.
     """
@@ -368,15 +372,18 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
 
     seed, seed_val = max((_line_search(state, search, unit) for unit in (1j, 1.0)),
                          key=lambda found: found[1])
-    x0 = np.array([[b.real, b.imag] for b in seed.as_array()]).ravel()
+    betas = seed.as_array()
+    x0 = np.column_stack([np.abs(betas), np.angle(betas)]).ravel()
+    corr = ParityPolarCorrelator(state)
 
-    def to_settings(x):
-        return BellSettings(x[0] + 1j * x[1], x[2] + 1j * x[3],
-                            x[4] + 1j * x[5], x[6] + 1j * x[7])
+    def evaluate(x):
+        x = x.reshape(4, 2)
+        return _chsh_derivatives(corr.jets(x[:2], x[2:]), 2)
 
-    x, val = _refine(lambda x: chsh_displaced_parity(state, to_settings(x)), x0,
-                     seed_val, search.refine_iters)
-    return to_settings(x), val
+    x, val = _ascend(evaluate, x0, seed_val, search.refine_iters)
+    if x is x0:
+        return seed, val
+    return BellSettings(*(complex(rho * np.exp(1j * phi)) for rho, phi in x.reshape(4, 2))), val
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +399,17 @@ def qfi_phase(state: PureState, probe_mode: ModeLabel) -> float:
     return 4.0 * (m2 - m1 * m1)
 
 
-def qfi_phase_decay(state: PureState, probe_mode: ModeLabel,
-                    deltas: tuple = (1e-3, 5e-4)) -> float:
+def qfi_phase_decay(state: PureState, probe_mode: ModeLabel, delta: float = 1e-3) -> float:
     """Overlap-decay estimate of the same Fisher information.
 
-    Uses F(d) = 8(1 - |<psi|e^{i d n}|psi>|)/d^2 at two step sizes and
-    removes the leading O(d^2) bias by Richardson extrapolation.
+    Uses F(d) = 8(1 - |<psi|e^{i d n}|psi>|)/d^2 at d = delta and delta / 2
+    and removes the leading O(d^2) bias by Richardson extrapolation.
     """
     from .elements import phase_shift
 
-    d1, d2 = deltas
-    if not math.isclose(d1, 2.0 * d2):
-        vals = []
-        for d in deltas:
-            c = abs(inner_product(state, phase_shift(state, probe_mode, d)))
-            vals.append(8.0 * (1.0 - c / state.norm_sq()) / d**2)
-        return vals[-1]
     n2 = state.norm_sq()
-    f1 = 8.0 * (1.0 - abs(inner_product(state, phase_shift(state, probe_mode, d1))) / n2) / d1**2
-    f2 = 8.0 * (1.0 - abs(inner_product(state, phase_shift(state, probe_mode, d2))) / n2) / d2**2
+    f1, f2 = (8.0 * (1.0 - abs(inner_product(state, phase_shift(state, probe_mode, d))) / n2) / d**2
+              for d in (delta, delta / 2.0))
     return (4.0 * f2 - f1) / 3.0
 
 

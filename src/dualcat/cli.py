@@ -526,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha-grid", dest="alpha_grid")
     sp.add_argument("--radius", type=float)
     sp.add_argument("--grid-density", dest="grid_density", type=int)
-    sp.add_argument("--refine-iters", dest="refine_iters", type=int)
+    sp.add_argument("--refine-iters", dest="refine_iters", type=int,
+                    help="cap on Newton steps of each refinement (0: grid only)")
     sp.add_argument("--axis", choices=["imag", "real", "complex"])
 
     sp = sub.add_parser("ifm", help="interaction-free bomb test")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -24,7 +25,12 @@ from dualcat.circuits import (
     generate_entangled_cat,
     noon_from_cat_pair,
 )
-from dualcat.elements import displace, displaced_parity_expect
+from dualcat.elements import (
+    ParityLineCorrelator,
+    ParityPolarCorrelator,
+    displace,
+    displaced_parity_expect,
+)
 from dualcat.fock import (
     CutoffError,
     PureState,
@@ -282,31 +288,126 @@ def test_chsh_optimize_rejects_unsafe_radius():
         chsh_optimize(pair, BellSearch(radius=2.5))
 
 
+def _central_differences(f, x: np.ndarray, h_grad: float = 1e-5, h_hess: float = 1e-4):
+    """Central-difference gradient and Hessian of a scalar f at x."""
+    steps = np.eye(len(x))
+    grad = np.array([(f(x + h_grad * e) - f(x - h_grad * e)) / (2 * h_grad) for e in steps])
+    hess = np.empty((len(x), len(x)))
+    for i, j in zip(*np.triu_indices(len(x))):
+        a, b = h_hess * steps[i], h_hess * steps[j]
+        hess[i, j] = hess[j, i] = (f(x + a + b) - f(x + a - b) - f(x - a + b)
+                                   + f(x - a - b)) / (4 * h_hess**2)
+    return grad, hess
+
+
+def _cat_pair(alpha: float, cutoff: int | None = None, tail_eps: float = 1e-12):
+    reg = plain_register([1, 2], cutoff or coherent_cutoff(alpha + 1.3))
+    return entangled_cat_pair(reg, mode(1), mode(2), alpha, "-", tail_eps)
+
+
 @pytest.mark.parametrize("alpha, axis", [(0.5, "imag"), (1.0, "imag"), (2.0, "imag"),
                                          (3.0, "imag"), (1.0, "real"), (0.5, "complex")])
-def test_nelder_mead_is_bit_identical_to_scipy(monkeypatch, alpha, axis):
-    # every refinement of a real search, from its real seed, against
-    # scipy.optimize.minimize on the same objective
-    from scipy.optimize import minimize
+def test_chsh_optimum_is_a_local_maximum_of_abs_b(alpha, axis):
+    # finite differences of chsh_displaced_parity only: along the search line
+    # for a line search, over all 8 real parameters for the complex search
+    pair = _cat_pair(alpha)
+    settings, val = chsh_optimize(pair, BellSearch(axis=axis))
+    betas = settings.as_array()
+    if axis == "complex":
+        x0 = np.concatenate([betas.real, betas.imag])
 
-    from dualcat import analysis
+        def to_settings(x):
+            return BellSettings(*(x[:4] + 1j * x[4:]))
+    else:
+        unit = 1j if axis == "imag" else 1.0
+        x0 = (betas / unit).real
 
-    port, pairs = analysis._nelder_mead, []
+        def to_settings(x):
+            return BellSettings(*(x * unit))
 
-    def both(f, x0, maxiter, xatol, fatol):
-        got = port(f, x0, maxiter, xatol, fatol)
-        ref = minimize(f, x0, method="Nelder-Mead", options={
-            "maxiter": maxiter, "xatol": xatol, "fatol": fatol, "adaptive": False})
-        pairs.append((got, (ref.x, ref.fun)))
-        return got
+    sign = math.copysign(1.0, chsh_displaced_parity(pair, settings))
 
-    monkeypatch.setattr(analysis, "_nelder_mead", both)
-    reg = plain_register([1, 2], coherent_cutoff(alpha + 1.3))
-    chsh_optimize(entangled_cat_pair(reg, mode(1), mode(2), alpha, "-"), BellSearch(axis=axis))
-    assert len(pairs) == (5 if axis == "complex" else 2)
-    for (x, fun), (ref_x, ref_fun) in pairs:
-        assert x.tobytes() == ref_x.tobytes()
-        assert fun == ref_fun
+    def abs_b(x):
+        return sign * chsh_displaced_parity(pair, to_settings(x))
+
+    assert abs_b(x0) == pytest.approx(val, abs=1e-12)
+    grad, hess = _central_differences(abs_b, x0)
+    assert np.abs(grad).max() <= 1e-7
+    assert np.linalg.eigvalsh(hess).max() <= 1e-5
+
+
+def test_chsh_derivatives_match_central_differences(rng):
+    # B, gradient and Hessian of the Newton ascent, on a line and in polar
+    # form, against central differences of the plain correlators
+    from dualcat.analysis import _chsh_derivatives
+
+    pair = _cat_pair(1.0)
+    for unit in (1j, 1.0, complex(math.cos(0.4), math.sin(0.4))):
+        corr = ParityLineCorrelator(pair, unit)
+
+        def line_b(x):
+            e = corr(x[:2], x[2:])
+            return e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
+
+        x = rng.uniform(-0.6, 0.6, 4)
+        val, grad, hess = _chsh_derivatives(corr.jets(x[:2], x[2:]), 1)
+        fd_grad, fd_hess = _central_differences(line_b, x)
+        assert val == pytest.approx(line_b(x), abs=1e-13)
+        assert np.abs(grad - fd_grad).max() <= 1e-7
+        assert np.abs(hess - fd_hess).max() <= 1e-5
+        assert np.array_equal(hess, hess.T)
+
+    polar = ParityPolarCorrelator(pair)
+
+    def polar_b(x):
+        x = x.reshape(4, 2)
+        return chsh_displaced_parity(pair, BellSettings(*(x[:, 0] * np.exp(1j * x[:, 1]))))
+
+    for _ in range(2):
+        settings = np.column_stack([rng.uniform(-0.6, 0.6, 4), rng.uniform(-math.pi, math.pi, 4)])
+        val, grad, hess = _chsh_derivatives(polar.jets(settings[:2], settings[2:]), 2)
+        x = settings.ravel()
+        fd_grad, fd_hess = _central_differences(polar_b, x)
+        assert val == pytest.approx(polar_b(x), abs=1e-13)
+        assert np.abs(grad - fd_grad).max() <= 1e-7
+        assert np.abs(hess - fd_hess).max() <= 1e-5
+        assert np.array_equal(hess, hess.T)
+
+
+def _safe_radius_limit(pair) -> float:
+    """Largest radius that chsh_optimize accepts, by bisection on its probes."""
+    def safe(r):
+        try:
+            for probe in (r, -r, 1j * r, -1j * r):
+                displaced_parity_expect(pair, probe, probe)
+        except CutoffError:
+            return False
+        return True
+
+    lo, hi = 0.0, 5.0
+    for _ in range(60):
+        lo, hi = ((lo + hi) / 2, hi) if safe((lo + hi) / 2) else (lo, (lo + hi) / 2)
+    return lo
+
+
+@pytest.mark.parametrize("axis", ["imag", "real", "complex"])
+def test_chsh_refinement_stays_inside_the_cutoff_edge(axis):
+    # a tight register: the real-line optimum lies on the cutoff edge, where
+    # the ascent must stop short of it
+    pair = _cat_pair(1.0, cutoff=coherent_cutoff(1.5), tail_eps=1e-6)
+    radius = _safe_radius_limit(pair) * (1.0 - 1e-6)
+    seed_settings, seed_val = chsh_optimize(pair, BellSearch(radius=radius, axis=axis,
+                                                             refine_iters=0))
+    settings, val = chsh_optimize(pair, BellSearch(radius=radius, axis=axis))
+    assert abs(chsh_displaced_parity(pair, settings)) == pytest.approx(val, abs=1e-12)
+    assert val >= seed_val
+    if axis != "complex":
+        # refine_iters=0 returns a grid seed as it is
+        grid = np.linspace(-radius, radius, BellSearch().grid_density)
+        unit = 1j if axis == "imag" else 1.0
+        assert all(np.any((b / unit).real == grid) and (b / unit).imag == 0.0
+                   for b in seed_settings.as_array())
+    assert abs(chsh_displaced_parity(pair, seed_settings)) == pytest.approx(seed_val, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.49, 1.0, 1.5, 3.0])
