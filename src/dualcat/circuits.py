@@ -4,7 +4,7 @@ Every circuit returns a :class:`CircuitReport` whose ``branch_log`` records
 the probability of each measurement branch that was kept; the product of
 those probabilities is the reported post-selection probability.  States are
 never renormalized behind the caller's back: conditioning is explicit.
-Each circuit runs as a whole on one OpenBLAS thread (see ``fock._one_blas_thread``).
+Each circuit runs as a whole on one OpenBLAS thread (see ``blas._one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -241,12 +241,11 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     psi = elements.pbs(psi, 3, 4)
     psi = elements.phase_shift(psi, mode(2, "V"), math.pi)
 
-    # ambiguous tag light only exists when the displacement is off target
-    ambiguous = "error" if B == A else "pass"
     for target in (1, 2):
-        psi = elements.cnot_pol(psi, 3, target, imp.flip_angle, on_ambiguous=ambiguous)
+        psi = elements.cnot_pol(psi, 3, target, imp.flip_angle, on_ambiguous=imp.on_ambiguous)
     for target in (1, 2):
-        psi = elements.cphase_pol(psi, 3, target, imp.cphase_angle, on_ambiguous=ambiguous)
+        psi = elements.cphase_pol(psi, 3, target, imp.cphase_angle,
+                                  on_ambiguous=imp.on_ambiguous)
 
     dark, rotated_sq = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
     if dark.norm_sq() < 1e-12:

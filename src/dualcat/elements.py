@@ -24,15 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import (
+    DEFAULT_PRUNE_EPS,
     BranchedOutcome,
     ContractViolationError,
     CutoffError,
     ModeLabel,
+    ModeRegister,
     PureState,
     RegisterMismatchError,
     _finish,
     _mass,
     _one_blas_thread,
+    _replace,
     _wrap,
     add,
     apply_single_mode_matrix,
@@ -64,6 +67,15 @@ class Imperfection:
             return self.displacement_actual
         return intended + self.displacement_offset
 
+    @property
+    def on_ambiguous(self) -> str:
+        """How the controlled gates meet ambiguous control light: "error" with
+        no displacement error set, since the tags then land on target and
+        such light is a contract violation; "pass" with one set, since off
+        target tags make it, and the gate does not actuate on it."""
+        exact = self.displacement_actual is None and self.displacement_offset == 0
+        return "error" if exact else "pass"
+
     def __post_init__(self) -> None:
         if not 0.0 <= self.flip_angle <= math.pi:
             raise ValueError("flip_angle must lie in [0, pi]")
@@ -80,19 +92,15 @@ def _pol_pair(state: PureState, path: int) -> tuple[int, int]:
     return reg.index(h), reg.index(v)
 
 
-def _swapped(state: PureState, pairs, where: np.ndarray | None = None) -> np.ndarray:
-    """Keys with the occupations of each mode pair (i, j) exchanged, on the
-    components ``where`` holds (all by default)."""
-    reg, keys = state.register, state.keys
+def _swapped(register: ModeRegister, keys: np.ndarray, pairs) -> np.ndarray:
+    """Keys with the occupations of each mode pair (i, j) exchanged."""
     out = keys.copy()
     for i, j in pairs:
-        ni, nj = reg.digit(keys, i), reg.digit(keys, j)
-        if where is not None:
-            ni, nj = ni * where, nj * where
-        if (ni > reg.cutoffs[j]).any() or (nj > reg.cutoffs[i]).any():
-            raise CutoffError(f"exchanging modes {reg.modes[i]} and {reg.modes[j]} "
+        ni, nj = register.digit(keys, i), register.digit(keys, j)
+        if (ni > register.cutoffs[j]).any() or (nj > register.cutoffs[i]).any():
+            raise CutoffError(f"exchanging modes {register.modes[i]} and {register.modes[j]} "
                               f"exceeds a cutoff")
-        out += (nj - ni) * (reg.strides[i] - reg.strides[j])
+        out += (nj - ni) * (register.strides[i] - register.strides[j])
     return out
 
 
@@ -113,14 +121,14 @@ def pbs(state: PureState, path1: int, path2: int) -> PureState:
     _pol_pair(state, path2)
     iv1 = state.register.index(mode(path1, "V"))
     iv2 = state.register.index(mode(path2, "V"))
-    return _wrap(state.register, _swapped(state, [(iv1, iv2)]), state.coeffs,
-                 state.norm_deficit)
+    return _wrap(state.register, _swapped(state.register, state.keys, [(iv1, iv2)]),
+                 state.coeffs, state.norm_deficit)
 
 
 def hwp(state: PureState, path: int) -> PureState:
     """Half-wave plate: exchange the H and V contents of one path."""
-    return _wrap(state.register, _swapped(state, [_pol_pair(state, path)]), state.coeffs,
-                 state.norm_deficit)
+    return _wrap(state.register, _swapped(state.register, state.keys, [_pol_pair(state, path)]),
+                 state.coeffs, state.norm_deficit)
 
 
 def phase_shift(state: PureState, m: ModeLabel, phi: float) -> PureState:
@@ -184,14 +192,29 @@ def _control(state: PureState, ich: int, icv: int, on_ambiguous: str) -> np.ndar
     """Mask of the components whose control path is V-polarized (V occupied,
     H empty).  Components with both control polarizations occupied raise
     unless ``on_ambiguous`` is "pass" or their mass is truncation dust."""
-    nh, nv = state.register.digit(state.keys, ich), state.register.digit(state.keys, icv)
-    mass = 0.0 if on_ambiguous == "pass" else _mass(state.coeffs[(nv > 0) & (nh > 0)])
+    lit = state.register.digit(state.keys, icv) > 0
+    dark = state.register.digit(state.keys, ich) == 0
+    mass = 0.0 if on_ambiguous == "pass" else _mass(state.coeffs[lit & ~dark])
     if mass > 0.0 and mass > AMBIGUOUS_TOL * max(state.norm_sq(), 1e-300):
         raise ContractViolationError(
             f"control path has both polarizations occupied on probability mass "
             f"{mass:.3g}; the gate is only defined on definite-polarization "
             f"control branches")
-    return (nv > 0) & (nh == 0)
+    lit &= dark
+    return lit
+
+
+def _controlled(state: PureState, where: np.ndarray, gate) -> PureState:
+    """Apply ``gate`` to the components ``where`` holds and merge its output
+    back in by :func:`fock._replace`; the rest of the state is not touched.
+
+    ``gate`` maps the selected components, as a state of their own, to a
+    state.  It must leave the control occupations as they are, so that its
+    output keys stay apart from the rest of the state.
+    """
+    sel = np.flatnonzero(where)
+    return _replace(state, sel, gate(_wrap(state.register, state.keys[sel],
+                                           state.coeffs[sel], 0.0)))
 
 
 def cnot_pol(state: PureState, control_path: int, target_path: int,
@@ -200,8 +223,11 @@ def cnot_pol(state: PureState, control_path: int, target_path: int,
 
     A partial ``flip_angle`` z applies exp[i(z/2)(F - 1)] on the conditioned
     components, F being the H/V exchange: identity at z=0, exact flip at z=pi.
-    The exchanged part can land on patterns the state already holds, so it
-    joins the part that stays through :func:`add`.
+    The exchanged part can land on patterns the conditioned components hold,
+    so it joins the part that stays through :func:`add`.  Where every
+    amplitude of the staying part of a moved component is at most
+    ``DEFAULT_PRUNE_EPS`` (about 6e-17 of the amplitude at z=pi), that part
+    is not built: its mass goes to the deficit.
     """
     ich, icv = _pol_pair(state, control_path)
     ith, itv = _pol_pair(state, target_path)
@@ -209,11 +235,18 @@ def cnot_pol(state: PureState, control_path: int, target_path: int,
         raise ValueError("control and target paths must differ")
     stay = 0.5 * (1.0 + np.exp(-1j * flip_angle))
     swap = 0.5 * (1.0 - np.exp(-1j * flip_angle))
-    flipped = _swapped(state, [(ith, itv)], _control(state, ich, icv, on_ambiguous))
-    moved = flipped != state.keys
-    return add(_wrap(state.register, state.keys,
-                     np.where(moved, state.coeffs * stay, state.coeffs), state.norm_deficit),
-               _wrap(state.register, flipped[moved], state.coeffs[moved] * swap, 0.0))
+
+    def flip(part: PureState) -> PureState:
+        reg, keys, coeffs = part.register, part.keys, part.coeffs
+        flipped = _swapped(reg, keys, [(ith, itv)])
+        moved = flipped != keys
+        if abs(stay) * np.max(np.abs(coeffs[moved]), initial=0.0) <= DEFAULT_PRUNE_EPS:
+            return _finish(reg, flipped, np.where(moved, coeffs * swap, coeffs),
+                           abs(stay) ** 2 * _mass(coeffs[moved]))
+        return add(_wrap(reg, keys, np.where(moved, coeffs * stay, coeffs), 0.0),
+                   _wrap(reg, flipped[moved], coeffs[moved] * swap, 0.0))
+
+    return _controlled(state, _control(state, ich, icv, on_ambiguous), flip)
 
 
 def cphase_pol(state: PureState, control_path: int, target_path: int,
@@ -221,12 +254,14 @@ def cphase_pol(state: PureState, control_path: int, target_path: int,
     """Phase e^{i angle n} on all target-path photons where the control is V."""
     ich, icv = _pol_pair(state, control_path)
     ith, itv = _pol_pair(state, target_path)
-    flip = _control(state, ich, icv, on_ambiguous)
-    reg, keys = state.register, state.keys
+    reg = state.register
     phases = np.exp(1j * angle * np.arange(reg.cutoffs[ith] + reg.cutoffs[itv] + 1))
-    phase = phases[reg.digit(keys, ith) + reg.digit(keys, itv)]
-    return _wrap(reg, keys, np.where(flip, state.coeffs * phase, state.coeffs),
-                 state.norm_deficit)
+
+    def phase(part: PureState) -> PureState:
+        n = reg.digit(part.keys, ith) + reg.digit(part.keys, itv)
+        return _wrap(reg, part.keys, part.coeffs * phases[n], 0.0)
+
+    return _controlled(state, _control(state, ich, icv, on_ambiguous), phase)
 
 
 def parity_controlled_flip(state: PureState, control_mode: ModeLabel,
@@ -238,8 +273,8 @@ def parity_controlled_flip(state: PureState, control_mode: ModeLabel,
     if ic in target:
         raise ValueError("the control mode must not lie on the target path")
     odd = state.register.digit(state.keys, ic) % 2 == 1
-    keys = _swapped(state, [target], odd)
-    return _finish(state.register, keys, state.coeffs, state.norm_deficit)
+    return _controlled(state, odd, lambda part: _finish(
+        part.register, _swapped(part.register, part.keys, [target]), part.coeffs, 0.0))
 
 
 def cswap_pol(state: PureState, control_path: int, path_a: int, path_b: int,
@@ -257,8 +292,9 @@ def cswap_pol(state: PureState, control_path: int, path_a: int, path_b: int,
         raise ValueError("the exchanged paths must differ")
     if control_path in (path_a, path_b):
         raise ValueError("the control path must not be one of the exchanged paths")
-    keys = _swapped(state, [(iah, ibv), (iav, ibh)], _control(state, ich, icv, on_ambiguous))
-    return _finish(state.register, keys, state.coeffs, state.norm_deficit)
+    return _controlled(state, _control(state, ich, icv, on_ambiguous), lambda part: _finish(
+        part.register, _swapped(part.register, part.keys, [(iah, ibv), (iav, ibh)]),
+        part.coeffs, 0.0))
 
 
 # ---------------------------------------------------------------------------

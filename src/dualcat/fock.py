@@ -13,135 +13,28 @@ Every gate maps distinct keys to distinct keys, so building its output
 sorts and never sums: the one sort is stable, because gate outputs arrive
 as runs of sorted keys, which timsort merges in near-linear time.  The only
 place where amplitudes of one pattern meet is :func:`add`.
+
+Temporaries stay near the size of a gate's output.  The mixers and the
+single-mode matrices work on slices made of whole runs of keys
+(:func:`_runs`), whose sorted outputs follow one another, and a controlled
+gate maps only the amplitudes its control selects and merges them back in
+by binary search (:func:`_replace`).
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
-import os
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .blas import OpenBlas, _one_blas_thread, openblas  # noqa: F401  (part of this module's API)
+
 DEFAULT_PRUNE_EPS = 1e-16
 DEFAULT_TAIL_EPS = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# one OpenBLAS thread while the engine runs
-#
-# The engine's products are small or tall and narrow (gate blocks, norms,
-# 42x42 correlator forms); a second OpenBLAS thread only spins on them and
-# doubles the CPU time.  So every function that calls BLAS or LAPACK runs in
-# a process-wide scope that sets one thread and gives the caller's count back.
-
-
-class OpenBlas(NamedTuple):
-    """The OpenBLAS numpy loaded: file name, configuration string and the
-    calls that read and set its thread count."""
-
-    library: str
-    config: str
-    get_num_threads: Callable[[], int]
-    set_num_threads: Callable[[int], None]
-
-
-@functools.cache
-def openblas() -> OpenBlas | None:
-    """The OpenBLAS numpy loaded, found among the shared objects this process
-    maps; None without one (another BLAS, or no ``/proc``).  Looked up on the
-    first call, never at import."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return None
-    # scipy may map an OpenBLAS of its own; numpy's sits in or beside numpy
-    numpy_dir = os.path.dirname(os.path.abspath(np.__file__))
-    for path in sorted(paths, key=lambda p: (not p.startswith(numpy_dir), p)):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                names = [f"{prefix}_{call}{suffix}"
-                         for call in ("get_num_threads", "set_num_threads", "get_config")]
-                if not all(hasattr(lib, name) for name in names):
-                    continue
-                get, put, config = (getattr(lib, name) for name in names)
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                config.argtypes, config.restype = [], ctypes.c_char_p
-                return OpenBlas(os.path.basename(path), config().decode().strip(), get, put)
-    return None
-
-
-class _OneBlasThread:
-    """Process-wide scope in which numpy's OpenBLAS runs on one thread.
-
-    The depth counts the threads inside the scope.  The first to enter saves
-    the caller's thread count and sets 1; the last to leave restores the
-    saved count, also when it leaves by an exception.  The others only move
-    the depth, under a lock.  Without an OpenBLAS the scope changes nothing.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = None  # (OpenBlas, caller's count) while the depth is > 0
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                blas = openblas()
-                if blas is not None:
-                    self._restore = blas, blas.get_num_threads()
-                    blas.set_num_threads(1)
-            self._depth += 1
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore is not None:
-                blas, count = self._restore
-                self._restore = None
-                blas.set_num_threads(count)
-
-
-class _ThreadInside(threading.local):
-    inside = False  # this thread runs a decorated call, so holds the scope
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-_THREAD = _ThreadInside()
-
-
-def _one_blas_thread(fn):
-    """Decorator: run ``fn`` inside the process-wide one-OpenBLAS-thread scope.
-
-    A call nested in another decorated call of the same thread is already
-    inside and goes straight through: the engine makes thousands of them per
-    run, and a lock round trip would cost more than many of their kernels.
-    """
-
-    @functools.wraps(fn)
-    def scoped(*args, **kwargs):
-        if _THREAD.inside:
-            return fn(*args, **kwargs)
-        _THREAD.inside = True
-        try:
-            with _ONE_BLAS_THREAD:
-                return fn(*args, **kwargs)
-        finally:
-            _THREAD.inside = False
-
-    return scoped
 
 
 class FockError(Exception):
@@ -400,9 +293,26 @@ class DensityView:
 # construction helpers
 
 
+#: floats per partial sum of :func:`_mass`
+_MASS_BLOCK = 2048
+
+
 @_one_blas_thread
 def _mass(coeffs: np.ndarray) -> float:
-    return float(np.vdot(coeffs, coeffs).real)
+    """Squared norm of an amplitude array, to about 2e-16 relative at any length.
+
+    One ``np.vdot`` keeps a few running totals and reads about 1e-13 low on
+    4e5 amplitudes.  So a longer array is summed in blocks of ``_MASS_BLOCK``
+    floats, each one short dot product of a stacked matmul (views of the
+    input, no temporary its size), and ``math.fsum`` adds the block sums.
+    """
+    if coeffs.size * 2 <= _MASS_BLOCK:
+        return float(np.vdot(coeffs, coeffs).real)
+    flat = np.ascontiguousarray(coeffs, dtype=complex).reshape(-1).view(np.float64)
+    cut = len(flat) - len(flat) % _MASS_BLOCK
+    rows = flat[:cut].reshape(-1, 1, _MASS_BLOCK)
+    blocks = (rows @ rows.transpose(0, 2, 1)).ravel().tolist()
+    return math.fsum((*blocks, float(flat[cut:] @ flat[cut:])))
 
 
 def _fill(state: PureState, register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray,
@@ -462,16 +372,117 @@ def group_by(state: PureState, modes: Sequence[ModeLabel]
     reg = state.register
     idx = [reg.index(m) for m in modes]
     occ = reg.digits(state.keys, idx)
-    emptied = state.keys - occ @ reg.strides[idx]
-    # the emptied keys are runs of sorted keys, so the stable sort is cheap
-    order = np.argsort(emptied, kind="stable")
-    emptied = emptied[order]
+    emptied = state.keys.copy()
+    for col, i in enumerate(idx):
+        emptied -= occ[:, col] * reg.strides[i]
+    # the emptied keys are runs of sorted keys, so the stable sort is cheap;
+    # with the grouped modes last they are sorted already
+    order = None
+    if len(emptied) > 1 and not (emptied[1:] >= emptied[:-1]).all():
+        order = np.argsort(emptied, kind="stable")
+        emptied = emptied[order]
     first = np.empty(len(emptied), dtype=bool)
     first[:1] = True
     np.not_equal(emptied[1:], emptied[:-1], out=first[1:])
-    group = np.empty(len(emptied), dtype=np.int64)
-    group[order] = np.cumsum(first) - 1
-    return emptied[first], group, occ
+    rest = emptied[first]
+    group = np.cumsum(first, out=emptied)  # the sorted keys are spent
+    group -= 1
+    if order is not None:
+        group = np.empty_like(group)
+        group[order] = emptied
+    return rest, group, occ
+
+
+#: amplitudes (or dense block entries) that a bounded op handles at once
+_CHUNK = 1 << 15
+
+
+def _run_end(state: PureState, first: int, lo: int, size: int) -> int:
+    """End of the slice of ``state`` that starts at ``lo``: about ``size``
+    amplitudes, made of whole runs of keys that share their digits before
+    mode position ``first``.  A run longer than ``size`` is one slice."""
+    keys, reg = state.keys, state.register
+    hi = lo + size
+    if hi >= len(keys):
+        return len(keys)
+    span = reg.strides[first] * reg.dims[first]  # the keys of a run share keys // span
+    head = keys[hi] - keys[hi] % span  # the first key of the run holding keys[hi]
+    cut = int(np.searchsorted(keys, head))
+    return cut if cut > lo else int(np.searchsorted(keys, head + span))
+
+
+def _slice(state: PureState, lo: int, hi: int) -> PureState:
+    """Amplitudes ``lo:hi`` of ``state`` as a state of views, or the state
+    itself when that is all of it; the caller does not read its deficit."""
+    if lo == 0 and hi == len(state.keys):
+        return state
+    return _wrap(state.register, state.keys[lo:hi], state.coeffs[lo:hi], 0.0)
+
+
+def _runs(state: PureState, first: int, size: int = _CHUNK):
+    """The state in consecutive :func:`_run_end` slices (:func:`_slice`).
+    An op on the modes from ``first`` on keeps each key inside its run, so
+    the sorted outputs of the slices follow one another in key order."""
+    lo = 0
+    while lo < len(state.keys):
+        hi = _run_end(state, first, lo, size)
+        yield _slice(state, lo, hi)
+        lo = hi
+
+
+def _joined(register: ModeRegister, parts: list, deficit: float) -> PureState:
+    """One state from states whose keys follow one another in order, as the
+    outputs of :func:`_runs` slices do; their deficits join ``deficit``.
+
+    The list is emptied once the keys are joined, which frees the parts'
+    keys before the amplitudes are joined.
+    """
+    deficit += sum(p.norm_deficit for p in parts)
+    if len(parts) == 1:
+        return _wrap(register, parts[0].keys, parts[0].coeffs, deficit)
+    keys = np.concatenate([p.keys for p in parts] or [np.empty(0, dtype=np.int64)])
+    coeffs = [p.coeffs for p in parts] or [np.empty(0, dtype=complex)]
+    parts.clear()
+    return _wrap(register, keys, np.concatenate(coeffs), deficit)
+
+
+def _replace(state: PureState, sel: np.ndarray, part: PureState) -> PureState:
+    """``state`` with its amplitudes at the sorted positions ``sel`` replaced
+    by ``part``, whose keys no other amplitude of ``state`` may hold; the
+    deficit of ``part`` joins the state's.
+
+    Where ``part`` keeps the keys it replaces, the output shares the state's
+    keys.  Otherwise the other amplitudes keep their order and those of
+    ``part`` go in at their ranks, found by binary search: nothing is sorted
+    but ``part``, and the kept amplitudes are copied ``_CHUNK`` at a time.
+    """
+    keys, coeffs = state.keys, state.coeffs
+    deficit = state.norm_deficit + part.norm_deficit
+    if np.array_equal(part.keys, keys[sel]):
+        if len(sel):
+            coeffs = coeffs.copy()
+            coeffs[sel] = part.coeffs
+        return _wrap(state.register, keys, coeffs, deficit)
+    # rank[j]: how many kept keys precede new key j, which lands at rank[j] + j
+    rank = np.searchsorted(keys, part.keys) - np.searchsorted(keys[sel], part.keys)
+    kept = np.ones(len(keys), dtype=bool)
+    kept[sel] = False
+    slot = np.ones(len(keys) - len(sel) + len(part.keys), dtype=bool)
+    slot[rank + np.arange(len(rank))] = False
+    out_keys, out_coeffs = np.empty(len(slot), dtype=np.int64), np.empty(len(slot), dtype=complex)
+    out_keys[~slot], out_coeffs[~slot] = part.keys, part.coeffs
+    first = 0  # the ordinal among the kept amplitudes of the first one in the slice
+    for lo in range(0, len(keys), _CHUNK):
+        take = kept[lo:lo + _CHUNK]
+        n = int(np.count_nonzero(take))
+        if n:
+            # kept amplitude r lands at r plus the new keys of rank <= r
+            a, b = np.searchsorted(rank, [first, first + n - 1], side="right")
+            where = slot[first + a:first + n + b]
+            out_keys[first + a:first + n + b][where] = keys[lo:lo + _CHUNK][take]
+            out_coeffs[first + a:first + n + b][where] = coeffs[lo:lo + _CHUNK][take]
+        first += n
+    return _wrap(state.register, out_keys, out_coeffs, deficit)
 
 
 def vacuum(register: ModeRegister) -> PureState:
@@ -621,20 +632,25 @@ def _mixer_blocks(state: PureState, ia: int, ib: int):
     """Per total t of the modes at positions ``ia``, ``ib`` that occurs: t, the keys with
     both emptied, their amplitudes as rows over n_a = 0..t and the columns that fit."""
     reg = state.register
-    if ia == ib:
-        raise ValueError("mixer needs two distinct modes")
+    if not len(state):
+        return
     rest, group, occ = group_by(state, [reg.modes[ia], reg.modes[ib]])
     # one block per (total, rest) component that occurs, numbered by total
     # and then rest in a presence table, packed end to end
-    n_total = occ.sum(axis=1)
-    code = n_total * len(rest) + group
-    present = np.zeros((int(n_total.max(initial=0)) + 1, len(rest)), dtype=bool)
-    present.ravel()[code] = True
-    comp = (np.cumsum(present) - 1)[code]
-    total, comp_rest = np.nonzero(present)
+    at = occ.sum(axis=1)
+    at *= len(rest)
+    at += group  # total * len(rest) + group
+    present = np.zeros((int(at.max()) // len(rest) + 1) * len(rest), dtype=bool)
+    present[at] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    total, comp_rest = np.divmod(np.flatnonzero(present), len(rest))
     start = np.cumsum(total + 1) - (total + 1)
     packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
-    packed[start[comp] + occ[:, 0]] = state.coeffs
+    np.take(rank, at, out=at)
+    np.take(start, at, out=at)
+    at += occ[:, 0]  # each amplitude's place: its block's start plus n_a
+    packed[at] = state.coeffs
     cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         t = int(total[lo])
@@ -642,6 +658,37 @@ def _mixer_blocks(state: PureState, ia: int, ib: int):
         yield (t, rest[comp_rest[lo:hi]],
                packed[start[lo]:start[lo] + (hi - lo) * (t + 1)].reshape(hi - lo, t + 1),
                (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib]))
+
+
+def _mixer_setup(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel, theta: float,
+                 phase: float) -> tuple[int, int, Callable[[int], np.ndarray]]:
+    """Positions of the two mixed modes and the mixer unitary on each total t,
+    built once per t for one mixer call."""
+    ia, ib = state.register.index(mode_a), state.register.index(mode_b)
+    if ia == ib:
+        raise ValueError("mixer needs two distinct modes")
+    return ia, ib, functools.cache(lambda t: _gaussian_unitary("mix", t + 1, theta, phase))
+
+
+@_one_blas_thread
+def _mixed(part: PureState, ia: int, ib: int, unitary, dark: bool = False
+           ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Keys and amplitudes of ``part`` mixed in full, unsorted and unpruned,
+    the mass of the columns beyond a cutoff, which are dropped, and the mass
+    of the others; with ``dark`` only the n_a = 0 column is kept."""
+    reg = part.register
+    keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    dropped = fitting = 0.0
+    for t, rest, block, fits in _mixer_blocks(part, ia, ib):
+        out = block @ unitary(t).T
+        dropped += _mass(out[:, ~fits])
+        if dark:
+            fitting += _mass(out[:, fits])
+            fits, out = fits[:1], out[:, :1]
+        na = np.flatnonzero(fits)
+        keys.append((rest[:, None] + na * reg.strides[ia] + (t - na) * reg.strides[ib]).ravel())
+        coeffs.append(out[:, fits].ravel())
+    return np.concatenate(keys), np.concatenate(coeffs), dropped, fitting
 
 
 @_one_blas_thread
@@ -652,42 +699,61 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     Applies exp[theta(e^{i phase} a†b - e^{-i phase} a b†)].  At theta=pi/4,
     phase=0 a coherent state splits as |g>|0> -> |g/sqrt2>|-g/sqrt2>.  The
     block unitary is exact on each total-photon-number subspace; components
-    pushed beyond a per-mode cutoff are dropped into the norm deficit.
+    pushed beyond a per-mode cutoff are dropped into the norm deficit.  The
+    state is mixed in :func:`_runs` slices, so temporaries stay bounded.
     """
-    reg = state.register
-    ia, ib = reg.index(mode_a), reg.index(mode_b)
-    keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
-    deficit = state.norm_deficit
-    for t, rest, block, fits in _mixer_blocks(state, ia, ib):
-        out = block @ _gaussian_unitary("mix", t + 1, theta, phase).T
-        deficit += _mass(out[:, ~fits])
-        na = np.flatnonzero(fits)
-        keys.append((rest[:, None] + na * reg.strides[ia] + (t - na) * reg.strides[ib]).ravel())
-        coeffs.append(out[:, fits].ravel())
-    return _finish(reg, np.concatenate(keys), np.concatenate(coeffs), deficit)
+    ia, ib, unitary = _mixer_setup(state, mode_a, mode_b, theta, phase)
+    parts = [_finish(state.register, *_mixed(part, ia, ib, unitary)[:3])
+             for part in _runs(state, min(ia, ib))]
+    return _joined(state.register, parts, state.norm_deficit)
 
 
 @_one_blas_thread
 def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
                       theta: float, phase: float = 0.0) -> tuple[PureState, float]:
     """The vacuum branch of ``mode_a`` after :func:`apply_two_mode_mixer` and
-    the mixed state's squared norm.  A block whose columns all fit keeps its
-    mass (the mixer is unitary on it) and needs only ``block @ U[0, :]``; any
-    other is mixed in full, and every dropped column's mass joins the deficit."""
+    the mixed state's squared norm.
+
+    A block of total t up to both cutoffs drops no column, so it keeps its
+    mass (the mixer is unitary on it), and its dark amplitude is the sum of
+    U_t[0, n_a] c over its amplitudes: one weighted bincount per
+    :func:`_runs` slice, with no dense block.  Any other block is mixed in
+    full, and every dropped column's mass joins the deficit.
+    """
     reg = state.register
-    ia, ib = reg.index(mode_a), reg.index(mode_b)
-    keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
-    deficit, kept = state.norm_deficit, 0.0
-    for t, rest, block, fits in _mixer_blocks(state, ia, ib):
-        u = _gaussian_unitary("mix", t + 1, theta, phase)
-        whole = not fits.all()  # a block that drops no column needs only n_a = 0
-        out = block @ (u if whole else u[:1]).T
-        deficit += _mass(out[:, ~fits]) if whole else 0.0
-        kept += _mass(out[:, fits] if whole else block)
-        if fits[0]:
-            keys.append(rest + t * reg.strides[ib])
-            coeffs.append(out[:, 0])
-    return _finish(reg, np.concatenate(keys), np.concatenate(coeffs), deficit), kept
+    ia, ib, unitary = _mixer_setup(state, mode_a, mode_b, theta, phase)
+    low = min(reg.cutoffs[ia], reg.cutoffs[ib])
+    row0 = np.zeros((low + 1, low + 1), dtype=complex)  # row0[t, n_a] = U_t[0, n_a]
+    for t in range(low + 1):
+        row0[t, :t + 1] = unitary(t)[0]
+
+    def dark(part: PureState) -> tuple[PureState, float]:
+        rest, group, occ = group_by(part, [mode_a, mode_b])
+        total = occ.sum(axis=1)
+        fit = total <= low
+        code, coeffs = total[fit], part.coeffs[fit]
+        kept = _mass(coeffs)
+        coeffs *= row0[code, occ[:, 0][fit]]
+        code *= len(rest)
+        code += group[fit]  # the block of each amplitude: total * len(rest) + group
+        present = np.zeros((low + 1) * len(rest), dtype=bool)
+        present[code] = True
+        blocks = np.flatnonzero(present)
+        sums = (np.bincount(code, coeffs.real, len(present))
+                + 1j * np.bincount(code, coeffs.imag, len(present)))[blocks]
+        keys, amps, dropped, fitting = _mixed(
+            _wrap(reg, part.keys[~fit], part.coeffs[~fit], 0.0), ia, ib, unitary, dark=True)
+        out = _finish(reg, np.concatenate([rest[blocks % len(rest)]
+                                           + blocks // len(rest) * reg.strides[ib], keys]),
+                      np.concatenate([sums, amps]), dropped)
+        return out, kept + fitting
+
+    parts, kept = [], 0.0
+    for part in _runs(state, min(ia, ib)):
+        out, part_kept = dark(part)
+        parts.append(out)
+        kept += part_kept
+    return _joined(reg, parts, state.norm_deficit), kept
 
 
 # ---------------------------------------------------------------------------
@@ -701,23 +767,36 @@ def apply_single_mode_matrix(state: PureState, m: ModeLabel, matrix: np.ndarray,
 
     With ``tail_eps`` given, the output's probability mass at the top Fock
     level must stay below it, otherwise the cutoff is declared too small.
+    The dense (rest x dim) block is built, multiplied and pruned per
+    :func:`_run_end` slice of about ``_CHUNK`` block entries: each slice is
+    sized by the rows per amplitude of the one before.
     """
     reg = state.register
     i = reg.index(m)
     dim = reg.cutoffs[i] + 1
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not fit cutoff {dim - 1}")
-    rest, group, occ = group_by(state, [m])
-    block = np.zeros((len(rest), dim), dtype=complex)
-    block[group, occ[:, 0]] = state.coeffs
-    out = block @ matrix.T
-    top_mass = _mass(out[:, -1])
-    if tail_eps is not None and top_mass > tail_eps:
-        raise CutoffError(
-            f"mode {m}: top-level mass {top_mass:.3g} exceeds {tail_eps:.3g}; "
-            f"increase the cutoff")
-    keys = rest[:, None] + reg.strides[i] * np.arange(dim)
-    return _finish(reg, keys.ravel(), out.ravel(), state.norm_deficit)
+
+    def apply(part: PureState) -> tuple[PureState, float, int]:
+        rest, group, occ = group_by(part, [m])
+        block = np.zeros((len(rest), dim), dtype=complex)
+        block[group, occ[:, 0]] = part.coeffs
+        out = block @ matrix.T
+        keys = rest[:, None] + reg.strides[i] * np.arange(dim)
+        return _finish(reg, keys.ravel(), out.ravel(), 0.0), _mass(out[:, -1]), len(rest)
+
+    parts, top_mass, lo, size = [], 0.0, 0, max(_CHUNK // dim, 1)
+    while lo < len(state):
+        hi = _run_end(state, i, lo, size)
+        out, top, rows = apply(_slice(state, lo, hi))
+        top_mass += top
+        if tail_eps is not None and top_mass > tail_eps:
+            raise CutoffError(
+                f"mode {m}: top-level mass {top_mass:.3g} exceeds {tail_eps:.3g}; "
+                f"increase the cutoff")
+        parts.append(out)
+        lo, size = hi, max((hi - lo) * _CHUNK // (rows * dim), 1)
+    return _joined(reg, parts, state.norm_deficit)
 
 
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:

@@ -90,6 +90,37 @@ def dense_cphase_pol(register: ModeRegister, control_path: int, target_path: int
     return v_controlled(register, control_path, np.diag(np.exp(1j * angle * n)))
 
 
+def dense_permutation(register: ModeRegister, move) -> np.ndarray:
+    """Permutation matrix taking each product-basis pattern to ``move(pattern)``."""
+    patterns = basis(register)
+    row = {occ: k for k, occ in enumerate(patterns)}
+    out = np.zeros((len(patterns), len(patterns)))
+    for k, occ in enumerate(patterns):
+        out[row[tuple(move(list(occ)))], k] = 1.0
+    return out
+
+
+def dense_cswap_pol(register: ModeRegister, control_path: int, path_a: int,
+                    path_b: int) -> np.ndarray:
+    """aH <-> bV and aV <-> bH where the control path is V-polarized."""
+    i = {(p, s): register.index(ModeLabel(p, s)) for p in (path_a, path_b) for s in "HV"}
+
+    def move(occ):
+        occ[i[path_a, "H"]], occ[i[path_b, "V"]] = occ[i[path_b, "V"]], occ[i[path_a, "H"]]
+        occ[i[path_a, "V"]], occ[i[path_b, "H"]] = occ[i[path_b, "H"]], occ[i[path_a, "V"]]
+        return occ
+
+    return v_controlled(register, control_path, dense_permutation(register, move))
+
+
+def dense_parity_flip(register: ModeRegister, control: ModeLabel, target_path: int) -> np.ndarray:
+    """The target path's H/V exchange on patterns with an odd ``control``
+    occupation, identity on the others."""
+    c = register.index(control)
+    odd = np.array([float(occ[c] % 2) for occ in basis(register)])
+    return np.diag(odd) @ dense_pol_exchange(register, target_path) + np.diag(1.0 - odd)
+
+
 def annihilation_matrix(dim: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     for n in range(1, dim):

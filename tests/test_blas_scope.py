@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dualcat
-from dualcat import circuits, fock
+from dualcat import blas, circuits, fock
 from dualcat.fock import CutoffError, apply_single_mode_matrix, basis_state, mode, plain_register
 
 
@@ -43,9 +43,9 @@ ONE_SCOPE = [("get", 2), ("set", 1), ("set", 2)]
 
 @pytest.fixture
 def fake(monkeypatch):
-    blas = FakeBlas()
-    monkeypatch.setattr(fock, "openblas", lambda: fock.OpenBlas("fake", "fake", blas.get, blas.set))
-    return blas
+    fake = FakeBlas()
+    monkeypatch.setattr(blas, "openblas", lambda: blas.OpenBlas("fake", "fake", fake.get, fake.set))
+    return fake
 
 
 def test_one_polarization_access_is_one_scope(fake):
@@ -131,7 +131,7 @@ def test_real_openblas_count_is_the_callers_outside_and_one_inside():
 # every BLAS call site runs in the scope
 
 #: integer key arithmetic (``@`` or ``np.dot`` on int64 arrays), not BLAS
-KEY_ARITHMETIC = {"fock.group_by", "fock.embed", "fock.restrict", "fock.PureState.__init__",
+KEY_ARITHMETIC = {"fock.embed", "fock.restrict", "fock.PureState.__init__",
                   "fock.ModeRegister.encode", "analysis.subsystem_fidelity"}
 #: outermost scopes whose inner kernel calls must nest
 OUTERMOST = {"analysis.chsh_optimize", "circuits.access_polarization"}

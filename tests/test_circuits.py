@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -25,6 +26,7 @@ from dualcat.circuits import (
     sv_antisqueeze_to_single_photon,
     sv_generate,
 )
+from dualcat import elements
 from dualcat.elements import Imperfection
 from dualcat.fock import (
     DegenerateInputError,
@@ -386,3 +388,52 @@ def test_polarization_access_accepts_single_path_registers():
         polarized_register([1, 2], max(acc.output_state.register.cutoffs)),
         1.0 / math.sqrt(2.0), "-")
     assert subsystem_fidelity(acc.output_state, target, PATH12_RAILS) >= 1.0 - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# how access_polarization meets ambiguous control light, and its memory
+
+
+@pytest.mark.parametrize("imperfection, expected", [
+    (None, "error"),
+    (Imperfection(flip_angle=2.0, cphase_angle=1.0), "error"),
+    (Imperfection(displacement_offset=0.2), "pass"),
+    (Imperfection(displacement_actual=1.2 / math.sqrt(2.0)), "pass"),
+])
+def test_on_ambiguous_follows_the_imperfection(monkeypatch, imperfection, expected):
+    seen = []
+    for name in ("cnot_pol", "cphase_pol"):
+        gate = getattr(elements, name)
+
+        def recorded(*args, _gate=gate, on_ambiguous, **kwargs):
+            seen.append(on_ambiguous)
+            return _gate(*args, on_ambiguous=on_ambiguous, **kwargs)
+
+        monkeypatch.setattr(elements, name, recorded)
+    quiet_access(generate_entangled_cat(1.2).output_state, imperfection)
+    assert seen == [expected] * 4
+    assert (imperfection or Imperfection()).on_ambiguous == expected
+
+
+def test_polarization_access_peak_is_at_most_80_bytes_per_amplitude(monkeypatch):
+    """The numpy peak of one access at alpha 1.19, offset 0.6 (tag cutoff 34,
+    160,520 amplitudes before erasure) against its largest register."""
+    state = generate_entangled_cat(1.19).output_state
+    sizes = []
+    for name in ("pbs", "displace", "cnot_pol", "cphase_pol"):
+        op = getattr(elements, name)
+
+        def counted(psi, *args, _op=op, **kwargs):
+            sizes.append(len(psi))
+            return _op(psi, *args, **kwargs)
+
+        monkeypatch.setattr(elements, name, counted)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        quiet_access(state, Imperfection(displacement_offset=0.6))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) > 150_000
+    assert peak <= 80 * max(sizes)

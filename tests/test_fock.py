@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dualcat.fock import (
     PureState,
     RegisterMismatchError,
     UnknownModeError,
+    _mass,
     add,
     apply_annihilation,
     apply_creation,
@@ -496,3 +498,23 @@ def test_partial_polarization_flip_is_unitary(angle, seed):
         reg, {k: complex(gen.normal(), gen.normal()) for k in keys}, 0.0))
     out = cnot_pol(psi, 3, 1, flip_angle=angle)
     assert abs(out.norm() - 1.0) < 1e-10
+
+
+def test_mass_holds_1e_15_on_a_long_array_without_a_temporary_its_size():
+    # magnitudes over 6 decades, as a state's amplitudes spread: one np.vdot
+    # reads about 1e-14 low on these
+    gen = np.random.default_rng(11)
+    n = 400_000
+    coeffs = np.exp(2j * np.pi * gen.random(n) - gen.uniform(0.0, 15.0, n))
+    parts = coeffs.view(np.float64)
+    exact = math.fsum((parts * parts).tolist())
+    tracemalloc.start()
+    try:
+        got = _mass(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got - exact) <= 1e-15 * exact
+    assert peak < coeffs.nbytes / 20
+    # short arrays take one dot product, and agree with the long path
+    assert _mass(coeffs[:100]) == pytest.approx(math.fsum((parts[:200] ** 2).tolist()), rel=1e-15)

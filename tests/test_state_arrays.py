@@ -354,6 +354,82 @@ def test_cphase_pol_matches_dense_oracle(case, angle):
     assert np.max(np.abs(dense(out) - expected)) <= TOL
 
 
+@st.composite
+def mixed_control_states(draw):
+    """Random states on three polarized paths whose control path 3 holds V
+    light alone, H light alone, both or neither, on different components;
+    some components also hold their partner under the H/V exchange of the
+    target path, so exchanged parts land on patterns already present."""
+    reg = polarized_register([1, 2, 3], draw(st.integers(1, 2)))
+    target = draw(st.sampled_from([1, 2]))
+    th, tv = reg.index(mode(target, "H")), reg.index(mode(target, "V"))
+    psi = random_state(reg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 24)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = dict(psi.amps)
+    for occ in list(amps)[::2]:
+        amps.setdefault(swap(occ, (th, tv)), complex(gen.normal(), gen.normal()))
+    return PureState(reg, amps, 0.0), target
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=mixed_control_states(), angle=st.floats(0.0, math.pi))
+def test_controlled_gates_match_dense_oracles_on_mixed_controls(case, angle):
+    psi, target = case
+    reg, vec = psi.register, oracles.dense_vector(psi)
+    gates = [(cnot_pol(psi, 3, target, angle, on_ambiguous="pass"),
+              oracles.dense_cnot_pol(reg, 3, target, angle)),
+             (cphase_pol(psi, 3, target, 2.0 * angle, on_ambiguous="pass"),
+              oracles.dense_cphase_pol(reg, 3, target, 2.0 * angle)),
+             (cswap_pol(psi, 3, 1, 2, on_ambiguous="pass"), oracles.dense_cswap_pol(reg, 3, 1, 2)),
+             (parity_controlled_flip(psi, mode(3, "V"), target),
+              oracles.dense_parity_flip(reg, mode(3, "V"), target))]
+    for out, gate in gates:
+        assert np.max(np.abs(oracles.dense_vector(out) - gate @ vec)) <= TOL
+        assert np.all(np.diff(out.keys) > 0)
+        # only pruned dust may leave, and its mass is in the deficit
+        assert abs(out.norm_sq() + out.norm_deficit - psi.norm_sq()) <= TOL
+
+
+def flip_test_state(seed):
+    """A normalized state on two polarized paths, control path 1: V-controlled
+    components whose target patterns are exchange partners of each other,
+    ones without a partner, and components the control leaves alone."""
+    reg = polarized_register([1, 2], 2)
+    gen = np.random.default_rng(seed)
+    amps = {}
+    for occ in [(0, 1, 2, 0), (0, 1, 0, 2), (0, 2, 1, 0), (0, 2, 0, 1), (0, 1, 2, 1),
+                (0, 1, 1, 1), (1, 0, 2, 0), (0, 0, 1, 0), (1, 1, 0, 2)]:
+        amps[occ] = complex(gen.normal(), gen.normal())
+    return normalized(PureState(reg, amps, 0.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cnot_pol_at_pi_leaves_out_the_stay_dust(seed):
+    psi = flip_test_state(seed)
+    out = cnot_pol(psi, 1, 2, on_ambiguous="pass")
+    gate = oracles.dense_cnot_pol(psi.register, 1, 2, math.pi)
+    assert np.max(np.abs(oracles.dense_vector(out) - gate @ oracles.dense_vector(psi))) <= 1e-15
+    # the partner-less component moves and leaves no dust behind
+    assert len(out) == len(psi)
+    # the dust's mass, |stay|^2 times the mass of the moved components, is the deficit
+    moved = [(0, 1, 2, 0), (0, 1, 0, 2), (0, 2, 1, 0), (0, 2, 0, 1), (0, 1, 2, 1)]
+    stay = abs(0.5 * (1.0 + np.exp(-1j * math.pi)))
+    expected = stay ** 2 * sum(abs(psi.amps[occ]) ** 2 for occ in moved)
+    assert expected > 0.0
+    assert out.norm_deficit == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("angle", [0.3, 2.0, math.pi - 1e-3])
+def test_cnot_pol_at_a_partial_angle_joins_both_parts(angle):
+    psi = flip_test_state(7)
+    out = cnot_pol(psi, 1, 2, flip_angle=angle, on_ambiguous="pass")
+    gate = oracles.dense_cnot_pol(psi.register, 1, 2, angle)
+    assert np.max(np.abs(oracles.dense_vector(out) - gate @ oracles.dense_vector(psi))) <= 1e-15
+    # the staying part of the moved component without a partner is kept
+    assert len(out) == len(psi) + 1
+    assert out.norm_deficit == 0.0
+
+
 # ---------------------------------------------------------------------------
 # the state's own contract
 
