@@ -84,12 +84,17 @@ def generate_even_cat_control(alpha: float, sign: str = "-",
     return _generate(alpha, "even", sign, tail_eps)
 
 
+def generation_cutoff(alpha: float, tail_eps: float) -> int:
+    """Cutoff of the registers the generation circuit builds: the tail rule
+    of its input cat, of amplitude sqrt(2)*alpha."""
+    return coherent_cutoff(SQRT2 * alpha, tail_eps)
+
+
 @_one_blas_thread
 def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitReport:
     if alpha == 0 and parity == "odd":
         raise DegenerateInputError("odd cat input is undefined at alpha = 0")
-    cutoff = coherent_cutoff(SQRT2 * alpha, tail_eps)
-    reg = polarized_register([1, 2], cutoff)
+    reg = polarized_register([1, 2], generation_cutoff(alpha, tail_eps))
     src = states.cat(reg, mode(1, "H"), states.CatParams(SQRT2 * alpha, parity), tail_eps)
     # splitter phase 0 gives the "-" pair, phase pi the "+" pair
     phase = 0.0 if sign == "-" else math.pi
@@ -141,6 +146,17 @@ def analytic_subtracted_bell(register: ModeRegister, r: float,
     vh = _mode_product(states.subtracted_sv(register, mode(1, "V"), p),
                        states.subtracted_sv(register, mode(2, "H"), p))
     return normalized(add(hv, scale(vh, s)))
+
+
+def analytic_balanced_sv_pair(register: ModeRegister, r: float,
+                              tail_eps: float = 1e-12) -> PureState:
+    """(a_H + a_V)|S>_H |S>_V / (sqrt2 sinh r) on path 1, the output of
+    :func:`sv_generate` at transmittance 1/2."""
+    sv_h = states.squeezed_vacuum(register, mode(1, "H"), states.SqueezeParams(r), tail_eps)
+    sv_v = states.squeezed_vacuum(register, mode(1, "V"), states.SqueezeParams(r), tail_eps)
+    prod = _mode_product(sv_h, sv_v)
+    return scale(add(apply_annihilation(prod, mode(1, "H")),
+                     apply_annihilation(prod, mode(1, "V"))), 1.0 / (SQRT2 * math.sinh(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +374,18 @@ def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> tup
 # NOON-type coherent state
 
 
+def noon_cutoff(alpha: float, tail_eps: float) -> int:
+    """Cutoff of the register :func:`noon_from_cat_pair` builds, less its
+    ``extra_cutoff``: the tail rule of the displaced amplitude 2*alpha."""
+    return coherent_cutoff(2.0 * alpha, tail_eps)
+
+
 @_one_blas_thread
 def noon_from_cat_pair(alpha: float, tail_eps: float = 1e-12,
                        extra_cutoff: int = 0) -> PureState:
     """Displace each mode of the two-path entangled cat pair by alpha,
     turning it into the normalized |2a,0> - |0,2a> superposition."""
-    cutoff = coherent_cutoff(2.0 * alpha, tail_eps) + extra_cutoff
-    reg = plain_register([1, 2], cutoff)
+    reg = plain_register([1, 2], noon_cutoff(alpha, tail_eps) + extra_cutoff)
     pair = states.entangled_cat_pair(reg, mode(1), mode(2), alpha, "-", tail_eps)
     out = elements.displace(pair, mode(1), alpha)
     out = elements.displace(out, mode(2), alpha)

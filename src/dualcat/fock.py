@@ -908,7 +908,8 @@ def _log_negligible(tail_eps: float) -> float:
 
 def coherent_cutoff(amplitude: complex, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Smallest cutoff with Poisson tail mass below ``tail_eps`` for |amplitude|."""
-    lam = abs(amplitude) ** 2
+    a = abs(amplitude)
+    lam = a ** 2 if a < 1e150 else math.inf  # ** 2 raises past 1.3e154
     if not (math.isfinite(lam) and tail_eps > 0.0):
         raise CutoffError(f"no Poisson tail is <= {tail_eps!r} for |alpha|^2 = {lam!r}")
     if lam == 0.0 or tail_eps >= 1.0:

@@ -98,6 +98,8 @@ def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
     if params.parity == "even":
         norm_const = 1.0 / math.sqrt(2.0 * (1.0 + overlap))
         keep = 0
+    elif overlap == 1.0:
+        raise DegenerateInputError(f"odd cat amplitude {alpha!r} is too small to normalize")
     else:
         norm_const = 1.0 / math.sqrt(2.0 * (1.0 - overlap))
         keep = 1

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualcat import cli
 from dualcat.cli import (
@@ -275,20 +277,20 @@ def test_stdout_mode_prints_json(capsys):
 
 
 def test_run_config_api_round_trip():
-    cfg = RunConfig("ifm", dict(cli.DEFAULTS["ifm"]))
+    cfg = resolve_config("ifm", {}, {}, 1e-12, 1, None)
     result = run(cfg)
     assert "eta" in result.scalars
+    assert run(RunConfig("ifm", dict(cfg.parameters))).scalars == result.scalars
 
 
-def test_sweep_api_requires_grid_parameters():
-    cfg = RunConfig("bell", dict(cli.DEFAULTS["bell"], alpha_grid="0.8,1.0",
-                                 grid_density=5, refine_iters=50))
-    result = cli.sweep(cfg)
-    assert len(result.tables["bell"].rows) == 2
+def test_run_api_sweeps_a_grid_and_refuses_an_empty_one():
+    cfg = resolve_config("bell", {"alpha_grid": "0.8,1.0"},
+                         {"grid_density": 5, "refine_iters": 50}, 1e-12, 1, None)
+    result = run(cfg)
+    assert [row[0] for row in result.tables["bell"].rows] == [0.8, 1.0]
 
-    empty = RunConfig("ifm", dict(cli.DEFAULTS["ifm"]))
     with pytest.raises(ConfigError):
-        cli.sweep(empty)
+        resolve_config("bell", {"alpha_grid": " "}, {}, 1e-12, 1, None)
 
 
 def test_cutoff_violation_exits_with_cutoff_code(capsys):
@@ -479,3 +481,222 @@ def test_jobs_are_clamped_to_the_processor_count(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     for asked, granted in ((-2, 1), (0, 1), (1, 1), (3, 3), (10**6, 3)):
         assert resolve_config("fisher", {}, {}, 1e-12, asked, None).jobs == granted
+
+
+# ---------------------------------------------------------------------------
+# typed parameters, cutoff rules owned by the circuits, fuzzing main()
+
+
+BAD_VALUES = [
+    (["bell", "--grid-density", "0"], {}),
+    (["bell", "--grid-density", "1"], {}),
+    (["sv-generate", "--transmittance", "1.5"], {}),
+    (["sv-generate", "--transmittance", "-0.2"], {}),
+    (["sv-generate", "--t-grid", "0.5,1.5"], {}),
+    (["imperfection-sweep", "--flip-angles", "4"], {}),
+    (["imperfection-sweep", "--flip-angles", "-0.5"], {}),
+    (["bell", "--refine-iters", "-3"], {}),
+    (["bell"], {"axis": "bogus"}),
+    (["ifm"], {"state": "bogus"}),
+    (["generate"], {"parity": "bogus"}),
+    (["generate"], {"sign": "x"}),
+    (["ifm"], {"bomb": "no"}),
+    (["bell"], {"grid_density": 2.5}),
+    (["fisher"], {"alpha_grid": [1.0, 1.5]}),
+]
+
+
+@pytest.mark.parametrize("argv, params", BAD_VALUES,
+                         ids=[" ".join(a) + (json.dumps(p) if p else "") for a, p in BAD_VALUES])
+def test_bad_parameter_values_are_refused_before_the_run(tmp_path, capsys, monkeypatch,
+                                                        argv, params):
+    # resolve_config refuses each one, so no state is ever built
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the run started"))
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(params))
+    out_file = tmp_path / "o.json"
+    code, _, err = run_main(["--config", str(cfg_file), "--output", str(out_file)] + argv, capsys)
+    assert code == EXIT_CONFIG
+    assert "config error" in err and "Traceback" not in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("experiment, cutoff", [("generate", 21), ("duality", 27),
+                                                ("sv-generate", 62), ("sv-access", 50)])
+def test_the_budget_checks_the_cutoff_the_run_builds(experiment, cutoff):
+    cfg = resolve_config(experiment, {}, {}, 1e-12, 1, None)
+    assert cli.EXPERIMENTS[experiment].cutoff(cfg.parameters, 1e-12) == cutoff
+    assert max(run(cfg).convergence["cutoffs"].values()) == cutoff
+
+
+def test_bell_and_fisher_budgets_match_the_registers_of_their_points(monkeypatch):
+    from dualcat import circuits
+
+    built = []
+    pair = cli.entangled_cat_pair
+    monkeypatch.setattr(cli, "entangled_cat_pair", lambda reg, *args: built.append(reg)
+                        or pair(reg, *args))
+    q = dict(resolve_config("bell", {}, {}, 1e-12, 1, None).parameters,
+             alpha_grid=1.7, grid_density=5, refine_iters=0)
+    cli._bell_point(q, 1e-12)
+    assert max(built[0].cutoffs) == cli.EXPERIMENTS["bell"].cutoff(q, 1e-12)
+    noon = circuits.noon_from_cat_pair(1.7, 1e-12)
+    assert max(noon.register.cutoffs) == cli.EXPERIMENTS["fisher"].cutoff({"alpha_grid": 1.7},
+                                                                           1e-12)
+
+
+@pytest.mark.parametrize("rule, experiment, point, build", [
+    ("generation_cutoff", "generate", {"alpha": 0.8},
+     lambda circuits: circuits.generate_entangled_cat(0.8).output_state),
+    ("noon_cutoff", "fisher", {"alpha_grid": 0.8},
+     lambda circuits: circuits.noon_from_cat_pair(0.8)),
+])
+def test_circuit_and_budget_share_one_cutoff_rule(monkeypatch, rule, experiment, point, build):
+    # a circuit that changes its rule moves the budget with it
+    from dualcat import circuits
+
+    monkeypatch.setattr(circuits, rule, lambda alpha, eps: 30)
+    built = max(build(circuits).register.cutoffs)
+    assert built == cli.EXPERIMENTS[experiment].cutoff(point, 1e-12) == 30
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["generate", "--alpha", "1e-300"], EXIT_CONFIG),
+    (["generate", "--alpha", "1e200"], cli.EXIT_CUTOFF),
+    (["bell", "--alpha-grid", "1e200"], cli.EXIT_CUTOFF),
+    (["imperfection-sweep", "--b-offsets", "1e200"], cli.EXIT_CUTOFF),
+], ids=["odd-cat-underflow", "alpha-squared-overflow", "bell-overflow", "offset-overflow"])
+def test_extreme_amplitudes_exit_cleanly(tmp_path, capsys, argv, code):
+    got, _, err = run_main(["--output", str(tmp_path / "o.json")] + argv, capsys)
+    assert got == code and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bell", "--alpha-grid", "0:2e4:1"],
+    ["imperfection-sweep", "--b-offsets", "0:0.5:0.0001", "--flip-angles", "0:3:0.001"],
+], ids=["long-grid", "long-product"])
+def test_grids_beyond_the_point_limit_are_refused_fast(tmp_path, capsys, argv):
+    import time
+
+    start = time.perf_counter()
+    code, _, err = run_main(["--output", str(tmp_path / "o.json")] + argv, capsys)
+    assert code == EXIT_CONFIG and str(cli.MAX_GRID_POINTS) in err
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_grid_step_too_small_to_move_is_refused():
+    # 1000 is below half the float spacing at 1e20, so the grid never reaches
+    # its stop; the child's address space is capped in case the guard fails
+    import resource
+    import subprocess
+    import sys
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    script = "import sys; from dualcat import cli; sys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", script, "fisher", "--alpha-grid",
+                           "1e20:1.00000000000001e20:1000"],
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"more than {cli.MAX_GRID_POINTS} points" in proc.stderr
+
+
+#: parameter values the budget refuses, by (experiment, parameter)
+OVER_BUDGET = {
+    ("generate", "alpha"): [80.0, -1e6, 1e200], ("duality", "alpha"): [80.0, 1e200],
+    ("imperfection-sweep", "alpha"): [80.0], ("imperfection-sweep", "b_offsets"): ["90", "0,1e200"],
+    ("bell", "alpha_grid"): ["1e4", "0.5,1e200"], ("bell", "radius"): [200.0, 1e300],
+    ("fisher", "alpha_grid"): ["60"], ("sv-generate", "r"): [6.0, 1e300],
+    ("sv-access", "r"): [30.0, -1e300],
+}
+#: values of the wrong type, in a config file
+WRONG_TYPE = {"bool": ["no", 1, None], "choice": ["bogus", 1, None, ["imag"]],
+              "grid": [1.5, [1.0], True, None], "int": [2.5, "3", True, None, 10**400],
+              "float": ["1.2", True, None, [1.0], 10**400]}
+#: strings that argparse or the checks refuse, as flags (and, for grids, in a config file)
+BAD_STRINGS = {"bool": [], "choice": ["bogus"], "int": ["2.5", "x"],
+               "float": ["nan", "inf", "-inf", "x"],
+               "grid": ["nan", "0:inf:1", "1,nan", "1:0.5:0.1", "1:2:3:4", "x", "0:2e4:1"]}
+
+
+def _refused(experiment: str, key: str, par) -> list:
+    """(route, value) pairs of one parameter that validation or the budget refuses."""
+    numbers = [par.low - 1] * (par.low > -math.inf) + [par.high + 1] * (par.high < math.inf)
+    if par.kind == "grid":
+        numbers = [str(x) for x in numbers] + [" "] * (par.empty is None)  # empty and required
+    numbers += OVER_BUDGET.get((experiment, key), [])
+    strings = BAD_STRINGS[par.kind] + [str(x) for x in numbers]
+    configs = WRONG_TYPE[par.kind] + numbers
+    configs += [math.nan, math.inf] if par.kind == "float" else []
+    configs += BAD_STRINGS["grid"] if par.kind == "grid" else []
+    return [("flag", v) for v in strings] + [("config", v) for v in configs]
+
+
+REFUSED = {(e, k): _refused(e, k, par) for e, spec in cli.EXPERIMENTS.items()
+           for k, par in spec.params.items()}
+
+
+def _main_in(tmp_path, argv: list, params: dict) -> tuple:
+    """Exit code, stderr and the JSON text of one ``main`` call."""
+    import contextlib
+    import io
+
+    cfg_file, out_file = tmp_path / "cfg.json", tmp_path / "fuzz.json"
+    cfg_file.write_text(json.dumps(params))
+    out_file.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--config", str(cfg_file), "--output", str(out_file)] + argv)
+        except SystemExit as exc:  # argparse refuses a flag
+            code = exc.code
+    return code, err.getvalue(), out_file.read_text() if out_file.exists() else None
+
+
+@st.composite
+def refused_runs(draw):
+    experiment = draw(st.sampled_from(sorted(cli.EXPERIMENTS)))
+    spec = cli.EXPERIMENTS[experiment]
+    keys = draw(st.lists(st.sampled_from(list(spec.params)), min_size=1, max_size=2,
+                         unique=True))
+    argv, params = [], {}
+    for key in keys:
+        route, value = draw(st.sampled_from(REFUSED[(experiment, key)]))
+        if route == "config":
+            params[key] = value
+        else:
+            argv.append(f"--{key.replace('_', '-')}={value}")
+    eps = draw(st.sampled_from([[], ["--cutoff-epsilon", "1e-9"], ["--cutoff-epsilon", "0"],
+                                ["--cutoff-epsilon", "nan"], ["--cutoff-epsilon", "2"]]))
+    return eps + [experiment] + argv, params
+
+
+@settings(max_examples=150, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(refused_runs())
+def test_fuzzed_bad_inputs_exit_cleanly_without_output(tmp_path, run_args):
+    argv, params = run_args
+    code, err, text = _main_in(tmp_path, argv, params)
+    assert code in (EXIT_CONFIG, cli.EXIT_CUTOFF), (argv, params, err)
+    assert "Traceback" not in err
+    assert text is None
+
+
+@settings(max_examples=40, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(state=st.sampled_from(["entangled", "nonmaximal", "single-photon"]),
+       theta=st.floats(), bomb=st.booleans(), as_flags=st.booleans(),
+       eps=st.floats(min_value=1e-16, max_value=0.5))
+def test_fuzzed_ifm_runs_write_finite_json(tmp_path, state, theta, bomb, as_flags, eps):
+    params = {"state": state, "theta": theta, "bomb": bomb}
+    argv = ["--cutoff-epsilon", repr(eps), "ifm"]
+    if as_flags:
+        argv += ["--state", state, f"--theta={theta!r}", "--bomb" if bomb else "--no-bomb"]
+        params = {}
+    code, err, text = _main_in(tmp_path, argv, params)
+    assert code in (0, EXIT_CONFIG, cli.EXIT_CUTOFF, cli.EXIT_CONTRACT, cli.EXIT_NONCONVERGED)
+    assert "Traceback" not in err
+    assert (code == EXIT_CONFIG) == (not math.isfinite(theta))
+    if text is not None:
+        json.loads(text, parse_constant=lambda c: pytest.fail(f"non-finite {c} in the JSON"))

@@ -427,10 +427,13 @@ def test_squeezed_cutoff_is_the_smallest_with_tail_below_eps(r, eps):
 def test_cutoff_rules_past_their_old_loop_caps():
     assert coherent_cutoff(1.0, 1e-20) == 20
     assert squeezed_cutoff(2.0) == 694
-    # no tail can be certified: tanh^2 r rounds to 1, a NaN amplitude, eps < 0
+    # no tail can be certified: tanh^2 r rounds to 1, a NaN amplitude, eps < 0,
+    # or |alpha|^2 overflows a float
     for uncertifiable in (lambda: squeezed_cutoff(30.0),
                           lambda: coherent_cutoff(float("nan")),
-                          lambda: coherent_cutoff(1.0, -1.0)):
+                          lambda: coherent_cutoff(1.0, -1.0),
+                          lambda: coherent_cutoff(1e200),
+                          lambda: coherent_cutoff(1e200j)):
         with pytest.raises(CutoffError):
             uncertifiable()
 

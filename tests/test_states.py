@@ -100,6 +100,13 @@ def test_odd_cat_at_zero_is_degenerate():
         CatParams(0.0, "odd")
 
 
+@pytest.mark.parametrize("alpha", [1e-9, 1e-300])
+def test_odd_cat_below_float_resolution_is_degenerate(reg, alpha):
+    # <a|-a> rounds to 1, so the odd-cat norm 2(1 - <a|-a>) would divide by zero
+    with pytest.raises(DegenerateInputError):
+        cat(reg, mode(1), CatParams(alpha, "odd"))
+
+
 def test_cats_span_the_coherent_pair(reg):
     # |±a> must decompose exactly in the {even, odd} basis
     alpha = 1.1
