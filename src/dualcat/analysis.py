@@ -79,6 +79,8 @@ class BellSearch:
             raise ValueError("axis must be 'imag', 'real' or 'complex'")
         if self.grid_density < 2:
             raise ValueError("grid_density must be at least 2")
+        if not self.radius > 0.0:
+            raise ValueError("radius must be positive")
 
 
 @_one_blas_thread

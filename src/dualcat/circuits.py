@@ -257,11 +257,9 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     psi = elements.pbs(psi, 3, 4)
     psi = elements.phase_shift(psi, mode(2, "V"), math.pi)
 
-    for target in (1, 2):
-        psi = elements.cnot_pol(psi, 3, target, imp.flip_angle, on_ambiguous=imp.on_ambiguous)
-    for target in (1, 2):
-        psi = elements.cphase_pol(psi, 3, target, imp.cphase_angle,
-                                  on_ambiguous=imp.on_ambiguous)
+    psi = elements.controlled_pol_gates(
+        psi, 3, flips=[(target, imp.flip_angle) for target in (1, 2)],
+        phases=[(target, imp.cphase_angle) for target in (1, 2)], on_ambiguous=imp.on_ambiguous)
 
     dark, rotated_sq = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
     if dark.norm_sq() < 1e-12:

@@ -290,7 +290,7 @@ EXPERIMENTS: dict = {
         {"alpha": Param(1.2)}, _access_cutoff, single=_duality),
     "bell": Experiment(
         "optimized displaced-parity CHSH sweep",
-        {"alpha_grid": Param("0.5:2.0:0.5", "grid"), "radius": Param(1.0),
+        {"alpha_grid": Param("0.5:2.0:0.5", "grid"), "radius": Param(1.0, low=math.ulp(0.0)),
          "grid_density": Param(25, "int", low=2),
          "refine_iters": Param(600, "int", low=0,
                                help="cap on Newton steps of each refinement (0: grid only)"),

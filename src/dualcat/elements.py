@@ -19,6 +19,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,32 +205,34 @@ def _control(state: PureState, ich: int, icv: int, on_ambiguous: str) -> np.ndar
     return lit
 
 
-def _controlled(state: PureState, where: np.ndarray, gate) -> PureState:
-    """Apply ``gate`` to the components ``where`` holds and merge its output
-    back in by :func:`fock._replace`; the rest of the state is not touched.
+def _controlled(state: PureState, where: np.ndarray, *gates) -> PureState:
+    """Apply ``gates`` in turn to the components ``where`` holds and merge
+    the output back in once, by :func:`fock._replace`; the rest of the
+    state is not touched.
 
-    ``gate`` maps the selected components, as a state of their own, to a
-    state.  It must leave the control occupations as they are, so that its
-    output keys stay apart from the rest of the state.
+    Each gate maps the selected components, as a state of their own, to a
+    state whose deficit is the mass that gate loses (it does not read the
+    deficit of its input); these join the output's deficit gate by gate.  A
+    gate must leave the control occupations as they are, so that its output
+    keys stay apart from the rest of the state.  An empty selection returns
+    the state itself, and a selection of all of it is mapped with no merge.
     """
     sel = np.flatnonzero(where)
-    return _replace(state, sel, gate(_wrap(state.register, state.keys[sel],
-                                           state.coeffs[sel], 0.0)))
+    if not len(sel):
+        return state
+    reg, whole = state.register, len(sel) == len(state.keys)
+    part = state if whole else _wrap(reg, state.keys[sel], state.coeffs[sel], 0.0)
+    deficit = state.norm_deficit
+    for gate in gates:
+        part = gate(part)
+        deficit += part.norm_deficit
+    if whole:
+        return _wrap(reg, part.keys, part.coeffs, deficit)
+    return _replace(state, sel, part, deficit)
 
 
-def cnot_pol(state: PureState, control_path: int, target_path: int,
-             flip_angle: float = math.pi, on_ambiguous: str = "error") -> PureState:
-    """Flip the target path's polarization where the control path is V-polarized.
-
-    A partial ``flip_angle`` z applies exp[i(z/2)(F - 1)] on the conditioned
-    components, F being the H/V exchange: identity at z=0, exact flip at z=pi.
-    The exchanged part can land on patterns the conditioned components hold,
-    so it joins the part that stays through :func:`add`.  Where every
-    amplitude of the staying part of a moved component is at most
-    ``DEFAULT_PRUNE_EPS`` (about 6e-17 of the amplitude at z=pi), that part
-    is not built: its mass goes to the deficit.
-    """
-    ich, icv = _pol_pair(state, control_path)
+def _flip(state: PureState, control_path: int, target_path: int, flip_angle: float):
+    """The map of :func:`cnot_pol` on the components its control selects."""
     ith, itv = _pol_pair(state, target_path)
     if control_path == target_path:
         raise ValueError("control and target paths must differ")
@@ -246,13 +249,11 @@ def cnot_pol(state: PureState, control_path: int, target_path: int,
         return add(_wrap(reg, keys, np.where(moved, coeffs * stay, coeffs), 0.0),
                    _wrap(reg, flipped[moved], coeffs[moved] * swap, 0.0))
 
-    return _controlled(state, _control(state, ich, icv, on_ambiguous), flip)
+    return flip
 
 
-def cphase_pol(state: PureState, control_path: int, target_path: int,
-               angle: float = math.pi, on_ambiguous: str = "error") -> PureState:
-    """Phase e^{i angle n} on all target-path photons where the control is V."""
-    ich, icv = _pol_pair(state, control_path)
+def _phase(state: PureState, target_path: int, angle: float):
+    """The map of :func:`cphase_pol` on the components its control selects."""
     ith, itv = _pol_pair(state, target_path)
     reg = state.register
     phases = np.exp(1j * angle * np.arange(reg.cutoffs[ith] + reg.cutoffs[itv] + 1))
@@ -261,7 +262,50 @@ def cphase_pol(state: PureState, control_path: int, target_path: int,
         n = reg.digit(part.keys, ith) + reg.digit(part.keys, itv)
         return _wrap(reg, part.keys, part.coeffs * phases[n], 0.0)
 
-    return _controlled(state, _control(state, ich, icv, on_ambiguous), phase)
+    return phase
+
+
+@_one_blas_thread
+def controlled_pol_gates(state: PureState, control_path: int,
+                         flips: Sequence[tuple[int, float]] = (),
+                         phases: Sequence[tuple[int, float]] = (),
+                         on_ambiguous: str = "error") -> PureState:
+    """:func:`cnot_pol` for each (target path, flip angle) of ``flips``, then
+    :func:`cphase_pol` for each (target path, angle) of ``phases``, all under
+    one control path, in one pass.
+
+    No gate moves the control, so the control mask and its ambiguity check
+    are computed once, the gates map the selected components in turn, and
+    their output is merged back once.  The output equals the gates run one
+    by one, bit for bit, deficit included.
+    """
+    ich, icv = _pol_pair(state, control_path)
+    gates = ([_flip(state, control_path, target, angle) for target, angle in flips]
+             + [_phase(state, target, angle) for target, angle in phases])
+    return _controlled(state, _control(state, ich, icv, on_ambiguous), *gates)
+
+
+def cnot_pol(state: PureState, control_path: int, target_path: int,
+             flip_angle: float = math.pi, on_ambiguous: str = "error") -> PureState:
+    """Flip the target path's polarization where the control path is V-polarized.
+
+    A partial ``flip_angle`` z applies exp[i(z/2)(F - 1)] on the conditioned
+    components, F being the H/V exchange: identity at z=0, exact flip at z=pi.
+    The exchanged part can land on patterns the conditioned components hold,
+    so it joins the part that stays through :func:`add`.  Where every
+    amplitude of the staying part of a moved component is at most
+    ``DEFAULT_PRUNE_EPS`` (about 6e-17 of the amplitude at z=pi), that part
+    is not built: its mass goes to the deficit.
+    """
+    return controlled_pol_gates(state, control_path, flips=[(target_path, flip_angle)],
+                                on_ambiguous=on_ambiguous)
+
+
+def cphase_pol(state: PureState, control_path: int, target_path: int,
+               angle: float = math.pi, on_ambiguous: str = "error") -> PureState:
+    """Phase e^{i angle n} on all target-path photons where the control is V."""
+    return controlled_pol_gates(state, control_path, phases=[(target_path, angle)],
+                                on_ambiguous=on_ambiguous)
 
 
 def parity_controlled_flip(state: PureState, control_mode: ModeLabel,
@@ -331,9 +375,9 @@ def _state_matrix(state: PureState) -> np.ndarray:
     reg = state.register
     if reg.n_modes != 2:
         raise ValueError("displaced parity expectation needs a two-mode state")
-    out = np.zeros(reg.strides[0] * reg.dims[0], dtype=complex)
-    out[state.keys] = state.coeffs  # a two-mode key is the row-major flat index
-    return out.reshape(reg.dims)
+    out = np.zeros(reg.dims, dtype=complex)
+    out[reg.digit(state.keys, 0), reg.digit(state.keys, 1)] = state.coeffs
+    return out
 
 
 @_one_blas_thread
@@ -400,13 +444,13 @@ class ParityLineCorrelator:
         self.unit, self.tail_eps = complex(unit), tail_eps
         spectra = [generator_spectrum("displace", d) for d in m.shape]
         pv1, pv2 = (np.exp(1j * np.angle(unit) * np.arange(len(lam)))[:, None] * v
-                    for lam, v in spectra)
+                    for lam, v, _ in spectra)
         p1, p2 = ((-1.0) ** np.arange(d) for d in m.shape)
         a = pv1.conj().T @ (p1[:, None] * m * p2) @ pv2.conj()
         b = pv2.T @ m.conj().T @ pv1
         self.w = a * b.T
         # per mode: (lam, top row of V, C) with the edge mass x C x†
-        self.sides = [(lam, v[-1], pv.conj().T @ mm @ pv) for (lam, v), pv, mm
+        self.sides = [(lam, v[-1], pv.conj().T @ mm @ pv) for (lam, v, _), pv, mm
                       in zip(spectra, (pv1, pv2), (m @ m.conj().T, m.T @ m.conj()))]
 
     @_one_blas_thread
@@ -473,14 +517,15 @@ class ParityPolarCorrelator:
 
     @staticmethod
     @_one_blas_thread
-    def _side(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray, c: np.ndarray):
+    def _side(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
+              vh: np.ndarray, c: np.ndarray):
         """Cutoff-edge mass and the jets [Pi, Pi_rho, Pi_phi, Pi_rr, Pi_rp, Pi_pp]
         of each setting (rho[k], phi[k])."""
         n = np.arange(len(lam))
-        x = ((v[-1] * np.exp(1j * rho[:, None] * lam)) @ v.conj().T) * np.exp(-1j * phi[:, None] * n)
+        x = ((v[-1] * np.exp(1j * rho[:, None] * lam)) @ vh) * np.exp(-1j * phi[:, None] * n)
         mass = ((x @ c) * x.conj()).sum(axis=1).real
         kappa = (-2j * lam) ** np.arange(3)[:, None]
-        q = (v * (kappa * np.exp(-2j * rho[:, None, None] * lam))[:, :, None, :]) @ v.conj().T
+        q = (v * (kappa * np.exp(-2j * rho[:, None, None] * lam))[:, :, None, :]) @ vh
         q = q * (-1.0) ** n
         dn = 1j * (n[:, None] - n)
         ph = np.exp(phi[:, None, None] * dn)[:, None]

@@ -1,13 +1,14 @@
 """Sparse multimode Fock-space engine.
 
 A state stores the Fock patterns it occupies as a sorted array of distinct
-int64 mixed-radix keys (C order over the modes of a :class:`ModeRegister`,
-the digit of each mode running from 0 to its cutoff) and the complex
-amplitudes as an array aligned with it.  Every operation is digit
-arithmetic on the keys, or :func:`group_by` followed by small dense
-products, and returns a new state; probability mass lost to the per-mode
-cutoffs is tracked explicitly in ``norm_deficit`` instead of being silently
-renormalized.
+int64 bit-field keys and the complex amplitudes as an array aligned with
+it.  Each mode of a :class:`ModeRegister` owns a field of the bits its
+cutoff needs, the first mode the highest, so a digit is a shift and a
+mask, emptying modes is one ``&``, and key order is the lexicographic
+order of the occupations.  Every operation is digit arithmetic on the
+keys, or :func:`group_by` followed by small dense products, and returns a
+new state; probability mass lost to the per-mode cutoffs is tracked
+explicitly in ``norm_deficit`` instead of being silently renormalized.
 
 Every gate maps distinct keys to distinct keys, so building its output
 sorts and never sums: the one sort is stable, because gate outputs arrive
@@ -82,8 +83,12 @@ def mode(path: int, pol: str | None = None) -> ModeLabel:
 class ModeRegister:
     """Ordered set of labelled modes with per-mode occupation cutoffs.
 
-    ``dims`` (cutoff + 1 per mode) and ``strides`` define the int64 key of
-    an occupation pattern, ``sum(n_i * strides[i])``.
+    The int64 key of an occupation pattern is a bit field: mode i holds
+    its occupation in ``cutoff.bit_length()`` bits from bit ``shifts[i]``
+    on, the first mode highest, so the key is ``sum(n_i * strides[i])``
+    with power-of-two ``strides``.  Keys sort as the occupations do,
+    lexicographically.  ``dims`` is cutoff + 1 per mode.  A register whose
+    fields need more than 63 bits raises :class:`CutoffError`.
     """
 
     modes: tuple[ModeLabel, ...]
@@ -96,12 +101,16 @@ class ModeRegister:
             raise ValueError("mode labels must be unique")
         if any(c < 1 for c in self.cutoffs):
             raise ValueError("cutoffs must be >= 1")
-        if math.prod(c + 1 for c in self.cutoffs) > np.iinfo(np.int64).max:
-            raise CutoffError(f"cutoffs {self.cutoffs} span more Fock patterns than int64 keys")
-        strides = [math.prod(c + 1 for c in self.cutoffs[i + 1:]) for i in range(len(self.cutoffs))]
+        bits = [int(c).bit_length() for c in self.cutoffs]
+        if sum(bits) > 63 or max(self.cutoffs) >= np.iinfo(np.int64).max:  # dims must fit too
+            raise CutoffError(f"cutoffs {self.cutoffs} need {sum(bits)} key bits; an int64 "
+                              f"key holds 63, and each cutoff + 1 below 2**63")
+        shifts = [sum(bits[i + 1:]) for i in range(len(bits))]
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.modes)})
         object.__setattr__(self, "dims", np.array(self.cutoffs, dtype=np.int64) + 1)
-        object.__setattr__(self, "strides", np.array(strides, dtype=np.int64))
+        object.__setattr__(self, "shifts", np.array(shifts, dtype=np.int64))
+        object.__setattr__(self, "strides", np.left_shift(1, self.shifts))
+        object.__setattr__(self, "masks", np.array([(1 << b) - 1 for b in bits], dtype=np.int64))
 
     @classmethod
     def of(cls, spec: Mapping[ModeLabel, int]) -> "ModeRegister":
@@ -132,13 +141,16 @@ class ModeRegister:
             raise CutoffError(f"occupations {tuple(occ)} do not fit cutoffs {self.cutoffs}")
         return int(np.dot(np.asarray(occ, dtype=np.int64), self.strides))
 
+    def field_end(self, i: int) -> int:
+        """The first key bit above the field of the mode at position ``i``:
+        keys that agree from it up agree on the modes before that mode."""
+        return int(self.shifts[i]) + int(self.masks[i]).bit_length()
+
     def digit(self, keys: np.ndarray, i: int) -> np.ndarray:
         """Occupation of the mode at position ``i`` in each key."""
-        # numpy divides by a scalar divisor on a fast path that ``%`` lacks,
-        # so the remainder of the non-negative quotient is q - (q // d) d
-        quotient = keys // self.strides[i]
-        quotient -= quotient // self.dims[i] * self.dims[i]
-        return quotient
+        out = keys >> self.shifts[i]
+        out &= self.masks[i]
+        return out
 
     def digits(self, keys: np.ndarray, idx: Sequence[int] | None = None) -> np.ndarray:
         """Occupations of the modes at positions ``idx`` (all by default),
@@ -147,7 +159,8 @@ class ModeRegister:
         idx = range(self.n_modes) if idx is None else idx
         out = np.empty((len(keys), len(idx)), dtype=np.int64, order="F")
         for col, i in enumerate(idx):
-            out[:, col] = self.digit(keys, i)
+            np.right_shift(keys, self.shifts[i], out=out[:, col])
+            out[:, col] &= self.masks[i]
         return out
 
 
@@ -372,9 +385,7 @@ def group_by(state: PureState, modes: Sequence[ModeLabel]
     reg = state.register
     idx = [reg.index(m) for m in modes]
     occ = reg.digits(state.keys, idx)
-    emptied = state.keys.copy()
-    for col, i in enumerate(idx):
-        emptied -= occ[:, col] * reg.strides[i]
+    emptied = state.keys & ~sum(int(reg.masks[i]) << int(reg.shifts[i]) for i in idx)
     # the emptied keys are runs of sorted keys, so the stable sort is cheap;
     # with the grouped modes last they are sorted already
     order = None
@@ -405,8 +416,8 @@ def _run_end(state: PureState, first: int, lo: int, size: int) -> int:
     hi = lo + size
     if hi >= len(keys):
         return len(keys)
-    span = reg.strides[first] * reg.dims[first]  # the keys of a run share keys // span
-    head = keys[hi] - keys[hi] % span  # the first key of the run holding keys[hi]
+    span = 1 << reg.field_end(first)
+    head = int(keys[hi]) & -span  # the first key of the run holding keys[hi]
     cut = int(np.searchsorted(keys, head))
     return cut if cut > lo else int(np.searchsorted(keys, head + span))
 
@@ -419,13 +430,14 @@ def _slice(state: PureState, lo: int, hi: int) -> PureState:
     return _wrap(state.register, state.keys[lo:hi], state.coeffs[lo:hi], 0.0)
 
 
-def _runs(state: PureState, first: int, size: int = _CHUNK):
-    """The state in consecutive :func:`_run_end` slices (:func:`_slice`).
-    An op on the modes from ``first`` on keeps each key inside its run, so
-    the sorted outputs of the slices follow one another in key order."""
+def _runs(state: PureState, first: int):
+    """The state in consecutive :func:`_run_end` slices (:func:`_slice`) of
+    about ``_CHUNK`` amplitudes.  An op on the modes from ``first`` on keeps
+    each key inside its run, so the sorted outputs of the slices follow one
+    another in key order."""
     lo = 0
     while lo < len(state.keys):
-        hi = _run_end(state, first, lo, size)
+        hi = _run_end(state, first, lo, _CHUNK)
         yield _slice(state, lo, hi)
         lo = hi
 
@@ -446,10 +458,10 @@ def _joined(register: ModeRegister, parts: list, deficit: float) -> PureState:
     return _wrap(register, keys, np.concatenate(coeffs), deficit)
 
 
-def _replace(state: PureState, sel: np.ndarray, part: PureState) -> PureState:
+def _replace(state: PureState, sel: np.ndarray, part: PureState, deficit: float) -> PureState:
     """``state`` with its amplitudes at the sorted positions ``sel`` replaced
-    by ``part``, whose keys no other amplitude of ``state`` may hold; the
-    deficit of ``part`` joins the state's.
+    by ``part``, whose keys no other amplitude of ``state`` may hold, and
+    with deficit ``deficit``.
 
     Where ``part`` keeps the keys it replaces, the output shares the state's
     keys.  Otherwise the other amplitudes keep their order and those of
@@ -457,7 +469,6 @@ def _replace(state: PureState, sel: np.ndarray, part: PureState) -> PureState:
     but ``part``, and the kept amplitudes are copied ``_CHUNK`` at a time.
     """
     keys, coeffs = state.keys, state.coeffs
-    deficit = state.norm_deficit + part.norm_deficit
     if np.array_equal(part.keys, keys[sel]):
         if len(sel):
             coeffs = coeffs.copy()
@@ -468,9 +479,10 @@ def _replace(state: PureState, sel: np.ndarray, part: PureState) -> PureState:
     kept = np.ones(len(keys), dtype=bool)
     kept[sel] = False
     slot = np.ones(len(keys) - len(sel) + len(part.keys), dtype=bool)
-    slot[rank + np.arange(len(rank))] = False
+    new = rank + np.arange(len(rank))
+    slot[new] = False
     out_keys, out_coeffs = np.empty(len(slot), dtype=np.int64), np.empty(len(slot), dtype=complex)
-    out_keys[~slot], out_coeffs[~slot] = part.keys, part.coeffs
+    out_keys[new], out_coeffs[new] = part.keys, part.coeffs
     first = 0  # the ordinal among the kept amplitudes of the first one in the slice
     for lo in range(0, len(keys), _CHUNK):
         take = kept[lo:lo + _CHUNK]
@@ -601,16 +613,18 @@ _SPECTRA: dict = {}
 
 
 @_one_blas_thread
-def generator_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, V) with i*G = V diag(lam) V† for a generator kind of ``_COUPLINGS``
-    on ``dim`` levels; computed once per (kind, dim), returned read-only."""
+def generator_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, V, V†) with i*G = V diag(lam) V† for a generator kind of
+    ``_COUPLINGS`` on ``dim`` levels; computed once per (kind, dim), returned
+    read-only."""
     if (kind, dim) not in _SPECTRA:
         step, couplings = _COUPLINGS[kind]
         c = couplings(np.arange(dim, dtype=float))
-        spectrum = np.linalg.eigh(1j * (np.diag(c, -step) - np.diag(c, step)))
+        lam, vecs = np.linalg.eigh(1j * (np.diag(c, -step) - np.diag(c, step)))
+        spectrum = (lam, vecs, vecs.conj().T)
         for arr in spectrum:
             arr.setflags(write=False)
-        _SPECTRA[kind, dim] = tuple(spectrum)
+        _SPECTRA[kind, dim] = spectrum
     return _SPECTRA[kind, dim]
 
 
@@ -622,42 +636,11 @@ def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.n
     The conjugation turns a† into e^{i phase} a† (a†b into e^{i phase} a†b),
     exactly on the truncated space too.
     """
-    lam, vecs = generator_spectrum(kind, dim)
+    lam, vecs, adjoint = generator_spectrum(kind, dim)
     if phase:
-        vecs = np.exp(1j * phase * np.arange(dim))[:, None] * vecs
-    return (vecs * np.exp(-1j * t * lam)) @ vecs.conj().T
-
-
-def _mixer_blocks(state: PureState, ia: int, ib: int):
-    """Per total t of the modes at positions ``ia``, ``ib`` that occurs: t, the keys with
-    both emptied, their amplitudes as rows over n_a = 0..t and the columns that fit."""
-    reg = state.register
-    if not len(state):
-        return
-    rest, group, occ = group_by(state, [reg.modes[ia], reg.modes[ib]])
-    # one block per (total, rest) component that occurs, numbered by total
-    # and then rest in a presence table, packed end to end
-    at = occ.sum(axis=1)
-    at *= len(rest)
-    at += group  # total * len(rest) + group
-    present = np.zeros((int(at.max()) // len(rest) + 1) * len(rest), dtype=bool)
-    present[at] = True
-    rank = np.cumsum(present)
-    rank -= 1
-    total, comp_rest = np.divmod(np.flatnonzero(present), len(rest))
-    start = np.cumsum(total + 1) - (total + 1)
-    packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
-    np.take(rank, at, out=at)
-    np.take(start, at, out=at)
-    at += occ[:, 0]  # each amplitude's place: its block's start plus n_a
-    packed[at] = state.coeffs
-    cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        t = int(total[lo])
-        na = np.arange(t + 1)
-        yield (t, rest[comp_rest[lo:hi]],
-               packed[start[lo]:start[lo] + (hi - lo) * (t + 1)].reshape(hi - lo, t + 1),
-               (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib]))
+        phases = np.exp(1j * phase * np.arange(dim))
+        vecs, adjoint = phases[:, None] * vecs, adjoint * phases.conj()
+    return (vecs * np.exp(-1j * t * lam)) @ adjoint
 
 
 def _mixer_setup(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel, theta: float,
@@ -675,20 +658,54 @@ def _mixed(part: PureState, ia: int, ib: int, unitary, dark: bool = False
            ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Keys and amplitudes of ``part`` mixed in full, unsorted and unpruned,
     the mass of the columns beyond a cutoff, which are dropped, and the mass
-    of the others; with ``dark`` only the n_a = 0 column is kept."""
+    of the others that :func:`_finish` would keep; with ``dark`` only the
+    n_a = 0 column is kept.
+
+    Each (total t, rest) component that occurs is a row over n_a = 0..t of
+    one packed array, whose rows of one total are mixed in one product; the
+    keys of the kept columns are built once, after the products.
+    """
     reg = part.register
-    keys, coeffs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)]
+    if not len(part):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), 0.0, 0.0
+    rest, group, occ = group_by(part, [reg.modes[ia], reg.modes[ib]])
+    # one block per (total, rest) component that occurs, numbered by total
+    # and then rest in a presence table, packed end to end
+    at = occ.sum(axis=1)
+    at *= len(rest)
+    at += group  # total * len(rest) + group
+    present = np.zeros((int(at.max()) // len(rest) + 1) * len(rest), dtype=bool)
+    present[at] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    total, comp_rest = np.divmod(np.flatnonzero(present), len(rest))
+    start = np.cumsum(total + 1) - (total + 1)
+    packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
+    np.take(rank, at, out=at)
+    np.take(start, at, out=at)
+    at += occ[:, 0]  # each amplitude's place: its block's start plus n_a
+    packed[at] = part.coeffs
+    keep = np.zeros(len(packed), dtype=bool)
     dropped = fitting = 0.0
-    for t, rest, block, fits in _mixer_blocks(part, ia, ib):
-        out = block @ unitary(t).T
+    cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        t = int(total[lo])
+        rows = slice(start[lo], start[lo] + (hi - lo) * (t + 1))
+        out = packed[rows].reshape(hi - lo, t + 1) @ unitary(t).T
+        na = np.arange(t + 1)
+        fits = (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib])
         dropped += _mass(out[:, ~fits])
         if dark:
-            fitting += _mass(out[:, fits])
-            fits, out = fits[:1], out[:, :1]
-        na = np.flatnonzero(fits)
-        keys.append((rest[:, None] + na * reg.strides[ia] + (t - na) * reg.strides[ib]).ravel())
-        coeffs.append(out[:, fits].ravel())
-    return np.concatenate(keys), np.concatenate(coeffs), dropped, fitting
+            kept = out[:, fits]
+            fitting += _mass(kept[np.abs(kept) > DEFAULT_PRUNE_EPS])
+            fits &= na == 0
+        packed[rows] = out.ravel()
+        keep[rows].reshape(hi - lo, t + 1)[:] = fits
+    slots = np.flatnonzero(keep)
+    block = np.searchsorted(start, slots, side="right") - 1
+    na = slots - start[block]
+    keys = rest[comp_rest[block]] + na * reg.strides[ia] + (total[block] - na) * reg.strides[ib]
+    return keys, packed[slots], dropped, fitting
 
 
 @_one_blas_thread
@@ -718,22 +735,37 @@ def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     mass (the mixer is unitary on it), and its dark amplitude is the sum of
     U_t[0, n_a] c over its amplitudes: one weighted bincount per
     :func:`_runs` slice, with no dense block.  Any other block is mixed in
-    full, and every dropped column's mass joins the deficit.
+    full, and every dropped column's mass joins the deficit.  A dust block,
+    t past the cutoff of ``mode_b``, has its dark column beyond that cutoff
+    and so no output amplitude.  When the state spans several slices, the
+    dust blocks of them all are gathered and mixed after the slices, in
+    :func:`_runs` slices of their own, for their dropped and kept masses
+    alone; a state of one slice mixes them with its other blocks.
+
+    The deficit is at most that of :func:`apply_two_mode_mixer` followed by
+    the vacuum projection: exactly on a state of one slice, which sums it in
+    the mixer's order, and up to rounding on one of several slices, whose
+    gathered dust sums it in another order.  The mixed norm counts a block
+    that fits whole with its whole mass, and of any other block only the
+    kept amplitudes above the prune line; it may exceed the rotation's norm
+    by the mass the rotation prunes from whole blocks.
     """
     reg = state.register
     ia, ib, unitary = _mixer_setup(state, mode_a, mode_b, theta, phase)
+    defer = _run_end(state, min(ia, ib), 0, _CHUNK) < len(state)
     low = min(reg.cutoffs[ia], reg.cutoffs[ib])
     row0 = np.zeros((low + 1, low + 1), dtype=complex)  # row0[t, n_a] = U_t[0, n_a]
     for t in range(low + 1):
         row0[t, :t + 1] = unitary(t)[0]
 
-    def dark(part: PureState) -> tuple[PureState, float]:
+    def dark(part: PureState) -> tuple[PureState, float, PureState]:
         rest, group, occ = group_by(part, [mode_a, mode_b])
-        total = occ.sum(axis=1)
+        total = occ[:, 0] + occ[:, 1]
         fit = total <= low
+        dust = (total > reg.cutoffs[ib]) & defer
         code, coeffs = total[fit], part.coeffs[fit]
         kept = _mass(coeffs)
-        coeffs *= row0[code, occ[:, 0][fit]]
+        coeffs *= row0.ravel()[code * (low + 1) + occ[:, 0][fit]]
         code *= len(rest)
         code += group[fit]  # the block of each amplitude: total * len(rest) + group
         present = np.zeros((low + 1) * len(rest), dtype=bool)
@@ -741,18 +773,28 @@ def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
         blocks = np.flatnonzero(present)
         sums = (np.bincount(code, coeffs.real, len(present))
                 + 1j * np.bincount(code, coeffs.imag, len(present)))[blocks]
-        keys, amps, dropped, fitting = _mixed(
-            _wrap(reg, part.keys[~fit], part.coeffs[~fit], 0.0), ia, ib, unitary, dark=True)
-        out = _finish(reg, np.concatenate([rest[blocks % len(rest)]
-                                           + blocks // len(rest) * reg.strides[ib], keys]),
-                      np.concatenate([sums, amps]), dropped)
-        return out, kept + fitting
+        t, row = np.divmod(blocks, len(rest))
+        keys = rest[row] + t * reg.strides[ib]
+        dropped = 0.0
+        mixed = ~(fit | dust)
+        if mixed.any():
+            more, amps, dropped, fitting = _mixed(
+                _wrap(reg, part.keys[mixed], part.coeffs[mixed], 0.0), ia, ib, unitary, dark=True)
+            keys, sums, kept = np.concatenate([keys, more]), np.concatenate([sums, amps]), kept + fitting
+        return (_finish(reg, keys, sums, dropped), kept,
+                _wrap(reg, part.keys[dust], part.coeffs[dust], 0.0))
 
-    parts, kept = [], 0.0
+    parts, kept, dust = [], 0.0, []
     for part in _runs(state, min(ia, ib)):
-        out, part_kept = dark(part)
+        out, part_kept, part_dust = dark(part)
         parts.append(out)
         kept += part_kept
+        dust.append(part_dust)
+    # the dust blocks give no amplitude, only the mass their columns drop
+    for piece in _runs(_joined(reg, dust, 0.0), min(ia, ib)):
+        _, _, dropped, fitting = _mixed(piece, ia, ib, unitary, dark=True)
+        parts.append(_wrap(reg, np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), dropped))
+        kept += fitting
     return _joined(reg, parts, state.norm_deficit), kept
 
 

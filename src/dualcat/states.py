@@ -101,7 +101,8 @@ def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
     elif overlap == 1.0:
         raise DegenerateInputError(f"odd cat amplitude {alpha!r} is too small to normalize")
     else:
-        norm_const = 1.0 / math.sqrt(2.0 * (1.0 - overlap))
+        # 1 - <a|-a> by expm1: the difference itself cancels at small |a|
+        norm_const = 1.0 / math.sqrt(-2.0 * math.expm1(-2.0 * abs(alpha) ** 2))
         keep = 1
     amps = 2.0 * norm_const * coeffs[keep::2]
     retained = float(np.sum(np.abs(amps) ** 2))

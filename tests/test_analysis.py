@@ -227,6 +227,12 @@ def test_chsh_optimize_beats_its_own_grid():
     assert v_fine >= v_coarse - 1e-12
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_bell_search_refuses_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius"):
+        BellSearch(radius=radius)
+
+
 def test_chsh_optimize_on_vacuum_stays_classical():
     reg = plain_register([1, 2], 12)
     _, val = chsh_optimize(vacuum(reg), BellSearch(grid_density=7, radius=0.8))

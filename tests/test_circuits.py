@@ -401,17 +401,18 @@ def test_polarization_access_accepts_single_path_registers():
     (Imperfection(displacement_actual=1.2 / math.sqrt(2.0)), "pass"),
 ])
 def test_on_ambiguous_follows_the_imperfection(monkeypatch, imperfection, expected):
+    """The four path-3 gates run as one fused call; it gets the mode the
+    imperfection asks for, and both flips and both phases."""
     seen = []
-    for name in ("cnot_pol", "cphase_pol"):
-        gate = getattr(elements, name)
+    gates = elements.controlled_pol_gates
 
-        def recorded(*args, _gate=gate, on_ambiguous, **kwargs):
-            seen.append(on_ambiguous)
-            return _gate(*args, on_ambiguous=on_ambiguous, **kwargs)
+    def recorded(*args, on_ambiguous, **kwargs):
+        seen.append((on_ambiguous, len(kwargs["flips"]), len(kwargs["phases"])))
+        return gates(*args, on_ambiguous=on_ambiguous, **kwargs)
 
-        monkeypatch.setattr(elements, name, recorded)
+    monkeypatch.setattr(elements, "controlled_pol_gates", recorded)
     quiet_access(generate_entangled_cat(1.2).output_state, imperfection)
-    assert seen == [expected] * 4
+    assert seen == [(expected, 2, 2)]
     assert (imperfection or Imperfection()).on_ambiguous == expected
 
 

@@ -496,6 +496,8 @@ BAD_VALUES = [
     (["imperfection-sweep", "--flip-angles", "4"], {}),
     (["imperfection-sweep", "--flip-angles", "-0.5"], {}),
     (["bell", "--refine-iters", "-3"], {}),
+    (["bell", "--radius", "-1"], {}),
+    (["bell", "--radius", "0"], {}),
     (["bell"], {"axis": "bogus"}),
     (["ifm"], {"state": "bogus"}),
     (["generate"], {"parity": "bogus"}),

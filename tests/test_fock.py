@@ -55,6 +55,44 @@ def random_state(register, rng, n_terms=6, headroom=2):
 # registers and basic state plumbing
 
 
+@settings(max_examples=80, deadline=None)
+@given(cutoffs=st.lists(st.integers(1, 120), min_size=1, max_size=8), data=st.data())
+def test_keys_sort_as_the_occupations_and_decode_to_them(cutoffs, data):
+    reg = ModeRegister(tuple(mode(p) for p in range(len(cutoffs))), tuple(cutoffs))
+    occupations = data.draw(st.lists(st.tuples(*(st.integers(0, c) for c in cutoffs)),
+                                     min_size=1, max_size=30, unique=True))
+    keys = np.array([reg.encode(occ) for occ in occupations], dtype=np.int64)
+    assert (keys >= 0).all()
+    assert [occupations[k] for k in np.argsort(keys)] == sorted(occupations)
+    assert list(map(tuple, reg.digits(keys).tolist())) == occupations
+    for i in range(len(cutoffs)):
+        assert reg.digit(keys, i).tolist() == [occ[i] for occ in occupations]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cutoffs=st.lists(st.integers(1, 2**40), min_size=1, max_size=8))
+def test_register_needing_more_than_63_key_bits_is_refused(cutoffs):
+    modes = tuple(mode(p) for p in range(len(cutoffs)))
+    if sum(c.bit_length() for c in cutoffs) > 63:
+        with pytest.raises(CutoffError):
+            ModeRegister(modes, tuple(cutoffs))
+    else:
+        reg = ModeRegister(modes, tuple(cutoffs))
+        key = np.array([reg.encode(cutoffs)], dtype=np.int64)
+        assert key[0] >= 0 and reg.digits(key).tolist() == [cutoffs]
+
+
+def test_63_key_bits_fit_and_64_do_not():
+    full = ModeRegister((mode(1),), (2**62,))
+    assert full.digits(np.array([full.encode([2**62])])).tolist() == [[2**62]]
+    ModeRegister((mode(1), mode(2)), (2**62 - 1, 1))
+    ModeRegister(tuple(mode(p) for p in range(9)), (120,) * 9)
+    # the last: 63 bits, but its dims, cutoff + 1, would overflow int64
+    for cutoffs in ((2**63,), (2**62, 1), (120,) * 9 + (1,), (2**63 - 1,)):
+        with pytest.raises(CutoffError):
+            ModeRegister(tuple(mode(p) for p in range(len(cutoffs))), cutoffs)
+
+
 def test_register_rejects_duplicate_modes():
     with pytest.raises(ValueError):
         ModeRegister((mode(1), mode(1)), (3, 3))

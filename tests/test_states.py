@@ -100,6 +100,12 @@ def test_odd_cat_at_zero_is_degenerate():
         CatParams(0.0, "odd")
 
 
+@pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-7])
+def test_small_odd_cat_is_normalized(reg, alpha):
+    # 1 - <a|-a> = 1 - exp(-2|a|^2) cancels here; expm1 does not
+    assert abs(cat(reg, mode(1), CatParams(alpha, "odd")).norm_sq() - 1.0) <= 1e-15
+
+
 @pytest.mark.parametrize("alpha", [1e-9, 1e-300])
 def test_odd_cat_below_float_resolution_is_degenerate(reg, alpha):
     # <a|-a> rounds to 1, so the odd-cat norm 2(1 - <a|-a>) would divide by zero
