@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import ParityLineCorrelator, ParityPolarCorrelator, displaced_parity_expect
+from .elements import (ParityLineCorrelator, ParityPolarCorrelator, displaced_parity_expect,
+                       phase_shift)
 from .fock import (
     CutoffError,
     ModeLabel,
@@ -407,8 +408,6 @@ def qfi_phase_decay(state: PureState, probe_mode: ModeLabel, delta: float = 1e-3
     Uses F(d) = 8(1 - |<psi|e^{i d n}|psi>|)/d^2 at d = delta and delta / 2
     and removes the leading O(d^2) bias by Richardson extrapolation.
     """
-    from .elements import phase_shift
-
     n2 = state.norm_sq()
     f1, f2 = (8.0 * (1.0 - abs(inner_product(state, phase_shift(state, probe_mode, d))) / n2) / d**2
               for d in (delta, delta / 2.0))

@@ -24,7 +24,6 @@ from .fock import (
     ModeRegister,
     PureState,
     _one_blas_thread,
-    _wrap,
     add,
     apply_annihilation,
     apply_creation,
@@ -38,6 +37,7 @@ from .fock import (
     normalized,
     polarized_register,
     plain_register,
+    product,
     scale,
     squeezed_cutoff,
 )
@@ -114,49 +114,53 @@ def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitR
 # analytic targets (built straight from the state factories)
 
 
+def _hv_pair(f, g, sign: str, paths: tuple = (1, 2)) -> PureState:
+    """Normalized f(pH) g(qV) ± f(pV) g(qH) on paths (p, q), the sign
+    ``sign``, where ``f`` and ``g`` build a one-mode state on the mode given."""
+    s = -1.0 if sign == "-" else 1.0
+    p, q = paths
+    return normalized(add(product(f(mode(p, "H")), g(mode(q, "V"))),
+                          scale(product(f(mode(p, "V")), g(mode(q, "H"))), s)))
+
+
+def _subtracted_pair(register: ModeRegister, m1: ModeLabel, m2: ModeLabel, r: float,
+                     weights: tuple, tail_eps: float) -> PureState:
+    """(w1 a_m1 + w2 a_m2) |S(r)>_m1 |S(r)>_m2, unnormalized."""
+    prod = product(*(states.squeezed_vacuum(register, m, states.SqueezeParams(r), tail_eps)
+                     for m in (m1, m2)))
+    return add(scale(apply_annihilation(prod, m1), weights[0]),
+               scale(apply_annihilation(prod, m2), weights[1]))
+
+
 def analytic_dual_rail_pair(register: ModeRegister, alpha: float, sign: str = "-",
                             path: int = 1, tail_eps: float = 1e-12) -> PureState:
     """(|even>_H |odd>_V -+ |odd>_H |even>_V)/sqrt2 on one path."""
-    s = -1.0 if sign == "-" else 1.0
-    eH = states.cat(register, mode(path, "H"), states.CatParams(alpha, "even"), tail_eps)
-    oV = states.cat(register, mode(path, "V"), states.CatParams(alpha, "odd"), tail_eps)
-    oH = states.cat(register, mode(path, "H"), states.CatParams(alpha, "odd"), tail_eps)
-    eV = states.cat(register, mode(path, "V"), states.CatParams(alpha, "even"), tail_eps)
-    return normalized(add(_mode_product(eH, oV), scale(_mode_product(oH, eV), s)))
+    even, odd = (functools.partial(states.cat, register, params=states.CatParams(alpha, parity),
+                                   tail_eps=tail_eps) for parity in ("even", "odd"))
+    return _hv_pair(even, odd, sign, (path, path))
 
 
 def analytic_coherent_bell(register: ModeRegister, amplitude: complex,
                            sign: str = "-", tail_eps: float = 1e-12) -> PureState:
     """(|H>_A,1 |V>_A,2 -+ |V>_A,1 |H>_A,2)/sqrt2 with coherent envelopes."""
-    s = -1.0 if sign == "-" else 1.0
-    hv = _mode_product(states.coherent(register, mode(1, "H"), amplitude, tail_eps),
-                       states.coherent(register, mode(2, "V"), amplitude, tail_eps))
-    vh = _mode_product(states.coherent(register, mode(1, "V"), amplitude, tail_eps),
-                       states.coherent(register, mode(2, "H"), amplitude, tail_eps))
-    return normalized(add(hv, scale(vh, s)))
+    envelope = functools.partial(states.coherent, register, alpha=amplitude, tail_eps=tail_eps)
+    return _hv_pair(envelope, envelope, sign)
 
 
-def analytic_subtracted_bell(register: ModeRegister, r: float,
-                             sign: str = "+") -> PureState:
+def analytic_subtracted_bell(register: ModeRegister, r: float, sign: str = "+",
+                             tail_eps: float = 1e-12) -> PureState:
     """(|H>1|V>2 ± |V>1|H>2)/sqrt2 on identical subtracted-squeezed envelopes."""
-    s = 1.0 if sign == "+" else -1.0
-    p = states.SqueezeParams(r)
-    hv = _mode_product(states.subtracted_sv(register, mode(1, "H"), p),
-                       states.subtracted_sv(register, mode(2, "V"), p))
-    vh = _mode_product(states.subtracted_sv(register, mode(1, "V"), p),
-                       states.subtracted_sv(register, mode(2, "H"), p))
-    return normalized(add(hv, scale(vh, s)))
+    envelope = functools.partial(states.subtracted_sv, register, params=states.SqueezeParams(r),
+                                 tail_eps=tail_eps)
+    return _hv_pair(envelope, envelope, sign)
 
 
 def analytic_balanced_sv_pair(register: ModeRegister, r: float,
                               tail_eps: float = 1e-12) -> PureState:
     """(a_H + a_V)|S>_H |S>_V / (sqrt2 sinh r) on path 1, the output of
     :func:`sv_generate` at transmittance 1/2."""
-    sv_h = states.squeezed_vacuum(register, mode(1, "H"), states.SqueezeParams(r), tail_eps)
-    sv_v = states.squeezed_vacuum(register, mode(1, "V"), states.SqueezeParams(r), tail_eps)
-    prod = _mode_product(sv_h, sv_v)
-    return scale(add(apply_annihilation(prod, mode(1, "H")),
-                     apply_annihilation(prod, mode(1, "V"))), 1.0 / (SQRT2 * math.sinh(r)))
+    pair = _subtracted_pair(register, mode(1, "H"), mode(1, "V"), r, (1.0, 1.0), tail_eps)
+    return scale(pair, 1.0 / (SQRT2 * math.sinh(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +411,10 @@ def sv_generate(r: float, transmittance: float = 0.5,
         raise ValueError("transmittance must lie in [0, 1]")
     if r <= 0.0:
         raise DegenerateInputError("generation needs r > 0")
-    cutoff = squeezed_cutoff(r, tail_eps)
-    reg = polarized_register([1], cutoff)
-    sv_h = states.squeezed_vacuum(reg, mode(1, "H"), states.SqueezeParams(r), tail_eps)
-    sv_v = states.squeezed_vacuum(reg, mode(1, "V"), states.SqueezeParams(r), tail_eps)
-    prod = _mode_product(sv_h, sv_v)  # |S>_H |S>_V
-
-    t = math.sqrt(transmittance)
-    u = math.sqrt(1.0 - transmittance)
-    out = add(scale(apply_annihilation(prod, mode(1, "H")), t),
-              scale(apply_annihilation(prod, mode(1, "V")), u))
+    reg = polarized_register([1], squeezed_cutoff(r, tail_eps))
+    weights = (math.sqrt(transmittance), math.sqrt(1.0 - transmittance))
+    out = _subtracted_pair(reg, mode(1, "H"), mode(1, "V"), r, weights, tail_eps)
     return CircuitReport(normalized(out), 1.0, ())
-
-
-def _mode_product(a: PureState, b: PureState) -> PureState:
-    """Product of two single-occupied-mode states on a common register."""
-    keys = (a.keys[:, None] + b.keys).ravel()  # disjoint modes: keys add digit-wise
-    return _wrap(a.register, keys, np.outer(a.coeffs, b.coeffs).ravel(), 0.0)
 
 
 @_one_blas_thread
@@ -432,13 +423,8 @@ def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = 1e-12) -> Circui
     landing on the single-photon entangled state (|1,0> + |0,1>)/sqrt2."""
     if r <= 0.0:
         raise DegenerateInputError("needs r > 0")
-    cutoff = squeezed_cutoff(r, tail_eps) + 4
-    reg = plain_register([1, 2], cutoff)
-    s1 = states.squeezed_vacuum(reg, mode(1), states.SqueezeParams(r), tail_eps)
-    s2 = states.squeezed_vacuum(reg, mode(2), states.SqueezeParams(r), tail_eps)
-    prod = _mode_product(s1, s2)
-    out = add(apply_annihilation(prod, mode(1)), apply_annihilation(prod, mode(2)))
-    out = normalized(out)
+    reg = plain_register([1, 2], squeezed_cutoff(r, tail_eps) + 4)
+    out = normalized(_subtracted_pair(reg, mode(1), mode(2), r, (1.0, 1.0), tail_eps))
     out = elements.squeeze(out, mode(1), -r)
     out = elements.squeeze(out, mode(2), -r)
     return CircuitReport(out, 1.0, ())

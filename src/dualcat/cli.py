@@ -263,7 +263,7 @@ def _sv_access(p: dict, eps: float) -> ExperimentResult:
     r = float(p["r"])
     acc = circuits.sv_access_polarization(circuits.sv_generate(r, 0.5, eps))
     out = acc.output_state
-    fidelity = _paths_fidelity(out, circuits.analytic_subtracted_bell, r)
+    fidelity = _paths_fidelity(out, circuits.analytic_subtracted_bell, r, tail_eps=eps)
     return _result({"conditional_fidelity": fidelity, "branch_product": acc.branch_product(),
                     "postselect_probability": acc.postselect_probability}, out)
 

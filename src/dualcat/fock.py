@@ -535,6 +535,22 @@ def add(a: PureState, b: PureState) -> PureState:
     return _finish(a.register, keys, coeffs, a.norm_deficit + b.norm_deficit)
 
 
+def product(a: PureState, b: PureState) -> PureState:
+    """Tensor product of two states on one register that occupy no common
+    mode.  Its deficit, ``|a|² d_b + d_a |b|² + d_a d_b``, is the mass the
+    product misses, so norm² plus deficit multiplies."""
+    if a.register != b.register:
+        raise RegisterMismatchError("cannot multiply states on different registers")
+    x, y = (int(np.bitwise_or.reduce(s.keys, initial=0)) for s in (a, b))
+    fields = zip(a.register.shifts.tolist(), a.register.masks.tolist())
+    if any((x >> shift) & mask and (y >> shift) & mask for shift, mask in fields):
+        raise ValueError("the factors of a product must occupy disjoint modes")
+    na, nb, da, db = a.norm_sq(), b.norm_sq(), a.norm_deficit, b.norm_deficit
+    keys = (a.keys[:, None] | b.keys).ravel()  # disjoint fields: keys join bitwise
+    return _finish(a.register, keys, np.outer(a.coeffs, b.coeffs).ravel(),
+                   na * db + da * nb + da * db)
+
+
 def normalized(state: PureState) -> PureState:
     """Explicitly rescale to unit norm (deficit rescales by the same factor)."""
     n2 = state.norm_sq()
@@ -923,17 +939,11 @@ def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> DensityView:
 _MAX_TAIL_TERMS = 1 << 16
 
 
-def _smallest_cut(terms: np.ndarray, first: int, tail_eps: float) -> int:
-    """Smallest n >= first with ``sum(t_k for k > n) <= tail_eps``, where
-    ``terms`` is the upward pass t_first, t_first+1, ... and the mass past
-    its end is negligible next to ``tail_eps``.
-
-    One top-down cumulative sum gives every tail at once, each summed from
-    its smallest term toward its first omitted one, never as 1 - (kept
-    mass); the tails fall, so counting those above ``tail_eps`` places the cut.
-    """
-    tails = np.cumsum(terms[::-1])[::-1]  # tails[i] is the mass above first + i - 1
-    return first + max(int(np.count_nonzero(tails > tail_eps)) - 1, 0)
+def _tails(terms: np.ndarray) -> np.ndarray:
+    """``tails[i]``, the mass of ``terms[i:]`` for i = 0 .. len(terms), by
+    one top-down cumulative sum: each tail is summed from its smallest term
+    toward its first, never as 1 - (kept mass), which loses it to rounding."""
+    return np.cumsum(np.append(terms, 0.0)[::-1])[::-1]
 
 
 def _pass_length(n_terms: int, what: str) -> int:
@@ -948,6 +958,38 @@ def _log_negligible(tail_eps: float) -> float:
     return math.log(tail_eps) - 53.0 * math.log(2.0)
 
 
+def _poisson_masses(lam: float, tail_eps: float, last: int = 0) -> np.ndarray:
+    """Masses e^-lam lam^n / n! of |n> in a coherent state, n = 0, 1, ... to
+    ``last`` and on until the rest is negligible next to ``tail_eps``."""
+    # less than e^-50 of the mass lies below lam - 10 sqrt(lam) - 10
+    # (Chernoff); by Bennett, P(N >= lam + u) <= exp(-u^2 / (2 (lam + u/3))),
+    # which is negligible for this u
+    big = -_log_negligible(tail_eps)
+    u = big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * lam)
+    first = max(0, math.ceil(lam - 10.0 * math.sqrt(lam) - 10.0))
+    end = first + _pass_length(max(math.ceil(lam + u), last) - first,
+                               f"Poisson (|alpha|^2 = {lam:.6g})")
+    # the passes start in log space at ``first``, so its term cannot underflow,
+    # and run up by the ratios lam / n and down by n / lam (at lam = 0, vacuum)
+    t_first = math.exp(first * math.log(lam or 1.0) - lam - math.lgamma(first + 1))
+    up = np.cumprod(np.concatenate(([t_first], lam / np.arange(first + 1, end + 1, dtype=float))))
+    down = t_first * np.cumprod(np.arange(first, 0, -1) / lam)[::-1]
+    return np.concatenate((down, up))
+
+
+def _squeezed_masses(r: float, tail_eps: float, last: int = 0) -> np.ndarray:
+    """Masses sech(r) (2j)!/(j!^2 4^j) tanh^2j r of |2j> in S(r)|0>, j = 0,
+    1, ... to level ``last`` and on until the rest is negligible."""
+    x = math.tanh(r) ** 2
+    # each mass is <= x^j, so the mass past j = n is below x^n / (1 - x),
+    # which is negligible for this n
+    n = 1 if x == 0.0 else math.ceil((_log_negligible(tail_eps) + math.log1p(-x))
+                                     / math.log(x))
+    n = _pass_length(max(n, last // 2), f"squeezed-vacuum (r = {r:.6g})")
+    ratios = x * np.arange(1, 2 * n, 2, dtype=float) / np.arange(2, 2 * n + 1, 2, dtype=float)
+    return np.cumprod(np.concatenate(([1.0 / math.cosh(r)], ratios)))
+
+
 def coherent_cutoff(amplitude: complex, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
     """Smallest cutoff with Poisson tail mass below ``tail_eps`` for |amplitude|."""
     a = abs(amplitude)
@@ -956,18 +998,8 @@ def coherent_cutoff(amplitude: complex, tail_eps: float = DEFAULT_TAIL_EPS) -> i
         raise CutoffError(f"no Poisson tail is <= {tail_eps!r} for |alpha|^2 = {lam!r}")
     if lam == 0.0 or tail_eps >= 1.0:
         return 1
-    # less than e^-50 of the mass lies below lam - 10 sqrt(lam) - 10
-    # (Chernoff), so no cutoff does; by Bennett, P(N >= lam + u) <=
-    # exp(-u^2 / (2 (lam + u/3))), which is negligible for this u
-    big = -_log_negligible(tail_eps)
-    u = big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * lam)
-    first = max(0, math.ceil(lam - 10.0 * math.sqrt(lam) - 10.0))
-    n = _pass_length(math.ceil(lam + u) - first, f"Poisson (|alpha|^2 = {lam:.6g})")
-    # the pass starts in log space, so its first term cannot underflow
-    t_first = math.exp(first * math.log(lam) - lam - math.lgamma(first + 1))
-    ratios = lam / np.arange(first + 1, first + n + 1, dtype=float)
-    terms = np.cumprod(np.concatenate(([t_first], ratios)))
-    return max(_smallest_cut(terms, first, tail_eps), 1)
+    # the tails fall, so the count of those above tail_eps places the cut
+    return max(int(np.count_nonzero(_tails(_poisson_masses(lam, tail_eps)) > tail_eps)) - 1, 1)
 
 
 def squeezed_cutoff(r: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
@@ -978,11 +1010,4 @@ def squeezed_cutoff(r: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
                           f"(tanh^2 r = {x!r})")
     if r == 0.0:
         return 1
-    # |2j> carries c_j = sech(r) (2j)!/(j!^2 4^j) x^j <= x^j, so the mass
-    # past j = n is below x^n / (1 - x), which is negligible for this n
-    n = 1 if x == 0.0 else math.ceil((_log_negligible(tail_eps) + math.log1p(-x))
-                                     / math.log(x))
-    n = _pass_length(n, f"squeezed-vacuum (r = {r:.6g})")
-    ratios = x * np.arange(1, 2 * n, 2, dtype=float) / np.arange(2, 2 * n + 1, 2, dtype=float)
-    terms = np.cumprod(np.concatenate(([1.0 / math.cosh(r)], ratios)))
-    return max(2 * _smallest_cut(terms, 0, tail_eps), 2)
+    return 2 * max(int(np.count_nonzero(_tails(_squeezed_masses(r, tail_eps)) > tail_eps)) - 1, 1)

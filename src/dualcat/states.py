@@ -1,8 +1,9 @@
 """State factories: coherent states, even/odd cats, squeezed vacuum.
 
-Every factory returns a normalized state and refuses cutoffs that leave
-more than ``tail_eps`` probability beyond the truncation, so the caller
-stays in control of memory and accuracy.
+Every factory refuses cutoffs that leave more than ``tail_eps``
+probability beyond the truncation, reads its amplitudes from the mass
+series its cutoff rule sums, and seeds ``norm_deficit`` with that series'
+tail past the register's cutoff.  Multi-mode states are ``fock.product``s.
 """
 
 from __future__ import annotations
@@ -20,9 +21,14 @@ from .fock import (
     ModeRegister,
     PureState,
     _finish,
+    _poisson_masses,
+    _squeezed_masses,
+    _tails,
     add,
+    apply_annihilation,
     coherent_cutoff,
     normalized,
+    product,
     scale,
     squeezed_cutoff,
 )
@@ -53,15 +59,6 @@ class SqueezeParams:
             raise ValueError("generation requires r >= 0; anti-squeezing is an operation")
 
 
-def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """c_n = e^{-|a|^2/2} a^n / sqrt(n!), n = 0..cutoff."""
-    out = np.empty(cutoff + 1, dtype=complex)
-    out[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff + 1):
-        out[n] = out[n - 1] * alpha / math.sqrt(n)
-    return out
-
-
 def _levels(register: ModeRegister, m: ModeLabel, count: int) -> np.ndarray:
     """Keys of |n> in mode ``m`` with every other mode empty, n = 0..count-1."""
     return np.arange(count) * register.strides[register.index(m)]
@@ -75,13 +72,25 @@ def _require_cutoff(register: ModeRegister, m: ModeLabel, needed: int) -> None:
             f"build the register with a larger cutoff")
 
 
+def _coherent_series(register: ModeRegister, m: ModeLabel, alpha: complex,
+                     tail_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of |alpha> on the levels of mode ``m`` and the Poisson
+    masses they come from, which run on past the register's cutoff."""
+    _require_cutoff(register, m, coherent_cutoff(alpha, tail_eps))
+    cutoff = register.cutoff_of(m)
+    masses = _poisson_masses(abs(alpha) ** 2, tail_eps, cutoff)
+    # e^{i n arg alpha} by repeated products, exact for real alpha
+    unit = alpha / abs(alpha) if alpha else 1.0
+    phases = np.cumprod(np.concatenate(([1.0], np.full(cutoff, unit, dtype=complex))))
+    return np.sqrt(masses[:cutoff + 1]) * phases, masses
+
+
 def coherent(register: ModeRegister, m: ModeLabel, alpha: complex,
              tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """Coherent state |alpha> in mode ``m``, vacuum elsewhere."""
-    _require_cutoff(register, m, coherent_cutoff(alpha, tail_eps))
-    coeffs = _coherent_amplitudes(alpha, register.cutoff_of(m))
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(coeffs) ** 2)))
-    return _finish(register, _levels(register, m, len(coeffs)), coeffs, tail)
+    coeffs, masses = _coherent_series(register, m, alpha, tail_eps)
+    return _finish(register, _levels(register, m, len(coeffs)), coeffs,
+                   float(_tails(masses)[len(coeffs)]))
 
 
 def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
@@ -89,25 +98,24 @@ def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
     """Even or odd coherent-state superposition N(|a> ± |-a>).
 
     Even cats occupy only even Fock levels, odd cats only odd ones; the
-    wrong-parity amplitudes are exactly zero by construction.
+    wrong-parity amplitudes are exactly zero by construction; the deficit
+    is the tail of that parity.
     """
     alpha = params.alpha
-    _require_cutoff(register, m, coherent_cutoff(alpha, tail_eps))
-    coeffs = _coherent_amplitudes(alpha, register.cutoff_of(m))
+    coeffs, masses = _coherent_series(register, m, alpha, tail_eps)
     overlap = math.exp(-2.0 * abs(alpha) ** 2)  # <a|-a> for any phase of a
     if params.parity == "even":
-        norm_const = 1.0 / math.sqrt(2.0 * (1.0 + overlap))
+        weight = 2.0 / (1.0 + overlap)  # (2N)^2
         keep = 0
     elif overlap == 1.0:
         raise DegenerateInputError(f"odd cat amplitude {alpha!r} is too small to normalize")
     else:
         # 1 - <a|-a> by expm1: the difference itself cancels at small |a|
-        norm_const = 1.0 / math.sqrt(-2.0 * math.expm1(-2.0 * abs(alpha) ** 2))
+        weight = 2.0 / -math.expm1(-2.0 * abs(alpha) ** 2)
         keep = 1
-    amps = 2.0 * norm_const * coeffs[keep::2]
-    retained = float(np.sum(np.abs(amps) ** 2))
+    amps = math.sqrt(weight) * coeffs[keep::2]
     keys = _levels(register, m, len(coeffs))[keep::2]
-    return _finish(register, keys, amps, max(0.0, 1.0 - retained))
+    return _finish(register, keys, amps, weight * float(_tails(masses[keep::2])[len(amps)]))
 
 
 def squeezed_vacuum(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
@@ -119,17 +127,11 @@ def squeezed_vacuum(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
     """
     r = params.r
     _require_cutoff(register, m, squeezed_cutoff(r, tail_eps))
-    t = math.tanh(r)
-    amps = []
-    c = 1.0 / math.sqrt(math.cosh(r))
-    for k in range(register.cutoff_of(m) // 2 + 1):
-        amps.append(c)
-        # c_{2(k+1)} / c_{2k} = t * sqrt((2k+1)(2k+2)) / (2(k+1))
-        c *= t * math.sqrt((2 * k + 1) * (2 * k + 2)) / (2 * (k + 1))
-    amps = np.array(amps, dtype=complex)
-    retained = float(np.sum(amps.real ** 2))
-    keys = _levels(register, m, register.cutoff_of(m) + 1)[::2]
-    return _finish(register, keys, amps, max(0.0, 1.0 - retained))
+    cutoff = register.cutoff_of(m)
+    masses = _squeezed_masses(r, tail_eps, cutoff)
+    amps = np.sqrt(masses[:cutoff // 2 + 1]).astype(complex)
+    keys = _levels(register, m, cutoff + 1)[::2]
+    return _finish(register, keys, amps, float(_tails(masses)[len(amps)]))
 
 
 def subtracted_sv(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
@@ -140,8 +142,6 @@ def subtracted_sv(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
     """
     if params.r == 0:
         raise DegenerateInputError("photon subtraction of r = 0 squeezed vacuum is the zero state")
-    from .fock import apply_annihilation
-
     sv = squeezed_vacuum(register, m, params, tail_eps)
     return scale(apply_annihilation(sv, m), 1.0 / math.sinh(params.r))
 
@@ -154,21 +154,9 @@ def entangled_cat_pair(register: ModeRegister, mode_a: ModeLabel, mode_b: ModeLa
         raise ValueError("sign must be '+' or '-'")
     if alpha == 0:
         raise DegenerateInputError("entangled cat pair is undefined at alpha = 0")
-    plus = _two_mode_coherent(register, mode_a, mode_b, alpha, -alpha, tail_eps)
-    minus = _two_mode_coherent(register, mode_a, mode_b, -alpha, alpha, tail_eps)
     s = 1.0 if sign == "+" else -1.0
+    plus = product(coherent(register, mode_a, alpha, tail_eps),
+                   coherent(register, mode_b, -alpha, tail_eps))
+    minus = product(coherent(register, mode_a, -alpha, tail_eps),
+                    coherent(register, mode_b, alpha, tail_eps))
     return normalized(add(plus, scale(minus, s)))
-
-
-def _two_mode_coherent(register: ModeRegister, mode_a: ModeLabel, mode_b: ModeLabel,
-                       alpha: complex, beta: complex, tail_eps: float) -> PureState:
-    _require_cutoff(register, mode_a, coherent_cutoff(alpha, tail_eps))
-    _require_cutoff(register, mode_b, coherent_cutoff(beta, tail_eps))
-    ca = _coherent_amplitudes(alpha, register.cutoff_of(mode_a))
-    cb = _coherent_amplitudes(beta, register.cutoff_of(mode_b))
-    amps = np.outer(ca, cb).ravel()
-    keys = (_levels(register, mode_a, len(ca))[:, None]
-            + _levels(register, mode_b, len(cb))).ravel()
-    kept = np.abs(amps) > 1e-18
-    retained = float(np.sum(np.abs(amps[kept]) ** 2))
-    return _finish(register, keys[kept], amps[kept], max(0.0, 1.0 - retained))

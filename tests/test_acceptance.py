@@ -28,7 +28,6 @@ from dualcat.analysis import (
     total_mean_photons,
 )
 from dualcat.circuits import (
-    _mode_product,
     access_parity,
     access_polarization,
     analytic_coherent_bell,
@@ -53,6 +52,7 @@ from dualcat.fock import (
     partial_trace,
     plain_register,
     polarized_register,
+    product,
     scale,
 )
 from dualcat.states import CatParams, cat, coherent, entangled_cat_pair
@@ -82,10 +82,10 @@ def test_criterion_1_split_exactness():
         coh_target = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
         worst_coh = min(worst_coh, fidelity(out, coh_target))
         # and the same output expressed in the orthogonal cat basis
-        eo = _mode_product(cat(reg, mode(1), CatParams(alpha, "even")),
-                           cat(reg, mode(2), CatParams(alpha, "odd")))
-        oe = _mode_product(cat(reg, mode(1), CatParams(alpha, "odd")),
-                           cat(reg, mode(2), CatParams(alpha, "even")))
+        eo = product(cat(reg, mode(1), CatParams(alpha, "even")),
+                     cat(reg, mode(2), CatParams(alpha, "odd")))
+        oe = product(cat(reg, mode(1), CatParams(alpha, "odd")),
+                     cat(reg, mode(2), CatParams(alpha, "even")))
         cat_target = normalized(add(eo, scale(oe, -1.0)))
         worst_cat = min(worst_cat, fidelity(out, cat_target))
     elapsed = time.time() - t0
@@ -278,8 +278,8 @@ def test_criterion_8_squeezed_vacuum_variant():
     from dualcat.fock import apply_annihilation
     from dualcat.states import SqueezeParams, squeezed_vacuum
 
-    prod = _mode_product(squeezed_vacuum(reg, mode(1, "H"), SqueezeParams(0.8)),
-                         squeezed_vacuum(reg, mode(1, "V"), SqueezeParams(0.8)))
+    prod = product(squeezed_vacuum(reg, mode(1, "H"), SqueezeParams(0.8)),
+                   squeezed_vacuum(reg, mode(1, "V"), SqueezeParams(0.8)))
     target = scale(add(apply_annihilation(prod, mode(1, "H")),
                        apply_annihilation(prod, mode(1, "V"))),
                    1.0 / (math.sqrt(2.0) * math.sinh(0.8)))

@@ -20,7 +20,6 @@ from dualcat.analysis import (
 )
 from dualcat.circuits import (
     _infer_cat_amplitude,
-    _mode_product,
     analytic_dual_rail_pair,
     generate_entangled_cat,
     noon_from_cat_pair,
@@ -43,6 +42,7 @@ from dualcat.fock import (
     normalized,
     plain_register,
     polarized_register,
+    product,
     scale,
     vacuum,
 )
@@ -65,8 +65,8 @@ def test_dual_rail_pair_carries_one_ebit():
 
 def test_product_state_has_zero_entanglement():
     reg = plain_register([1, 2], 20)
-    psi = _mode_product(coherent(reg, mode(1), 0.9),
-                        coherent(reg, mode(2), -0.4))
+    psi = product(coherent(reg, mode(1), 0.9),
+                  coherent(reg, mode(2), -0.4))
     s = entanglement(psi, [mode(1)])
     assert s.entropy_bits == pytest.approx(0.0, abs=1e-10)
     assert s.log_negativity == pytest.approx(0.0, abs=1e-10)
@@ -144,8 +144,8 @@ def test_fidelity_normalizes_unnormalized_inputs():
 
 def test_subsystem_fidelity_on_product_states():
     reg = plain_register([1, 2], 20)
-    psi = _mode_product(coherent(reg, mode(1), 0.8),
-                        coherent(reg, mode(2), 0.5))
+    psi = product(coherent(reg, mode(1), 0.8),
+                  coherent(reg, mode(2), 0.5))
     target = coherent(plain_register([1], 20), mode(1), 0.8)
     assert subsystem_fidelity(psi, target, [mode(1)]) == pytest.approx(1.0, abs=1e-10)
 
@@ -168,8 +168,8 @@ def test_qubit_extraction_of_coherent_bell_state():
 
 def test_qubit_extraction_of_product_pattern():
     reg = polarized_register([1, 2], 16)
-    psi = _mode_product(coherent(reg, mode(1, "H"), 1.0),
-                        coherent(reg, mode(2, "V"), 1.0))
+    psi = product(coherent(reg, mode(1, "H"), 1.0),
+                  coherent(reg, mode(2, "V"), 1.0))
     q = polarization_qubit_state(psi, 1, 2)
     neg, logneg = negativity_two_qubit(q.rho)
     assert neg == pytest.approx(0.0, abs=1e-12)
@@ -190,8 +190,8 @@ def test_chsh_at_zero_settings_is_degenerate_combination():
 
 def test_chsh_on_product_coherent_state_stays_classical(rng):
     reg = plain_register([1, 2], 20)
-    psi = _mode_product(coherent(reg, mode(1), 0.6),
-                        coherent(reg, mode(2), -0.3))
+    psi = product(coherent(reg, mode(1), 0.6),
+                  coherent(reg, mode(2), -0.3))
     for _ in range(10):
         vals = rng.uniform(-0.6, 0.6, 8)
         s = BellSettings(complex(vals[0], vals[1]), complex(vals[2], vals[3]),

@@ -12,7 +12,6 @@ from dualcat.analysis import (
     subsystem_fidelity,
 )
 from dualcat.circuits import (
-    _mode_product,
     access_parity,
     access_polarization,
     analytic_coherent_bell,
@@ -36,6 +35,7 @@ from dualcat.fock import (
     normalized,
     plain_register,
     polarized_register,
+    product,
 )
 from dualcat.states import SqueezeParams, coherent
 
@@ -120,7 +120,7 @@ def test_parity_access_reproduces_two_path_form():
     e2 = cat(reg, mode(2, "H"), CatParams(alpha, "even"))
     from dualcat.fock import scale
 
-    target = normalized(add(_mode_product(e1, o2), scale(_mode_product(o1, e2), -1.0)))
+    target = normalized(add(product(e1, o2), scale(product(o1, e2), -1.0)))
     assert fidelity(out, target) >= 1.0 - 1e-9
 
 
@@ -134,8 +134,8 @@ def test_parity_access_preserves_entropy():
 
 def test_parity_access_maps_products_to_products():
     reg = polarized_register([1], 16)
-    psi = _mode_product(coherent(reg, mode(1, "H"), 0.8),
-                        coherent(reg, mode(1, "V"), 0.8))
+    psi = product(coherent(reg, mode(1, "H"), 0.8),
+                  coherent(reg, mode(1, "V"), 0.8))
     out = access_parity(psi).output_state
     s = entanglement(out, [mode(1, "H"), mode(1, "V")])
     assert s.entropy_bits == pytest.approx(0.0, abs=1e-9)
@@ -271,11 +271,11 @@ def test_ifm_rejects_unknown_state_kind():
 def test_noon_state_structure():
     noon = noon_from_cat_pair(1.0)
     reg = noon.register
-    big = _mode_product(coherent(reg, mode(1), 2.0), coherent(reg, mode(2), 0.0))
+    big = product(coherent(reg, mode(1), 2.0), coherent(reg, mode(2), 0.0))
     from dualcat.fock import scale
 
     target = normalized(add(big, scale(
-        _mode_product(coherent(reg, mode(1), 0.0), coherent(reg, mode(2), 2.0)), -1.0)))
+        product(coherent(reg, mode(1), 0.0), coherent(reg, mode(2), 2.0)), -1.0)))
     assert fidelity(noon, target) >= 1.0 - 1e-9
 
 
@@ -291,8 +291,8 @@ def test_sv_generate_balanced_matches_closed_form():
     from dualcat.fock import apply_annihilation, scale
     from dualcat.states import squeezed_vacuum
 
-    prod = _mode_product(squeezed_vacuum(reg, mode(1, "H"), SqueezeParams(r)),
-                         squeezed_vacuum(reg, mode(1, "V"), SqueezeParams(r)))
+    prod = product(squeezed_vacuum(reg, mode(1, "H"), SqueezeParams(r)),
+                   squeezed_vacuum(reg, mode(1, "V"), SqueezeParams(r)))
     target = scale(add(apply_annihilation(prod, mode(1, "H")),
                        apply_annihilation(prod, mode(1, "V"))),
                    1.0 / (math.sqrt(2.0) * math.sinh(r)))
@@ -356,8 +356,8 @@ def test_antisqueezing_preserves_entropy():
     from dualcat.fock import apply_annihilation
     from dualcat.states import squeezed_vacuum
 
-    prod = _mode_product(squeezed_vacuum(gen_reg, mode(1), SqueezeParams(r)),
-                         squeezed_vacuum(gen_reg, mode(2), SqueezeParams(r)))
+    prod = product(squeezed_vacuum(gen_reg, mode(1), SqueezeParams(r)),
+                   squeezed_vacuum(gen_reg, mode(2), SqueezeParams(r)))
     before = normalized(add(apply_annihilation(prod, mode(1)),
                             apply_annihilation(prod, mode(2))))
     e_before = entanglement(before, [mode(1)]).entropy_bits

@@ -195,6 +195,27 @@ def test_sv_runs(tmp_path, capsys):
     assert scalars["postselect_probability"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_sv_generate_reports_the_tail_of_its_squeezed_pair(tmp_path, capsys):
+    # the two squeezed vacua each miss up to 1e-6 of their mass, and the
+    # product carries that into the reported deficit, which flags the run
+    out_file = tmp_path / "svg.json"
+    code, _, _ = run_main(["--output", str(out_file), "--cutoff-epsilon", "1e-6",
+                           "sv-generate"], capsys)
+    doc = load_result(out_file)
+    assert code == cli.EXIT_NONCONVERGED and doc["converged"] is False
+    assert doc["result"]["convergence"]["norm_deficit"] > 0.0
+
+
+def test_sv_access_target_follows_the_run_epsilon(tmp_path, capsys):
+    # the analytic target is built on the run's register, so it must take
+    # the run's tail rule, not the 1e-12 one, which needs a larger cutoff
+    out_file = tmp_path / "sva.json"
+    code, _, err = run_main(["--output", str(out_file), "--cutoff-epsilon", "1e-11",
+                             "sv-access"], capsys)
+    assert code == 0, err
+    assert load_result(out_file)["result"]["scalars"]["conditional_fidelity"] >= 1.0 - 1e-9
+
+
 def test_fisher_run(tmp_path, capsys):
     out_file = tmp_path / "fisher.json"
     code, _, _ = run_main(["--output", str(out_file), "fisher",

@@ -37,11 +37,12 @@ from dualcat.fock import (
     parity_expectation,
     plain_register,
     polarized_register,
+    product,
     scale,
     vacuum,
 )
 from dualcat.states import CatParams, SqueezeParams, cat, coherent, squeezed_vacuum
-from dualcat.circuits import _mode_product, analytic_dual_rail_pair
+from dualcat.circuits import analytic_dual_rail_pair
 
 
 def fid(a, b):
@@ -75,8 +76,8 @@ def test_pbs_folds_two_path_state_onto_one_path():
     oV2 = cat(reg, mode(2, "V"), CatParams(alpha, "odd"))
     oH1 = cat(reg, mode(1, "H"), CatParams(alpha, "odd"))
     eV2 = cat(reg, mode(2, "V"), CatParams(alpha, "even"))
-    two_path = normalized(add(_mode_product(eH1, oV2),
-                              scale(_mode_product(oH1, eV2), -1.0)))
+    two_path = normalized(add(product(eH1, oV2),
+                              scale(product(oH1, eV2), -1.0)))
     folded = pbs(two_path, 1, 2)
     target = analytic_dual_rail_pair(reg, alpha, "-")
     assert fid(folded, target) >= 1.0 - 1e-9
@@ -191,8 +192,8 @@ def test_displacement_turns_cat_pair_into_noon_superposition():
     reg = plain_register([1, 2], coherent_cutoff(2.0 * alpha) + 4)
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
     out = displace(displace(pair, mode(1), alpha), mode(2), alpha)
-    big = _mode_product(coherent(reg, mode(1), 2.0 * alpha), vacuum(reg))
-    small = _mode_product(vacuum(reg), coherent(reg, mode(2), 2.0 * alpha))
+    big = product(coherent(reg, mode(1), 2.0 * alpha), vacuum(reg))
+    small = product(vacuum(reg), coherent(reg, mode(2), 2.0 * alpha))
     target = normalized(add(big, scale(small, -1.0)))
     assert fid(out, target) >= 1.0 - 1e-9
 
@@ -259,7 +260,7 @@ def _control_target_state(control_pol, target_alpha, a_env=1.0):
     reg = polarized_register([1, 3], cut)
     t = coherent(reg, mode(1, "H"), target_alpha)
     c = coherent(reg, mode(3, control_pol), 2.0 * a_env)
-    return _mode_product(t, c), reg
+    return product(t, c), reg
 
 
 def test_cnot_pol_passes_on_h_control():
@@ -274,8 +275,8 @@ def test_cnot_pol_flips_on_v_control():
     s, reg = _control_target_state("V", -1.0)
     out = cnot_pol(s, 3, 1)
     ctrl = onoff_detect(coherent(reg, mode(3, "V"), 2.0), mode(3, "V"))
-    flipped = _mode_product(coherent(reg, mode(1, "V"), -1.0), ctrl.state("click"))
-    passed = _mode_product(coherent(reg, mode(1, "H"), -1.0), ctrl.state("no_click"))
+    flipped = product(coherent(reg, mode(1, "V"), -1.0), ctrl.state("click"))
+    passed = product(coherent(reg, mode(1, "H"), -1.0), ctrl.state("no_click"))
     target = add(flipped, passed)
     assert fid(out, target) == pytest.approx(1.0, abs=1e-12)
     # conditioned on a click the flip is exact
@@ -299,9 +300,9 @@ def test_cnot_pol_partial_angle_is_unitary():
 def test_cnot_pol_rejects_ambiguous_control():
     cut = 12
     reg = polarized_register([1, 3], cut)
-    both = _mode_product(coherent(reg, mode(3, "H"), 0.8, tail_eps=1e-6),
-                         coherent(reg, mode(3, "V"), 0.8, tail_eps=1e-6))
-    s = _mode_product(both, coherent(reg, mode(1, "H"), 0.5, tail_eps=1e-6))
+    both = product(coherent(reg, mode(3, "H"), 0.8, tail_eps=1e-6),
+                   coherent(reg, mode(3, "V"), 0.8, tail_eps=1e-6))
+    s = product(both, coherent(reg, mode(1, "H"), 0.5, tail_eps=1e-6))
     with pytest.raises(ContractViolationError):
         cnot_pol(s, 3, 1)
     # explicit pass-through mode accepts the same state
@@ -314,8 +315,8 @@ def test_cphase_pol_applies_pi_phase_on_v_control():
     out = cphase_pol(s, 3, 1, math.pi)
     ctrl = onoff_detect(coherent(reg, mode(3, "V"), 2.0), mode(3, "V"))
     # e^{i pi n}|-a> = |a> on the occupied-control slice
-    target = add(_mode_product(coherent(reg, mode(1, "H"), 0.9), ctrl.state("click")),
-                 _mode_product(coherent(reg, mode(1, "H"), -0.9), ctrl.state("no_click")))
+    target = add(product(coherent(reg, mode(1, "H"), 0.9), ctrl.state("click")),
+                 product(coherent(reg, mode(1, "H"), -0.9), ctrl.state("no_click")))
     assert fid(out, target) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -353,9 +354,9 @@ def test_parity_controlled_flip_on_squeezed_controls():
 
 def test_cswap_pol_identity_on_h_control():
     reg = polarized_register([1, 2, 3], 8)
-    s = _mode_product(_mode_product(coherent(reg, mode(1, "H"), 0.6, tail_eps=1e-6),
-                                    coherent(reg, mode(2, "V"), 0.4, tail_eps=1e-6)),
-                      basis_state(reg, {mode(3, "H"): 1}))
+    s = product(product(coherent(reg, mode(1, "H"), 0.6, tail_eps=1e-6),
+                        coherent(reg, mode(2, "V"), 0.4, tail_eps=1e-6)),
+                basis_state(reg, {mode(3, "H"): 1}))
     assert fid(cswap_pol(s, 3, 1, 2), s) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -385,9 +386,9 @@ def test_parity_controlled_flip_refuses_a_control_mode_on_the_target_path():
 
 def test_cswap_pol_cross_exchanges_contents_on_v_control():
     reg = polarized_register([1, 2, 3], 8)
-    s = _mode_product(_mode_product(coherent(reg, mode(1, "V"), 0.6, tail_eps=1e-6),
-                                    coherent(reg, mode(2, "H"), 0.4, tail_eps=1e-6)),
-                      basis_state(reg, {mode(3, "V"): 1}))
+    s = product(product(coherent(reg, mode(1, "V"), 0.6, tail_eps=1e-6),
+                        coherent(reg, mode(2, "H"), 0.4, tail_eps=1e-6)),
+                basis_state(reg, {mode(3, "V"): 1}))
     out = cswap_pol(s, 3, 1, 2)
     # explicit permutation oracle: (1V)<->(2H) and (1H)<->(2V)
     i = {m: reg.index(m) for m in reg.modes}
@@ -401,17 +402,17 @@ def test_cswap_pol_cross_exchanges_contents_on_v_control():
     for k, v in expected.items():
         assert out.amps[k] == pytest.approx(v, abs=1e-14)
     # and it moved the envelopes: path 1 V rail now holds the 0.4 amplitude
-    target = _mode_product(_mode_product(coherent(reg, mode(1, "V"), 0.4, tail_eps=1e-6),
-                                         coherent(reg, mode(2, "H"), 0.6, tail_eps=1e-6)),
-                           basis_state(reg, {mode(3, "V"): 1}))
+    target = product(product(coherent(reg, mode(1, "V"), 0.4, tail_eps=1e-6),
+                             coherent(reg, mode(2, "H"), 0.6, tail_eps=1e-6)),
+                     basis_state(reg, {mode(3, "V"): 1}))
     assert fid(out, target) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cswap_pol_is_involution_on_v_control():
     reg = polarized_register([1, 2, 3], 6)
-    s = _mode_product(_mode_product(coherent(reg, mode(1, "V"), 0.5, tail_eps=1e-5),
-                                    coherent(reg, mode(2, "H"), 0.3, tail_eps=1e-5)),
-                      basis_state(reg, {mode(3, "V"): 1}))
+    s = product(product(coherent(reg, mode(1, "V"), 0.5, tail_eps=1e-5),
+                        coherent(reg, mode(2, "H"), 0.3, tail_eps=1e-5)),
+                basis_state(reg, {mode(3, "V"): 1}))
     assert fid(cswap_pol(cswap_pol(s, 3, 1, 2), 3, 1, 2), s) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -30,13 +30,21 @@ from dualcat.fock import (
     partial_trace,
     plain_register,
     polarized_register,
+    product,
     restrict,
     scale,
     squeeze_matrix,
     squeezed_cutoff,
     vacuum,
 )
-from dualcat.states import CatParams, cat, coherent, entangled_cat_pair
+from dualcat.states import (
+    CatParams,
+    SqueezeParams,
+    cat,
+    coherent,
+    entangled_cat_pair,
+    squeezed_vacuum,
+)
 
 
 def random_state(register, rng, n_terms=6, headroom=2):
@@ -424,6 +432,33 @@ def test_scale_and_add_compose():
     assert n.norm() == pytest.approx(1.0)
 
 
+def test_product_deficit_is_the_mass_the_product_misses():
+    # loose tails leave each factor a deficit; one factor is off unit norm
+    reg = ModeRegister.of({mode(1): squeezed_cutoff(0.8, 1e-2),
+                           mode(2): coherent_cutoff(0.9, 1e-2)})
+    a = squeezed_vacuum(reg, mode(1), SqueezeParams(0.8), tail_eps=1e-2)
+    b = scale(coherent(reg, mode(2), 0.9, tail_eps=1e-2), 0.7)
+    na, nb, da, db = a.norm_sq(), b.norm_sq(), a.norm_deficit, b.norm_deficit
+    assert da > 1e-4 and db > 1e-4
+    p = product(a, b)
+    assert p.amps == {(n, m): ca * cb for (n, _), ca in a.amps.items()
+                      for (_, m), cb in b.amps.items()}
+    assert p.norm_deficit == pytest.approx(na * db + da * nb + da * db, rel=1e-15, abs=0.0)
+    assert p.norm_sq() + p.norm_deficit == pytest.approx((na + da) * (nb + db), rel=1e-15, abs=0.0)
+
+
+def test_product_refuses_factors_on_a_common_mode():
+    reg = plain_register([1, 2], 3)
+    one, two = basis_state(reg, {mode(1): 1}), basis_state(reg, {mode(1): 2})
+    assert product(one, vacuum(reg)).amps == one.amps
+    # the keys of |1> and |2> share no bit, yet both occupy mode 1
+    for a, b in ((one, two), (one, one), (product(one, basis_state(reg, {mode(2): 1})), two)):
+        with pytest.raises(ValueError, match="disjoint modes"):
+            product(a, b)
+    with pytest.raises(RegisterMismatchError):
+        product(one, vacuum(plain_register([1, 2], 4)))
+
+
 def test_cutoff_rules_are_monotone_in_amplitude():
     assert coherent_cutoff(0.0) == 1
     assert coherent_cutoff(1.0) < coherent_cutoff(2.0)
@@ -432,10 +467,11 @@ def test_cutoff_rules_are_monotone_in_amplitude():
     assert squeezed_cutoff(0.8) % 2 == 0
 
 
-def _poisson_tail(lam, n):
-    """Poisson mass above n, summed term by term."""
+def _poisson_tail(lam, n, parity=None):
+    """Poisson mass above n, of the levels of one parity if given, summed
+    term by term."""
     return math.fsum(math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
-                     for k in range(n + 1, n + 400))
+                     for k in range(n + 1, n + 400) if parity is None or k % 2 == parity)
 
 
 def _squeezed_tail(r, m):
@@ -498,6 +534,35 @@ def test_squeezed_cutoff_matches_the_scipy_beta_tail(eps):
         above = betainc(ms + 1, 0.5, np.tanh(r) ** 2) <= eps
         assert above[-1]
         assert squeezed_cutoff(r, eps) == max(2 * int(np.argmax(above)), 2)
+
+
+#: relative rounding of an upward pass of a few hundred products
+PASS_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-13, 1e-14, 1e-15, 1e-16])
+@pytest.mark.parametrize("kind, x", [
+    ("coherent", 0.5), ("coherent", 1.2), ("coherent", 2.0 + 1.0j),
+    ("coherent", 3.2 * math.sqrt(2.0)), ("even", 1.2), ("even", 3.2 * math.sqrt(2.0)),
+    ("odd", 1.2), ("odd", 3.2 * math.sqrt(2.0)),
+    ("squeezed", 0.3), ("squeezed", 0.8), ("squeezed", 1.2)])
+def test_factory_seeds_its_deficit_with_the_tail_past_the_cutoff(kind, x, eps):
+    # 1 - (kept mass) reads low and, below about 1e-15, rounds to 0
+    if kind == "squeezed":
+        cutoff = squeezed_cutoff(x, eps)
+        state = squeezed_vacuum(plain_register([1], cutoff), mode(1), SqueezeParams(x), eps)
+        levels, exact = range(0, cutoff + 1, 2), _squeezed_tail(x, cutoff // 2)
+    elif kind == "coherent":
+        cutoff = coherent_cutoff(x, eps)
+        state = coherent(plain_register([1], cutoff), mode(1), x, eps)
+        levels, exact = range(cutoff + 1), _poisson_tail(abs(x) ** 2, cutoff)
+    else:
+        cutoff, keep, overlap = coherent_cutoff(x, eps), int(kind == "odd"), math.exp(-2.0 * x * x)
+        state = cat(plain_register([1], cutoff), mode(1), CatParams(x, kind), eps)
+        weight = 2.0 / (1.0 - overlap if keep else 1.0 + overlap)  # (2N)^2
+        levels, exact = range(keep, cutoff + 1, 2), weight * _poisson_tail(x * x, cutoff, keep)
+    assert len(state) == len(levels)  # nothing pruned: the deficit is the seed alone
+    assert exact * (1.0 - PASS_ROUNDING) <= state.norm_deficit <= 2.0 * exact
 
 
 # ---------------------------------------------------------------------------
