@@ -8,7 +8,6 @@ form onto a common coherent envelope.  All three entropies agree.
 """
 
 import math
-import warnings
 
 from dualcat import (
     access_parity,
@@ -32,9 +31,7 @@ parity = access_parity(gen.output_state)
 e_par = entanglement(parity.output_state, [mode(1, "H"), mode(1, "V")]).entropy_bits
 print(f"parity access entropy across the paths  : {e_par:.9f} bits")
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    pol = access_polarization(gen.output_state)
+pol = access_polarization(gen.output_state)
 e_pol = entanglement(pol.output_state, [mode(1, "H"), mode(1, "V")]).entropy_bits
 print(f"polarization access entropy             : {e_pol:.9f} bits")
 print(f"herald probability of the access stage  : {pol.postselect_probability:.4f}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +52,6 @@ class CircuitReport:
     output_state: PureState
     postselect_probability: float
     branch_log: tuple
-    imperfection: Imperfection = PERFECT
 
     def branch_product(self) -> float:
         return math.prod((p for _, p in self.branch_log), start=1.0)
@@ -229,7 +227,9 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     component and an equal-amplitude vacuum projection of the horizontal
     one erases which-branch information.  Conditioning keeps the dark
     horizontal port and a click on the vertical port; the rotation and the
-    dark port run as one op, ``fock.mixer_dark_branch``.
+    dark port run as one op, ``fock.mixer_dark_branch``.  The rotation is
+    unitary, and what the cutoffs drop from the dark port is in its deficit,
+    so the dark port's probability is its norm² over that of its input.
 
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.
@@ -239,11 +239,6 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     alpha_est = _infer_cat_amplitude(state)
     A = alpha_est / SQRT2
     B = imp.actual_displacement(A)
-    if abs(A) ** 2 < 1.0 - 1e-9:
-        warnings.warn(
-            f"envelope |A|^2 = {abs(A)**2:.3f} < 1: the logical qubit pair is "
-            f"read out of the occupied-rail pattern regardless",
-            stacklevel=2)
 
     cut_path = max(reg.cutoffs)
     cut_tag = tag_cutoff(A, imp, tail_eps)
@@ -265,17 +260,17 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
         psi, 3, flips=[(target, imp.flip_angle) for target in (1, 2)],
         phases=[(target, imp.cphase_angle) for target in (1, 2)], on_ambiguous=imp.on_ambiguous)
 
-    dark, rotated_sq = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
+    dark = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
     if dark.norm_sq() < 1e-12:
         # no dark H port: report the unconditioned rotated state.  At flip_angle
         # 0 the port does stay dark (p ~ 0.05); the V click below is the dust
         psi = elements.polarizer(psi, 3, "diag45").state("pass")
-        return CircuitReport(normalized(psi), 0.0, (("tag_dark_port", 0.0),), imp)
+        return CircuitReport(normalized(psi), 0.0, (("tag_dark_port", 0.0),))
     click = elements.onoff_detect(dark, mode(3, "V"))
-    log = (("tag_dark_port", dark.norm_sq() / max(rotated_sq, 1e-300)),
+    log = (("tag_dark_port", dark.norm_sq() / psi.norm_sq()),
            ("tag_click", click.probability("click") / max(dark.norm_sq(), 1e-300)))
     out = normalized(click.state("click"))
-    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), log, imp)
+    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), log)
 
 
 # ---------------------------------------------------------------------------

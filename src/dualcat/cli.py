@@ -22,7 +22,6 @@ import os
 import platform
 import sys
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -370,16 +369,13 @@ def run(config: RunConfig) -> ExperimentResult:
     if cutoff > MAX_CUTOFF:
         raise CutoffError(f"{config.experiment} needs a per-mode cutoff of {cutoff} "
                           f"(> {MAX_CUTOFF}); shrink its amplitudes or search radius")
-    with warnings.catch_warnings():
-        # access_polarization warns below |A|^2 = 1, where the runs still hold
-        warnings.filterwarnings("ignore", message="envelope", category=UserWarning)
-        result = spec.single(p, eps) if spec.single else ExperimentResult()
-        if config.jobs > 1 and len(points) > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays this
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                done = list(pool.map(spec.point, points, [eps] * len(points)))
-        else:
-            done = [spec.point(q, eps) for q in points]
+    result = spec.single(p, eps) if spec.single else ExperimentResult()
+    if config.jobs > 1 and len(points) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays this
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            done = list(pool.map(spec.point, points, [eps] * len(points)))
+    else:
+        done = [spec.point(q, eps) for q in points]
     if done:
         rows, deficits = map(list, zip(*done))
         result.tables[spec.table] = Table(list(spec.columns), rows)

@@ -146,8 +146,9 @@ def polarizer(state: PureState, path: int, kind: str) -> BranchedOutcome:
 
     ``kind`` "H" or "V" keeps the matching polarization and diverts any
     photons of the orthogonal one into a "blocked" branch.  ``kind``
-    "diag45" is the unitary 45-degree basis rotation (single branch); its
-    dark-H branch alone is ``fock.mixer_dark_branch``.
+    "diag45" is the unitary 45-degree basis rotation (single branch).  Its
+    dark-H branch alone, without the rotated state, is
+    ``fock.mixer_dark_branch``.
     """
     ih, iv = _pol_pair(state, path)
     if kind == "diag45":

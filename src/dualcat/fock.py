@@ -28,7 +28,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -659,23 +659,10 @@ def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.n
     return (vecs * np.exp(-1j * t * lam)) @ adjoint
 
 
-def _mixer_setup(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel, theta: float,
-                 phase: float) -> tuple[int, int, Callable[[int], np.ndarray]]:
-    """Positions of the two mixed modes and the mixer unitary on each total t,
-    built once per t for one mixer call."""
-    ia, ib = state.register.index(mode_a), state.register.index(mode_b)
-    if ia == ib:
-        raise ValueError("mixer needs two distinct modes")
-    return ia, ib, functools.cache(lambda t: _gaussian_unitary("mix", t + 1, theta, phase))
-
-
 @_one_blas_thread
-def _mixed(part: PureState, ia: int, ib: int, unitary, dark: bool = False
-           ) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _mixed(part: PureState, ia: int, ib: int, unitary) -> tuple[np.ndarray, np.ndarray, float]:
     """Keys and amplitudes of ``part`` mixed in full, unsorted and unpruned,
-    the mass of the columns beyond a cutoff, which are dropped, and the mass
-    of the others that :func:`_finish` would keep; with ``dark`` only the
-    n_a = 0 column is kept.
+    and the mass of the columns beyond a cutoff, which are dropped.
 
     Each (total t, rest) component that occurs is a row over n_a = 0..t of
     one packed array, whose rows of one total are mixed in one product; the
@@ -683,7 +670,7 @@ def _mixed(part: PureState, ia: int, ib: int, unitary, dark: bool = False
     """
     reg = part.register
     if not len(part):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), 0.0, 0.0
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), 0.0
     rest, group, occ = group_by(part, [reg.modes[ia], reg.modes[ib]])
     # one block per (total, rest) component that occurs, numbered by total
     # and then rest in a presence table, packed end to end
@@ -702,7 +689,7 @@ def _mixed(part: PureState, ia: int, ib: int, unitary, dark: bool = False
     at += occ[:, 0]  # each amplitude's place: its block's start plus n_a
     packed[at] = part.coeffs
     keep = np.zeros(len(packed), dtype=bool)
-    dropped = fitting = 0.0
+    dropped = 0.0
     cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         t = int(total[lo])
@@ -711,17 +698,13 @@ def _mixed(part: PureState, ia: int, ib: int, unitary, dark: bool = False
         na = np.arange(t + 1)
         fits = (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib])
         dropped += _mass(out[:, ~fits])
-        if dark:
-            kept = out[:, fits]
-            fitting += _mass(kept[np.abs(kept) > DEFAULT_PRUNE_EPS])
-            fits &= na == 0
         packed[rows] = out.ravel()
         keep[rows].reshape(hi - lo, t + 1)[:] = fits
     slots = np.flatnonzero(keep)
     block = np.searchsorted(start, slots, side="right") - 1
     na = slots - start[block]
     keys = rest[comp_rest[block]] + na * reg.strides[ia] + (total[block] - na) * reg.strides[ib]
-    return keys, packed[slots], dropped, fitting
+    return keys, packed[slots], dropped
 
 
 @_one_blas_thread
@@ -735,83 +718,51 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     pushed beyond a per-mode cutoff are dropped into the norm deficit.  The
     state is mixed in :func:`_runs` slices, so temporaries stay bounded.
     """
-    ia, ib, unitary = _mixer_setup(state, mode_a, mode_b, theta, phase)
-    parts = [_finish(state.register, *_mixed(part, ia, ib, unitary)[:3])
+    ia, ib = state.register.index(mode_a), state.register.index(mode_b)
+    if ia == ib:
+        raise ValueError("mixer needs two distinct modes")
+    unitary = functools.cache(lambda t: _gaussian_unitary("mix", t + 1, theta, phase))
+    parts = [_finish(state.register, *_mixed(part, ia, ib, unitary))
              for part in _runs(state, min(ia, ib))]
     return _joined(state.register, parts, state.norm_deficit)
 
 
 @_one_blas_thread
 def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
-                      theta: float, phase: float = 0.0) -> tuple[PureState, float]:
-    """The vacuum branch of ``mode_a`` after :func:`apply_two_mode_mixer` and
-    the mixed state's squared norm.
+                      theta: float, phase: float = 0.0) -> PureState:
+    """The vacuum branch of ``mode_a`` after :func:`apply_two_mode_mixer`.
 
-    A block of total t up to both cutoffs drops no column, so it keeps its
-    mass (the mixer is unitary on it), and its dark amplitude is the sum of
-    U_t[0, n_a] c over its amplitudes: one weighted bincount per
-    :func:`_runs` slice, with no dense block.  Any other block is mixed in
-    full, and every dropped column's mass joins the deficit.  A dust block,
-    t past the cutoff of ``mode_b``, has its dark column beyond that cutoff
-    and so no output amplitude.  When the state spans several slices, the
-    dust blocks of them all are gathered and mixed after the slices, in
-    :func:`_runs` slices of their own, for their dropped and kept masses
-    alone; a state of one slice mixes them with its other blocks.
-
-    The deficit is at most that of :func:`apply_two_mode_mixer` followed by
-    the vacuum projection: exactly on a state of one slice, which sums it in
-    the mixer's order, and up to rounding on one of several slices, whose
-    gathered dust sums it in another order.  The mixed norm counts a block
-    that fits whole with its whole mass, and of any other block only the
-    kept amplitudes above the prune line; it may exceed the rotation's norm
-    by the mass the rotation prunes from whole blocks.
+    The dark amplitude of a (total t, rest) block is the sum of U_t[0, n_a] c
+    over its amplitudes, row 0 of the block unitary: one weighted bincount
+    per :func:`_runs` slice, with no dense block.  A block with t up to the
+    cutoff of ``mode_b`` gives the amplitude at n_b = t.  The dark column of
+    any other block lies past that cutoff, so its mass joins the deficit,
+    which is then exactly the input deficit, plus the dark-column mass past
+    the cutoff, plus the pruned dust.
     """
     reg = state.register
-    ia, ib, unitary = _mixer_setup(state, mode_a, mode_b, theta, phase)
-    defer = _run_end(state, min(ia, ib), 0, _CHUNK) < len(state)
-    low = min(reg.cutoffs[ia], reg.cutoffs[ib])
-    row0 = np.zeros((low + 1, low + 1), dtype=complex)  # row0[t, n_a] = U_t[0, n_a]
-    for t in range(low + 1):
-        row0[t, :t + 1] = unitary(t)[0]
-
-    def dark(part: PureState) -> tuple[PureState, float, PureState]:
-        rest, group, occ = group_by(part, [mode_a, mode_b])
-        total = occ[:, 0] + occ[:, 1]
-        fit = total <= low
-        dust = (total > reg.cutoffs[ib]) & defer
-        code, coeffs = total[fit], part.coeffs[fit]
-        kept = _mass(coeffs)
-        coeffs *= row0.ravel()[code * (low + 1) + occ[:, 0][fit]]
-        code *= len(rest)
-        code += group[fit]  # the block of each amplitude: total * len(rest) + group
-        present = np.zeros((low + 1) * len(rest), dtype=bool)
-        present[code] = True
-        blocks = np.flatnonzero(present)
-        sums = (np.bincount(code, coeffs.real, len(present))
-                + 1j * np.bincount(code, coeffs.imag, len(present)))[blocks]
-        t, row = np.divmod(blocks, len(rest))
-        keys = rest[row] + t * reg.strides[ib]
-        dropped = 0.0
-        mixed = ~(fit | dust)
-        if mixed.any():
-            more, amps, dropped, fitting = _mixed(
-                _wrap(reg, part.keys[mixed], part.coeffs[mixed], 0.0), ia, ib, unitary, dark=True)
-            keys, sums, kept = np.concatenate([keys, more]), np.concatenate([sums, amps]), kept + fitting
-        return (_finish(reg, keys, sums, dropped), kept,
-                _wrap(reg, part.keys[dust], part.coeffs[dust], 0.0))
-
-    parts, kept, dust = [], 0.0, []
+    ia, ib = reg.index(mode_a), reg.index(mode_b)
+    if ia == ib:
+        raise ValueError("mixer needs two distinct modes")
+    row0, built, parts = np.empty(0, dtype=complex), 0, []  # U_t[0] packed for t < built
     for part in _runs(state, min(ia, ib)):
-        out, part_kept, part_dust = dark(part)
-        parts.append(out)
-        kept += part_kept
-        dust.append(part_dust)
-    # the dust blocks give no amplitude, only the mass their columns drop
-    for piece in _runs(_joined(reg, dust, 0.0), min(ia, ib)):
-        _, _, dropped, fitting = _mixed(piece, ia, ib, unitary, dark=True)
-        parts.append(_wrap(reg, np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), dropped))
-        kept += fitting
-    return _joined(reg, parts, state.norm_deficit), kept
+        rest, group, occ = group_by(part, [mode_a, mode_b])
+        total = occ.sum(axis=1)
+        top = int(total.max())
+        if top >= built:  # copies, so no whole U_t stays alive
+            row0 = np.concatenate([row0] + [_gaussian_unitary("mix", t + 1, theta, phase)[0].copy()
+                                            for t in range(built, top + 1)])
+            built = top + 1
+        coeffs = part.coeffs * row0[total * (total + 1) // 2 + occ[:, 0]]
+        code = total * len(rest) + group  # the block of each amplitude
+        size = (top + 1) * len(rest)
+        sums = np.bincount(code, coeffs.real, size) + 1j * np.bincount(code, coeffs.imag, size)
+        dark = (reg.cutoffs[ib] + 1) * len(rest)  # the blocks whose dark column fits
+        blocks = np.flatnonzero(sums[:dark])  # an empty block sums to 0, which is pruned
+        t, row = np.divmod(blocks, len(rest))
+        parts.append(_finish(reg, rest[row] + t * reg.strides[ib], sums[blocks],
+                             _mass(sums[dark:])))
+    return _joined(reg, parts, state.norm_deficit)
 
 
 # ---------------------------------------------------------------------------

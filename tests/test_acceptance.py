@@ -10,7 +10,6 @@ exact closed form, whose Heisenberg-limited plateau is QFI / (nbar^2 +
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -63,12 +62,6 @@ PATH12_RAILS = [mode(1, "H"), mode(1, "V"), mode(2, "H"), mode(2, "V")]
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {detail}")
-
-
-def quiet_access(state, imperfection=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return access_polarization(state, imperfection)
 
 
 def test_criterion_1_split_exactness():
@@ -129,7 +122,7 @@ def test_criterion_3_duality_invariant():
     e_gen = entanglement(gen.output_state, [mode(1, "H")]).entropy_bits
     e_par = entanglement(access_parity(gen.output_state).output_state,
                          [mode(1, "H"), mode(1, "V")]).entropy_bits
-    acc = quiet_access(gen.output_state)
+    acc = access_polarization(gen.output_state)
     e_pol = entanglement(acc.output_state,
                          [mode(1, "H"), mode(1, "V")]).entropy_bits
     target = analytic_coherent_bell(
@@ -150,13 +143,13 @@ def test_criterion_4_imperfection_behavior():
     gen = generate_entangled_cat(1.2)
     negs = []
     for off in (0.0, 0.1, 0.3, 0.6):
-        acc = quiet_access(gen.output_state, Imperfection(displacement_offset=off))
+        acc = access_polarization(gen.output_state, Imperfection(displacement_offset=off))
         q = polarization_qubit_state(acc.output_state, 1, 2)
         negs.append(negativity_two_qubit(q.rho)[0])
     monotone = all(a >= b - 1e-12 for a, b in zip(negs, negs[1:]))
     maximal_at_zero = negs[0] == max(negs)
 
-    acc0 = quiet_access(gen.output_state, Imperfection(flip_angle=0.0))
+    acc0 = access_polarization(gen.output_state, Imperfection(flip_angle=0.0))
     q0 = polarization_qubit_state(acc0.output_state, 1, 2)
     neg0 = negativity_two_qubit(q0.rho)[0]
     ok = monotone and maximal_at_zero and neg0 <= 1e-9

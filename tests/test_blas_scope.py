@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 
 import pytest
@@ -51,9 +50,7 @@ def fake(monkeypatch):
 def test_one_polarization_access_is_one_scope(fake):
     state = circuits.generate_entangled_cat(1.2).output_state
     fake.log.clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the envelope |A|^2 < 1 warning
-        circuits.access_polarization(state)
+    circuits.access_polarization(state)
     assert fake.log == ONE_SCOPE
 
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import pytest
 
@@ -40,12 +39,6 @@ from dualcat.fock import (
 from dualcat.states import SqueezeParams, coherent
 
 PATH12_RAILS = [mode(1, "H"), mode(1, "V"), mode(2, "H"), mode(2, "V")]
-
-
-def quiet_access(state, imperfection=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return access_polarization(state, imperfection)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ def test_parity_access_maps_products_to_products():
 def test_polarization_access_conditions_on_the_coherent_bell_state():
     alpha = 1.4
     rep = generate_entangled_cat(alpha)
-    acc = quiet_access(rep.output_state)
+    acc = access_polarization(rep.output_state)
     out = acc.output_state
     target = analytic_coherent_bell(
         polarized_register([1, 2], max(out.register.cutoffs)),
@@ -161,7 +154,7 @@ def test_polarization_access_conditions_on_the_coherent_bell_state():
 
 def test_polarization_access_bookkeeping_is_consistent():
     rep = generate_entangled_cat(1.2)
-    acc = quiet_access(rep.output_state)
+    acc = access_polarization(rep.output_state)
     assert acc.postselect_probability == pytest.approx(acc.branch_product(), abs=1e-10)
     assert 0.0 < acc.postselect_probability < 1.0
 
@@ -169,7 +162,7 @@ def test_polarization_access_bookkeeping_is_consistent():
 def test_polarization_access_entropy_matches_generation():
     rep = generate_entangled_cat(1.2)
     gen_entropy = entanglement(rep.output_state, [mode(1, "H")]).entropy_bits
-    acc = quiet_access(rep.output_state)
+    acc = access_polarization(rep.output_state)
     pol_entropy = entanglement(acc.output_state,
                                [mode(1, "H"), mode(1, "V")]).entropy_bits
     assert pol_entropy == pytest.approx(gen_entropy, abs=1e-6)
@@ -179,7 +172,7 @@ def test_polarization_access_negativity_decreases_with_displacement_error():
     rep = generate_entangled_cat(1.2)
     negs = []
     for off in (0.0, 0.3):
-        acc = quiet_access(rep.output_state, Imperfection(displacement_offset=off))
+        acc = access_polarization(rep.output_state, Imperfection(displacement_offset=off))
         q = polarization_qubit_state(acc.output_state, 1, 2)
         negs.append(negativity_two_qubit(q.rho)[0])
     assert negs[0] == pytest.approx(0.5, abs=1e-6)
@@ -188,7 +181,7 @@ def test_polarization_access_negativity_decreases_with_displacement_error():
 
 def test_polarization_access_partial_flip_gives_partial_entanglement():
     rep = generate_entangled_cat(1.2)
-    acc = quiet_access(rep.output_state, Imperfection(flip_angle=math.pi / 2))
+    acc = access_polarization(rep.output_state, Imperfection(flip_angle=math.pi / 2))
     q = polarization_qubit_state(acc.output_state, 1, 2)
     _, logneg = negativity_two_qubit(q.rho)
     assert 0.0 + 1e-6 < logneg < 1.0 - 1e-6
@@ -196,7 +189,7 @@ def test_polarization_access_partial_flip_gives_partial_entanglement():
 
 def test_polarization_access_zero_flip_gives_no_entanglement():
     rep = generate_entangled_cat(1.2)
-    acc = quiet_access(rep.output_state, Imperfection(flip_angle=0.0))
+    acc = access_polarization(rep.output_state, Imperfection(flip_angle=0.0))
     q = polarization_qubit_state(acc.output_state, 1, 2)
     neg, _ = negativity_two_qubit(q.rho)
     assert neg == pytest.approx(0.0, abs=1e-9)
@@ -206,7 +199,7 @@ def test_zero_flip_keeps_a_dark_port_but_no_v_click():
     # without the flip the H port still stays dark; it is the V click that
     # falls to rounding dust, so normalizing it leaves a huge deficit
     rep = generate_entangled_cat(1.2)
-    acc = quiet_access(rep.output_state, Imperfection(flip_angle=0.0))
+    acc = access_polarization(rep.output_state, Imperfection(flip_angle=0.0))
     (dark, p_dark), (click, p_click) = acc.branch_log
     assert (dark, click) == ("tag_dark_port", "tag_click")
     assert p_dark == pytest.approx(0.0531511364, rel=1e-8)
@@ -217,14 +210,14 @@ def test_zero_flip_keeps_a_dark_port_but_no_v_click():
 def test_polarization_access_keeps_the_input_deficit():
     # the deficit bounds the missing mass, so conditioning can only raise it
     gen = generate_entangled_cat(1.19).output_state
-    out = quiet_access(gen).output_state
+    out = access_polarization(gen).output_state
     assert out.norm_deficit >= gen.norm_deficit > 0.0
 
 
 def test_polarization_access_is_deterministic():
     rep = generate_entangled_cat(1.0)
-    a = quiet_access(rep.output_state)
-    b = quiet_access(rep.output_state)
+    a = access_polarization(rep.output_state)
+    b = access_polarization(rep.output_state)
     assert a.branch_log == b.branch_log
     assert a.output_state.amps == b.output_state.amps
 
@@ -383,7 +376,7 @@ def test_local_unitaries_preserve_every_entanglement_measure():
 def test_polarization_access_accepts_single_path_registers():
     reg = polarized_register([1], 22)
     pair = analytic_dual_rail_pair(reg, 1.0, "-")
-    acc = quiet_access(pair)
+    acc = access_polarization(pair)
     target = analytic_coherent_bell(
         polarized_register([1, 2], max(acc.output_state.register.cutoffs)),
         1.0 / math.sqrt(2.0), "-")
@@ -411,7 +404,7 @@ def test_on_ambiguous_follows_the_imperfection(monkeypatch, imperfection, expect
         return gates(*args, on_ambiguous=on_ambiguous, **kwargs)
 
     monkeypatch.setattr(elements, "controlled_pol_gates", recorded)
-    quiet_access(generate_entangled_cat(1.2).output_state, imperfection)
+    access_polarization(generate_entangled_cat(1.2).output_state, imperfection)
     assert seen == [(expected, 2, 2)]
     assert (imperfection or Imperfection()).on_ambiguous == expected
 
@@ -432,7 +425,7 @@ def test_polarization_access_peak_is_at_most_80_bytes_per_amplitude(monkeypatch)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        quiet_access(state, Imperfection(displacement_offset=0.6))
+        access_polarization(state, Imperfection(displacement_offset=0.6))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

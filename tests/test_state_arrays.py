@@ -223,35 +223,44 @@ def dense_dark_branch(psi, theta, phase):
 def test_dark_branch_norm_leaves_out_what_the_rotation_prunes():
     # |1, 1> on cutoffs 1, 1: the rotation drops |2, 0> and |0, 2>, and the
     # |1, 1> it keeps interferes away to about 5e-17 of the amplitude, which
-    # the rotation prunes; the mixed norm must not count it either
+    # the rotation prunes; that remnant is not in the dark column, so the
+    # dark branch is empty and its deficit is the dropped |0, 2> alone
     reg = ModeRegister((mode(1, "H"), mode(1, "V"), mode(2)), (1, 1, 1))
     psi = PureState(reg, {(1, 1, 0): 0.11346}, 0.0)
-    dark, rotated_sq = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
+    dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
     rotated = polarizer(psi, 1, "diag45").state("pass")
     assert len(rotated) == len(dark) == 0
-    assert rotated_sq == rotated.norm_sq() == 0.0
+    assert dark.norm_sq() == rotated.norm_sq() == 0.0
+    _, exact = dense_dark_branch(psi, -math.pi / 4.0, 0.0)
+    dropped_dark = np.sum(np.abs(exact[2:]) ** 2)
+    assert abs(dark.norm_deficit - dropped_dark) <= TOL
+    assert abs(dark.norm_deficit - 0.5 * 0.11346**2) <= TOL
+    assert dark.norm_deficit <= rotated.norm_deficit
 
 
 def test_dark_branch_norm_counts_a_fitting_block_whole():
-    # a block whose columns all fit keeps its whole mass in the mixed norm,
-    # with no dense rotation, so the norm may exceed the rotation's by the
-    # mass the rotation prunes: |1, 0> at 1.2e-16 rotates to two amplitudes
-    # of 8.5e-17, both pruned
+    # a block whose dark column fits and is pruned counts its whole dark
+    # mass in the deficit: |1, 0> at 1.2e-16 rotates to two amplitudes of
+    # 8.5e-17, both pruned, and the dark one, |0, 1>, fits cutoff 1V
     reg = ModeRegister((mode(1, "H"), mode(1, "V"), mode(2)), (1, 1, 1))
     psi = PureState(reg, {(1, 0, 0): 1.2e-16}, 0.0)
-    dark, rotated_sq = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
+    dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
     rotated = polarizer(psi, 1, "diag45").state("pass")
-    assert len(rotated) == len(dark) == 0 and rotated.norm_sq() == 0.0
-    assert rotated_sq == psi.norm_sq()
-    assert rotated_sq <= rotated.norm_deficit * (1.0 + 1e-15)
+    assert len(rotated) == len(dark) == 0
+    assert dark.norm_sq() == rotated.norm_sq() == 0.0
+    _, exact = dense_dark_branch(psi, -math.pi / 4.0, 0.0)
+    assert dark.norm_deficit == pytest.approx(np.sum(np.abs(exact) ** 2), rel=1e-12)
+    assert dark.norm_deficit == pytest.approx(0.5 * psi.norm_sq(), rel=1e-12)
+    assert dark.norm_deficit <= rotated.norm_deficit * (1.0 + 1e-15)
 
 
 @st.composite
 def sliced_tag_path_states(draw):
     """A state on a spectator mode and path 1, with 1H's cutoff below 1V's,
-    holding blocks of total t in (cutoff 1H, cutoff 1V], mixed inside their
-    slice, and dust blocks, t past cutoff 1V, on every spectator value; plus
-    an input deficit."""
+    holding blocks of total t in (cutoff 1H, cutoff 1V] and blocks whose
+    dark column lies past cutoff 1V on every spectator value, of a total
+    drawn for each value, so a later slice may hold a larger total than the
+    first; plus an input deficit."""
     cut_h = draw(st.integers(1, 2))
     cuts = (draw(st.integers(1, 3)), cut_h, draw(st.integers(cut_h + 1, 4)))
     reg = ModeRegister((mode(2), mode(1, "H"), mode(1, "V")), cuts)
@@ -259,81 +268,59 @@ def sliced_tag_path_states(draw):
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = dict(psi.amps)
     for n in range(cuts[0] + 1):
-        for occ in ((n, cut_h, 1), (n, cut_h, cuts[2])):
+        past = draw(st.integers(cuts[2] - cut_h + 1, cuts[2]))  # cut_h + past > cutoff 1V
+        for occ in ((n, cut_h, 1), (n, cut_h, past)):
             amps.setdefault(occ, complex(gen.normal(), gen.normal()))
     return PureState(reg, amps, draw(st.sampled_from([0.0, 0.25])))
 
 
 @SETTINGS
 @given(psi=sliced_tag_path_states(), chunk=st.sampled_from([1, 2, 3, 5, 8, 64]))
-def test_dark_branch_mixes_dust_blocks_once_after_the_slices(psi, chunk):
-    """With slices of a few amplitudes, the blocks of total t up to the 1V
-    cutoff are mixed in their slice and the dust blocks in one pass after
-    the slices, itself in slices of whole runs; a state of one slice (64
-    amplitudes hold it) mixes both in it.  The output matches the rotation
-    followed by the dark port."""
-    calls = []
-    mixed = fock._mixed
-
-    def spy(part, ia, ib, unitary, dark=False):
-        # the totals of the mixed modes and the spectator values (runs) of the call
-        calls.append((part.register.digits(part.keys, [ia, ib]).sum(axis=1).tolist(),
-                      set(part.register.digit(part.keys, 0).tolist())))
-        return mixed(part, ia, ib, unitary, dark)
+def test_dark_branch_is_one_bincount_pass_at_any_slice_size(psi, chunk):
+    """With slices of a few amplitudes, or one slice holding the whole state
+    (64 amplitudes hold it), no block is mixed densely, and the output
+    matches the rotation followed by the dark port.  The deficit is the
+    input's plus the mass of the dark column past the cutoff of 1V."""
+    def dense(*args):
+        raise AssertionError("the dark branch mixed a block densely")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fock, "_CHUNK", chunk)
-        patch.setattr(fock, "_mixed", spy)
-        dark, rotated_sq = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
-    cut_h, cut_v = psi.register.cutoffs[1:]
-    totals = psi.register.digits(psi.keys, [1, 2]).sum(axis=1)
-    assert calls and all(cut_h < t for totals, _ in calls for t in totals)
-    if fock._run_end(psi, 1, 0, chunk) < len(psi):
-        # several slices: theirs mix the blocks up to cutoff 1V, the calls
-        # after them the dust, each at most `chunk` amplitudes or one run
-        n = next(k for k, (got, _) in enumerate(calls) if min(got) > cut_v)
-        assert all(max(got) <= cut_v for got, _ in calls[:n])
-        dust = calls[n:]
-        assert all(min(got) > cut_v and (len(got) <= chunk or len(runs) == 1)
-                   for got, runs in dust)
-        assert sorted(t for got, _ in dust for t in got) == sorted(totals[totals > cut_v].tolist())
-    else:
-        assert len(calls) == 1 and sorted(calls[0][0]) == sorted(totals[totals > cut_h].tolist())
+        patch.setattr(fock, "_mixed", dense)
+        dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
     rotated = polarizer(psi, 1, "diag45").state("pass")
     composed = onoff_detect(rotated, mode(1, "H")).state("no_click")
     assert dark.keys.tolist() == composed.keys.tolist()
     assert np.max(np.abs(dark.coeffs - composed.coeffs), initial=0.0) <= 1e-14
-    assert abs(rotated_sq - rotated.norm_sq()) <= 1e-14 * rotated.norm_sq()
     # the dense mixer on a register wide enough for every total, then 1H = 0
     cuts = psi.register.cutoffs
-    wide = ModeRegister(psi.register.modes, (cuts[0],) + (cut_h + cut_v,) * 2)
+    wide = ModeRegister(psi.register.modes, (cuts[0],) + (cuts[1] + cuts[2],) * 2)
     exact = (oracles.dense_mixer(wide, 1, 2, -math.pi / 4.0, 0.0)
              @ oracles.dense_vector(embed(psi, wide))).reshape(oracles.dims(wide))[:, 0]
-    dropped_dark = np.sum(np.abs(exact[:, cut_v + 1:]) ** 2)
-    # the deferred pass sums the deficit in another order than the rotation,
-    # so it may read a rounding above the composed deficit
-    assert psi.norm_deficit + dropped_dark - TOL <= dark.norm_deficit <= composed.norm_deficit + TOL
+    dropped_dark = np.sum(np.abs(exact[:, cuts[2] + 1:]) ** 2)
+    assert abs(dark.norm_deficit - (psi.norm_deficit + dropped_dark)) <= TOL
+    assert dark.norm_deficit <= composed.norm_deficit + TOL
 
 
 @SETTINGS
 @given(psi=tag_path_states())
 def test_dark_branch_matches_rotation_then_dark_port(psi):
-    dark, rotated_sq = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
+    dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
     rotated = polarizer(psi, 1, "diag45").state("pass")
     composed = onoff_detect(rotated, mode(1, "H")).state("no_click")
     assert dark.keys.tolist() == composed.keys.tolist()
     assert np.max(np.abs(dark.coeffs - composed.coeffs), initial=0.0) <= 1e-14
-    assert abs(rotated_sq - rotated.norm_sq()) <= 1e-14 * rotated.norm_sq()
     # the mass of the n_1H = 0 column that the cutoff of 1V drops
     wide, exact = dense_dark_branch(psi, -math.pi / 4.0, 0.0)
     dropped_dark = np.sum(np.abs(exact[psi.register.cutoffs[1] + 1:]) ** 2)
-    assert psi.norm_deficit + dropped_dark - TOL <= dark.norm_deficit <= composed.norm_deficit
+    assert abs(dark.norm_deficit - (psi.norm_deficit + dropped_dark)) <= TOL
+    assert dark.norm_deficit <= composed.norm_deficit
 
 
 @SETTINGS
 @given(psi=tag_path_states(), theta=st.floats(-3.2, 3.2), phase=st.floats(-3.2, 3.2))
 def test_dark_branch_deficit_bounds_its_missing_mass(psi, theta, phase):
-    dark, _ = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), theta, phase)
+    dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), theta, phase)
     wide, exact = dense_dark_branch(psi, theta, phase)
     got = dense(embed(dark, wide))[0]
     assert np.sum(np.abs(exact - got) ** 2) <= dark.norm_deficit + TOL
