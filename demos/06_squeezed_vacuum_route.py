@@ -41,7 +41,7 @@ for rr in (0.5, 1.2):
           f"{fidelity(rep.output_state, bell):.12f}")
 
 print("\nconditional polarization access (r = 0.7):")
-acc = sv_access_polarization(sv_generate(0.7, 0.5))
+acc = sv_access_polarization(sv_generate(0.7, 0.5).output_state)
 target = analytic_subtracted_bell(
     polarized_register([1, 2], max(acc.output_state.register.cutoffs)), 0.7)
 rails = [mode(1, "H"), mode(1, "V"), mode(2, "H"), mode(2, "V")]

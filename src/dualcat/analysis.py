@@ -85,16 +85,15 @@ class BellSearch:
 
 
 @_one_blas_thread
-def entanglement(state: PureState, partition: Sequence[ModeLabel],
-                 norm_tol: float = 1e-8) -> EntanglementSummary:
-    """Schmidt decomposition of a normalized pure state across ``partition``.
+def entanglement(state: PureState, partition: Sequence[ModeLabel]) -> EntanglementSummary:
+    """Schmidt decomposition across ``partition`` of a pure state of norm 1 (to 1e-8).
 
     Returns the entanglement entropy in bits, the logarithmic negativity
     (log2 of the squared sum of Schmidt coefficients) and the Schmidt
     spectrum itself.
     """
     n = state.norm()
-    if abs(n - 1.0) > norm_tol:
+    if abs(n - 1.0) > 1e-8:
         raise ValueError(f"entanglement needs a normalized state (norm {n:.6g})")
     reg = state.register
     keep_idx = [reg.index(m) for m in partition]
@@ -402,15 +401,15 @@ def qfi_phase(state: PureState, probe_mode: ModeLabel) -> float:
     return 4.0 * (m2 - m1 * m1)
 
 
-def qfi_phase_decay(state: PureState, probe_mode: ModeLabel, delta: float = 1e-3) -> float:
+def qfi_phase_decay(state: PureState, probe_mode: ModeLabel) -> float:
     """Overlap-decay estimate of the same Fisher information.
 
-    Uses F(d) = 8(1 - |<psi|e^{i d n}|psi>|)/d^2 at d = delta and delta / 2
-    and removes the leading O(d^2) bias by Richardson extrapolation.
+    Uses F(d) = 8(1 - |<psi|e^{i d n}|psi>|)/d^2 at d = 1e-3 and 5e-4 and
+    removes the leading O(d^2) bias by Richardson extrapolation.
     """
     n2 = state.norm_sq()
     f1, f2 = (8.0 * (1.0 - abs(inner_product(state, phase_shift(state, probe_mode, d))) / n2) / d**2
-              for d in (delta, delta / 2.0))
+              for d in (1e-3, 1e-3 / 2.0))
     return (4.0 * f2 - f1) / 3.0
 
 

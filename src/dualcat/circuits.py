@@ -18,6 +18,7 @@ import numpy as np
 from . import elements, states
 from .elements import PERFECT, Imperfection
 from .fock import (
+    DEFAULT_TAIL_EPS,
     DegenerateInputError,
     ModeLabel,
     ModeRegister,
@@ -50,10 +51,11 @@ class CircuitReport:
     """Conditioned circuit output plus post-selection bookkeeping."""
 
     output_state: PureState
-    postselect_probability: float
     branch_log: tuple
 
-    def branch_product(self) -> float:
+    @property
+    def postselect_probability(self) -> float:
+        """The product of the kept branches' probabilities."""
         return math.prod((p for _, p in self.branch_log), start=1.0)
 
 
@@ -62,7 +64,7 @@ class CircuitReport:
 
 
 def generate_entangled_cat(alpha: float, sign: str = "-",
-                           tail_eps: float = 1e-12) -> CircuitReport:
+                           tail_eps: float = DEFAULT_TAIL_EPS) -> CircuitReport:
     """Split an odd cat of amplitude sqrt(2)*alpha on a 50:50 beam splitter
     and fold the two arms onto one path as H/V rails.
 
@@ -73,7 +75,7 @@ def generate_entangled_cat(alpha: float, sign: str = "-",
 
 
 def generate_even_cat_control(alpha: float, sign: str = "-",
-                              tail_eps: float = 1e-12) -> CircuitReport:
+                              tail_eps: float = DEFAULT_TAIL_EPS) -> CircuitReport:
     """Same interferometer fed with an even cat: the negative control.
 
     The output Schmidt weights are proportional to {Ne^-4, No^-4}, short of
@@ -105,7 +107,7 @@ def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitR
         out = branch.state("pass")
         log.append((f"path{path}_{kind}_polarizer_pass", branch.probability("pass")))
     out = elements.pbs(out, 1, 2)
-    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), tuple(log))
+    return CircuitReport(out, tuple(log))
 
 
 # ---------------------------------------------------------------------------
@@ -131,30 +133,30 @@ def _subtracted_pair(register: ModeRegister, m1: ModeLabel, m2: ModeLabel, r: fl
 
 
 def analytic_dual_rail_pair(register: ModeRegister, alpha: float, sign: str = "-",
-                            path: int = 1, tail_eps: float = 1e-12) -> PureState:
-    """(|even>_H |odd>_V -+ |odd>_H |even>_V)/sqrt2 on one path."""
+                            tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
+    """(|even>_H |odd>_V -+ |odd>_H |even>_V)/sqrt2 on path 1."""
     even, odd = (functools.partial(states.cat, register, params=states.CatParams(alpha, parity),
                                    tail_eps=tail_eps) for parity in ("even", "odd"))
-    return _hv_pair(even, odd, sign, (path, path))
+    return _hv_pair(even, odd, sign, (1, 1))
 
 
 def analytic_coherent_bell(register: ModeRegister, amplitude: complex,
-                           sign: str = "-", tail_eps: float = 1e-12) -> PureState:
+                           sign: str = "-", tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """(|H>_A,1 |V>_A,2 -+ |V>_A,1 |H>_A,2)/sqrt2 with coherent envelopes."""
     envelope = functools.partial(states.coherent, register, alpha=amplitude, tail_eps=tail_eps)
     return _hv_pair(envelope, envelope, sign)
 
 
-def analytic_subtracted_bell(register: ModeRegister, r: float, sign: str = "+",
-                             tail_eps: float = 1e-12) -> PureState:
-    """(|H>1|V>2 ± |V>1|H>2)/sqrt2 on identical subtracted-squeezed envelopes."""
+def analytic_subtracted_bell(register: ModeRegister, r: float,
+                             tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
+    """(|H>1|V>2 + |V>1|H>2)/sqrt2 on identical subtracted-squeezed envelopes."""
     envelope = functools.partial(states.subtracted_sv, register, params=states.SqueezeParams(r),
                                  tail_eps=tail_eps)
-    return _hv_pair(envelope, envelope, sign)
+    return _hv_pair(envelope, envelope, "+")
 
 
 def analytic_balanced_sv_pair(register: ModeRegister, r: float,
-                              tail_eps: float = 1e-12) -> PureState:
+                              tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """(a_H + a_V)|S>_H |S>_V / (sqrt2 sinh r) on path 1, the output of
     :func:`sv_generate` at transmittance 1/2."""
     pair = _subtracted_pair(register, mode(1, "H"), mode(1, "V"), r, (1.0, 1.0), tail_eps)
@@ -176,7 +178,7 @@ def access_parity(state: PureState) -> CircuitReport:
         state = embed(state, ModeRegister.of(spec))
     out = elements.pbs(state, 1, 2)
     out = elements.hwp(out, 2)
-    return CircuitReport(out, 1.0, ())
+    return CircuitReport(out, ())
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +210,13 @@ def _infer_cat_amplitude(state: PureState) -> float:
 def tag_cutoff(envelope: float, imperfection: Imperfection, tail_eps: float) -> int:
     """Cutoff of the tag modes of :func:`access_polarization` for the
     envelope amplitude alpha/sqrt2."""
-    tag_amp = abs(envelope) + abs(imperfection.actual_displacement(envelope)) + 0.5
+    tag_amp = abs(envelope) + abs(envelope + imperfection.displacement_offset) + 0.5
     return coherent_cutoff(tag_amp, tail_eps)
 
 
 @_one_blas_thread
 def access_polarization(state: PureState, imperfection: Imperfection | None = None,
-                        tail_eps: float = 1e-12) -> CircuitReport:
+                        tail_eps: float = DEFAULT_TAIL_EPS) -> CircuitReport:
     """Sort the polarization entanglement of the H/V cat pair onto a common
     coherent envelope of amplitude A = alpha/sqrt2.
 
@@ -232,13 +234,14 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     so the dark port's probability is its norm² over that of its input.
 
     With perfect settings the conditioned output is exactly
-    (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.
+    (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
+    leaves nothing to condition on and raises :class:`DegenerateInputError`.
     """
     imp = imperfection or PERFECT
     reg = state.register
     alpha_est = _infer_cat_amplitude(state)
     A = alpha_est / SQRT2
-    B = imp.actual_displacement(A)
+    B = A + imp.displacement_offset
 
     cut_path = max(reg.cutoffs)
     cut_tag = tag_cutoff(A, imp, tail_eps)
@@ -261,16 +264,10 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
         phases=[(target, imp.cphase_angle) for target in (1, 2)], on_ambiguous=imp.on_ambiguous)
 
     dark = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
-    if dark.norm_sq() < 1e-12:
-        # no dark H port: report the unconditioned rotated state.  At flip_angle
-        # 0 the port does stay dark (p ~ 0.05); the V click below is the dust
-        psi = elements.polarizer(psi, 3, "diag45").state("pass")
-        return CircuitReport(normalized(psi), 0.0, (("tag_dark_port", 0.0),))
     click = elements.onoff_detect(dark, mode(3, "V"))
     log = (("tag_dark_port", dark.norm_sq() / psi.norm_sq()),
            ("tag_click", click.probability("click") / max(dark.norm_sq(), 1e-300)))
-    out = normalized(click.state("click"))
-    return CircuitReport(out, math.prod((p for _, p in log), start=1.0), log)
+    return CircuitReport(normalized(click.state("click")), log)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +279,11 @@ SINGLE_PHOTON_THETA = 1e-5
 
 
 @_one_blas_thread
-def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
-            sign: str = "+") -> ExperimentResult:
+def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6) -> ExperimentResult:
     """Bomb test in a polarizing Mach-Zehnder interferometer.
 
     ``state_kind`` is ``"entangled"`` (the Bell pair
-    (|H>1|V>2 + |V>1|H>2)/sqrt2, sign configurable), ``"nonmaximal"``
+    (|H>1|V>2 + |V>1|H>2)/sqrt2), ``"nonmaximal"``
     (cos(theta)|HV> + sin(theta)|VH>), or ``"single_photon"`` (the plain
     one-photon interferometer run at near-unit transmittance, where its
     efficiency approaches 1/2).
@@ -301,7 +297,7 @@ def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
         events = _single_photon_events
     elif state_kind in ("entangled", "nonmaximal"):
         th = math.pi / 4 if state_kind == "entangled" else theta
-        events = functools.partial(_polarization_events, th, sign=sign)
+        events = functools.partial(_polarization_events, th)
     else:
         raise ValueError(f"unknown state kind {state_kind!r}")
 
@@ -321,15 +317,13 @@ def run_ifm(state_kind: str, bomb: bool, theta: float = math.pi / 6,
                             convergence={"norm_deficit": max(deficit_bomb, deficit_ref)})
 
 
-def _polarization_events(theta: float, bomb: bool, sign: str) -> tuple[dict, float]:
+def _polarization_events(theta: float, bomb: bool) -> tuple[dict, float]:
     """Detection probabilities of one run and the norm deficit of its final
     state (deficits only grow along the run)."""
     reg = polarized_register([1, 2], 2)
     hv = basis_state(reg, {mode(1, "H"): 1, mode(2, "V"): 1})
     vh = basis_state(reg, {mode(1, "V"): 1, mode(2, "H"): 1})
-    s = 1.0 if sign == "+" else -1.0
-
-    psi = add(scale(hv, math.cos(theta)), scale(vh, s * math.sin(theta)))
+    psi = add(scale(hv, math.cos(theta)), scale(vh, math.sin(theta)))
 
     explode = 0.0
     if bomb:
@@ -348,17 +342,17 @@ def _polarization_events(theta: float, bomb: bool, sign: str) -> tuple[dict, flo
              "other": float(w[product == 0].sum()), "explode": explode}, psi.norm_deficit)
 
 
-def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> tuple[dict, float]:
+def _single_photon_events(bomb: bool) -> tuple[dict, float]:
     """As :func:`_polarization_events`, for the one-photon interferometer."""
     reg = plain_register([1, 2], 2)
     psi = basis_state(reg, {mode(1): 1})
-    psi = apply_two_mode_mixer(psi, mode(1), mode(2), theta)
+    psi = apply_two_mode_mixer(psi, mode(1), mode(2), SINGLE_PHOTON_THETA)
     explode = 0.0
     if bomb:
         branch = elements.absorb_arm(psi, mode(2))
         explode = branch.probability("explode")
         psi = branch.state("survive")
-    psi = apply_two_mode_mixer(psi, mode(1), mode(2), -theta)
+    psi = apply_two_mode_mixer(psi, mode(1), mode(2), -SINGLE_PHOTON_THETA)
     bright = abs(psi.amps.get((1, 0), 0.0)) ** 2
     dark = abs(psi.amps.get((0, 1), 0.0)) ** 2
     other = psi.norm_sq() - bright - dark
@@ -372,17 +366,16 @@ def _single_photon_events(bomb: bool, theta: float = SINGLE_PHOTON_THETA) -> tup
 
 
 def noon_cutoff(alpha: float, tail_eps: float) -> int:
-    """Cutoff of the register :func:`noon_from_cat_pair` builds, less its
-    ``extra_cutoff``: the tail rule of the displaced amplitude 2*alpha."""
+    """Cutoff of the register :func:`noon_from_cat_pair` builds: the tail
+    rule of the displaced amplitude 2*alpha."""
     return coherent_cutoff(2.0 * alpha, tail_eps)
 
 
 @_one_blas_thread
-def noon_from_cat_pair(alpha: float, tail_eps: float = 1e-12,
-                       extra_cutoff: int = 0) -> PureState:
+def noon_from_cat_pair(alpha: float, tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """Displace each mode of the two-path entangled cat pair by alpha,
     turning it into the normalized |2a,0> - |0,2a> superposition."""
-    reg = plain_register([1, 2], noon_cutoff(alpha, tail_eps) + extra_cutoff)
+    reg = plain_register([1, 2], noon_cutoff(alpha, tail_eps))
     pair = states.entangled_cat_pair(reg, mode(1), mode(2), alpha, "-", tail_eps)
     out = elements.displace(pair, mode(1), alpha)
     out = elements.displace(out, mode(2), alpha)
@@ -395,7 +388,7 @@ def noon_from_cat_pair(alpha: float, tail_eps: float = 1e-12,
 
 @_one_blas_thread
 def sv_generate(r: float, transmittance: float = 0.5,
-                tail_eps: float = 1e-12) -> CircuitReport:
+                tail_eps: float = DEFAULT_TAIL_EPS) -> CircuitReport:
     """Subtraction-superposition source on two squeezed vacua, folded onto
     one path as H/V rails.
 
@@ -409,11 +402,11 @@ def sv_generate(r: float, transmittance: float = 0.5,
     reg = polarized_register([1], squeezed_cutoff(r, tail_eps))
     weights = (math.sqrt(transmittance), math.sqrt(1.0 - transmittance))
     out = _subtracted_pair(reg, mode(1, "H"), mode(1, "V"), r, weights, tail_eps)
-    return CircuitReport(normalized(out), 1.0, ())
+    return CircuitReport(normalized(out), ())
 
 
 @_one_blas_thread
-def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = 1e-12) -> CircuitReport:
+def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = DEFAULT_TAIL_EPS) -> CircuitReport:
     """Anti-squeeze each path of the two-path subtraction-superposition state,
     landing on the single-photon entangled state (|1,0> + |0,1>)/sqrt2."""
     if r <= 0.0:
@@ -422,11 +415,11 @@ def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = 1e-12) -> Circui
     out = normalized(_subtracted_pair(reg, mode(1), mode(2), r, (1.0, 1.0), tail_eps))
     out = elements.squeeze(out, mode(1), -r)
     out = elements.squeeze(out, mode(2), -r)
-    return CircuitReport(out, 1.0, ())
+    return CircuitReport(out, ())
 
 
 @_one_blas_thread
-def sv_access_polarization(report_or_state, skip_cswap: bool = False) -> CircuitReport:
+def sv_access_polarization(state: PureState, skip_cswap: bool = False) -> CircuitReport:
     """Nondestructive parity sorting of the squeezed pair into a heralded
     polarization Bell state on identical photon-subtracted envelopes.
 
@@ -438,16 +431,10 @@ def sv_access_polarization(report_or_state, skip_cswap: bool = False) -> Circuit
     on its vertical detector.  ``skip_cswap`` ablates the exchange stage
     (the envelopes then no longer match).
     """
-    state = report_or_state.output_state if isinstance(report_or_state, CircuitReport) else report_or_state
     reg = state.register
     cut = max(reg.cutoffs)
-    spec: dict[ModeLabel, int] = {}
-    for p in (1, 2):
-        for pol in ("H", "V"):
-            spec[mode(p, pol)] = cut
-    for pol in ("H", "V"):
-        spec[mode(3, pol)] = 2
-    big = ModeRegister.of(spec)
+    big = ModeRegister.of({mode(p, pol): cut if p < 3 else 2
+                           for p in (1, 2, 3) for pol in ("H", "V")})
     psi = embed(state, big)
 
     psi = elements.pbs(psi, 1, 2)                       # V rail -> path 2
@@ -462,6 +449,4 @@ def sv_access_polarization(report_or_state, skip_cswap: bool = False) -> Circuit
     psi = elements.polarizer(psi, 3, "diag45").state("pass")
     herald = elements.onoff_detect(psi, mode(3, "V"))
     p = herald.probability("click") / max(psi.norm_sq(), 1e-300)
-    log = (("diag_herald_V", p),)
-    out = normalized(herald.state("click"))
-    return CircuitReport(out, p, log)
+    return CircuitReport(normalized(herald.state("click")), (("diag_herald_V", p),))

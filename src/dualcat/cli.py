@@ -30,6 +30,7 @@ import numpy as np
 from . import analysis, circuits
 from .elements import Imperfection
 from .fock import (
+    DEFAULT_TAIL_EPS,
     ContractViolationError,
     CutoffError,
     FockError,
@@ -71,7 +72,7 @@ class RunConfig:
 
     experiment: str
     parameters: dict
-    cutoff_epsilon: float = 1e-12
+    cutoff_epsilon: float = DEFAULT_TAIL_EPS
     jobs: int = 1
     output_path: str | None = None
 
@@ -260,10 +261,10 @@ def _sv_t_point(q: dict, eps: float) -> tuple:
 
 def _sv_access(p: dict, eps: float) -> ExperimentResult:
     r = float(p["r"])
-    acc = circuits.sv_access_polarization(circuits.sv_generate(r, 0.5, eps))
+    acc = circuits.sv_access_polarization(circuits.sv_generate(r, 0.5, eps).output_state)
     out = acc.output_state
     fidelity = _paths_fidelity(out, circuits.analytic_subtracted_bell, r, tail_eps=eps)
-    return _result({"conditional_fidelity": fidelity, "branch_product": acc.branch_product(),
+    return _result({"conditional_fidelity": fidelity, "branch_product": acc.postselect_probability,
                     "postselect_probability": acc.postselect_probability}, out)
 
 
@@ -419,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dualcat",
         description="Reproducible runs of the entangled-cat toolkit experiments.")
     parser.add_argument("--output", help="write the JSON result (and table CSVs) here")
-    parser.add_argument("--cutoff-epsilon", type=float, default=1e-12,
+    parser.add_argument("--cutoff-epsilon", type=float, default=DEFAULT_TAIL_EPS,
                         help="tail mass allowed beyond each Fock cutoff")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for grid sweeps")
     parser.add_argument("--config", help="JSON file with experiment parameters")

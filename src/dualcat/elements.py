@@ -52,21 +52,14 @@ from .fock import (
 class Imperfection:
     """Deviations of the polarization-access hardware from its set points.
 
-    ``displacement_actual`` (if given) replaces the intended amplitude of the
-    tagging displacements outright; otherwise ``displacement_offset`` is added
-    to it.  ``flip_angle`` = pi is a perfect controlled polarization flip and
-    ``cphase_angle`` = pi a perfect conditional phase.
+    ``displacement_offset`` is added to the intended amplitude of the
+    tagging displacements.  ``flip_angle`` = pi is a perfect controlled
+    polarization flip and ``cphase_angle`` = pi a perfect conditional phase.
     """
 
-    displacement_actual: complex | None = None
     displacement_offset: complex = 0.0
     flip_angle: float = math.pi
     cphase_angle: float = math.pi
-
-    def actual_displacement(self, intended: complex) -> complex:
-        if self.displacement_actual is not None:
-            return self.displacement_actual
-        return intended + self.displacement_offset
 
     @property
     def on_ambiguous(self) -> str:
@@ -74,8 +67,7 @@ class Imperfection:
         no displacement error set, since the tags then land on target and
         such light is a contract violation; "pass" with one set, since off
         target tags make it, and the gate does not actuate on it."""
-        exact = self.displacement_actual is None and self.displacement_offset == 0
-        return "error" if exact else "pass"
+        return "error" if self.displacement_offset == 0 else "pass"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.flip_angle <= math.pi:

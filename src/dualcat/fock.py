@@ -352,14 +352,14 @@ def _wrap(register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray,
     return _fill(object.__new__(PureState), register, keys, coeffs, deficit)
 
 
-def _finish(register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray, deficit: float,
-            prune_eps: float = DEFAULT_PRUNE_EPS) -> PureState:
+def _finish(register: ModeRegister, keys: np.ndarray, coeffs: np.ndarray,
+            deficit: float) -> PureState:
     """Prune tiny amplitudes (their mass goes to the deficit) and wrap up.
 
     The keys must be distinct, as for :func:`_wrap`: nothing is summed here.
     Amplitudes that share a pattern are summed by :func:`add` alone.
     """
-    small = np.abs(coeffs) <= prune_eps
+    small = np.abs(coeffs) <= DEFAULT_PRUNE_EPS
     if small.any():
         deficit += _mass(coeffs[small])
         keys, coeffs = keys[~small], coeffs[~small]
@@ -524,15 +524,9 @@ def add(a: PureState, b: PureState) -> PureState:
     pos, hit = _lookup(a, b.keys)
     summed = a.coeffs.copy()
     summed[pos[hit]] += b.coeffs[hit]
-    # merge the keys new to ``a`` in by binary search: both inputs are sorted
-    new = b.keys[~hit]
-    at_a = np.arange(len(a.keys)) + np.searchsorted(new, a.keys)
-    at_b = pos[~hit] + np.arange(len(new))
-    keys = np.empty(len(at_a) + len(at_b), dtype=np.int64)
-    coeffs = np.empty(len(keys), dtype=complex)
-    keys[at_a], keys[at_b] = a.keys, new
-    coeffs[at_a], coeffs[at_b] = summed, b.coeffs[~hit]
-    return _finish(a.register, keys, coeffs, a.norm_deficit + b.norm_deficit)
+    new = _wrap(a.register, b.keys[~hit], b.coeffs[~hit], 0.0)
+    out = _replace(_wrap(a.register, a.keys, summed, 0.0), np.empty(0, dtype=np.intp), new, 0.0)
+    return _finish(a.register, out.keys, out.coeffs, a.norm_deficit + b.norm_deficit)
 
 
 def product(a: PureState, b: PureState) -> PureState:
@@ -573,17 +567,15 @@ def embed(state: PureState, register: ModeRegister) -> PureState:
     return _wrap(register, keys, state.coeffs, state.norm_deficit)
 
 
-def restrict(state: PureState, keep: Sequence[ModeLabel],
-             tol: float = 1e-12) -> PureState:
-    """Drop modes that are in vacuum; error if a dropped mode is occupied."""
+def restrict(state: PureState, keep: Sequence[ModeLabel]) -> PureState:
+    """Drop modes in vacuum; error if the dropped modes hold over 1e-12 of the mass."""
     reg = state.register
     keep_idx = [reg.index(m) for m in keep]
     occ = reg.digits(state.keys)
     stray = np.delete(occ, keep_idx, axis=1).any(axis=1)
     stray_mass = _mass(state.coeffs[stray])
-    if stray_mass > tol:
-        raise ContractViolationError(
-            f"dropped modes hold probability {stray_mass:.3g} > {tol:.3g}")
+    if stray_mass > 1e-12:
+        raise ContractViolationError(f"dropped modes hold probability {stray_mass:.3g} > 1e-12")
     new_reg = ModeRegister(tuple(reg.modes[i] for i in keep_idx),
                            tuple(reg.cutoffs[i] for i in keep_idx))
     return _wrap(new_reg, occ[~stray][:, keep_idx] @ new_reg.strides,
@@ -847,11 +839,9 @@ def occupation_moments(state: PureState, m: ModeLabel) -> tuple[float, float]:
 
 
 @_one_blas_thread
-def parity_expectation(state: PureState, modes: Sequence[ModeLabel] | None = None) -> float:
-    """⟨(-1)^{sum of occupations}⟩ over the given modes (all by default)."""
-    reg = state.register
-    idx = None if modes is None else [reg.index(m) for m in modes]
-    odd = reg.digits(state.keys, idx).sum(axis=1) % 2
+def parity_expectation(state: PureState) -> float:
+    """⟨(-1)^{sum of occupations}⟩ over all modes."""
+    odd = state.register.digits(state.keys).sum(axis=1) % 2
     return float((1.0 - 2.0 * odd) @ (np.abs(state.coeffs) ** 2))
 
 
@@ -909,13 +899,13 @@ def _log_negligible(tail_eps: float) -> float:
     return math.log(tail_eps) - 53.0 * math.log(2.0)
 
 
-def _poisson_masses(lam: float, tail_eps: float, last: int = 0) -> np.ndarray:
+def _poisson_masses(lam: float, tail_eps: float, last: int) -> np.ndarray:
     """Masses e^-lam lam^n / n! of |n> in a coherent state, n = 0, 1, ... to
     ``last`` and on until the rest is negligible next to ``tail_eps``."""
     # less than e^-50 of the mass lies below lam - 10 sqrt(lam) - 10
     # (Chernoff); by Bennett, P(N >= lam + u) <= exp(-u^2 / (2 (lam + u/3))),
-    # which is negligible for this u
-    big = -_log_negligible(tail_eps)
+    # which is negligible for this u (any u is, once tail_eps passes 2^53)
+    big = max(-_log_negligible(tail_eps), 0.0)
     u = big / 3.0 + math.sqrt(big * big / 9.0 + 2.0 * big * lam)
     first = max(0, math.ceil(lam - 10.0 * math.sqrt(lam) - 10.0))
     end = first + _pass_length(max(math.ceil(lam + u), last) - first,
@@ -928,7 +918,7 @@ def _poisson_masses(lam: float, tail_eps: float, last: int = 0) -> np.ndarray:
     return np.concatenate((down, up))
 
 
-def _squeezed_masses(r: float, tail_eps: float, last: int = 0) -> np.ndarray:
+def _squeezed_masses(r: float, tail_eps: float, last: int) -> np.ndarray:
     """Masses sech(r) (2j)!/(j!^2 4^j) tanh^2j r of |2j> in S(r)|0>, j = 0,
     1, ... to level ``last`` and on until the rest is negligible."""
     x = math.tanh(r) ** 2
@@ -941,24 +931,38 @@ def _squeezed_masses(r: float, tail_eps: float, last: int = 0) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0 / math.cosh(r)], ratios)))
 
 
-def coherent_cutoff(amplitude: complex, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
-    """Smallest cutoff with Poisson tail mass below ``tail_eps`` for |amplitude|."""
+def _coherent_rule(amplitude: complex, tail_eps: float, last: int) -> tuple[int, np.ndarray]:
+    """:func:`coherent_cutoff` and the Poisson masses it sums, which run on
+    to level ``last`` at least: the factories read both from one pass."""
     a = abs(amplitude)
     lam = a ** 2 if a < 1e150 else math.inf  # ** 2 raises past 1.3e154
     if not (math.isfinite(lam) and tail_eps > 0.0):
         raise CutoffError(f"no Poisson tail is <= {tail_eps!r} for |alpha|^2 = {lam!r}")
+    masses = _poisson_masses(lam, tail_eps, last)
     if lam == 0.0 or tail_eps >= 1.0:
-        return 1
+        return 1, masses
     # the tails fall, so the count of those above tail_eps places the cut
-    return max(int(np.count_nonzero(_tails(_poisson_masses(lam, tail_eps)) > tail_eps)) - 1, 1)
+    return max(int(np.count_nonzero(_tails(masses) > tail_eps)) - 1, 1), masses
 
 
-def squeezed_cutoff(r: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
-    """Smallest cutoff with squeezed-vacuum tail mass below ``tail_eps``."""
+def _squeezed_rule(r: float, tail_eps: float, last: int) -> tuple[int, np.ndarray]:
+    """:func:`squeezed_cutoff` and the masses of the even levels it sums,
+    which run on to level ``last`` at least."""
     x = math.tanh(r) ** 2
     if not (x < 1.0 and tail_eps > 0.0):
         raise CutoffError(f"no squeezed-vacuum tail is <= {tail_eps!r} for r = {r!r} "
                           f"(tanh^2 r = {x!r})")
+    masses = _squeezed_masses(r, tail_eps, last)
     if r == 0.0:
-        return 1
-    return 2 * max(int(np.count_nonzero(_tails(_squeezed_masses(r, tail_eps)) > tail_eps)) - 1, 1)
+        return 1, masses
+    return 2 * max(int(np.count_nonzero(_tails(masses) > tail_eps)) - 1, 1), masses
+
+
+def coherent_cutoff(amplitude: complex, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
+    """Smallest cutoff with Poisson tail mass below ``tail_eps`` for |amplitude|."""
+    return _coherent_rule(amplitude, tail_eps, 0)[0]
+
+
+def squeezed_cutoff(r: float, tail_eps: float = DEFAULT_TAIL_EPS) -> int:
+    """Smallest cutoff with squeezed-vacuum tail mass below ``tail_eps``."""
+    return _squeezed_rule(r, tail_eps, 0)[0]

@@ -20,17 +20,15 @@ from .fock import (
     ModeLabel,
     ModeRegister,
     PureState,
+    _coherent_rule,
     _finish,
-    _poisson_masses,
-    _squeezed_masses,
+    _squeezed_rule,
     _tails,
     add,
     apply_annihilation,
-    coherent_cutoff,
     normalized,
     product,
     scale,
-    squeezed_cutoff,
 )
 
 
@@ -76,9 +74,9 @@ def _coherent_series(register: ModeRegister, m: ModeLabel, alpha: complex,
                      tail_eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes of |alpha> on the levels of mode ``m`` and the Poisson
     masses they come from, which run on past the register's cutoff."""
-    _require_cutoff(register, m, coherent_cutoff(alpha, tail_eps))
     cutoff = register.cutoff_of(m)
-    masses = _poisson_masses(abs(alpha) ** 2, tail_eps, cutoff)
+    needed, masses = _coherent_rule(alpha, tail_eps, cutoff)
+    _require_cutoff(register, m, needed)
     # e^{i n arg alpha} by repeated products, exact for real alpha
     unit = alpha / abs(alpha) if alpha else 1.0
     phases = np.cumprod(np.concatenate(([1.0], np.full(cutoff, unit, dtype=complex))))
@@ -125,10 +123,9 @@ def squeezed_vacuum(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
     Amplitudes c_{2m} = (tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r));
     support is on even Fock levels only and <n> = sinh² r.
     """
-    r = params.r
-    _require_cutoff(register, m, squeezed_cutoff(r, tail_eps))
     cutoff = register.cutoff_of(m)
-    masses = _squeezed_masses(r, tail_eps, cutoff)
+    needed, masses = _squeezed_rule(params.r, tail_eps, cutoff)
+    _require_cutoff(register, m, needed)
     amps = np.sqrt(masses[:cutoff // 2 + 1]).astype(complex)
     keys = _levels(register, m, cutoff + 1)[::2]
     return _finish(register, keys, amps, float(_tails(masses)[len(amps)]))

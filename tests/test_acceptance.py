@@ -290,11 +290,11 @@ def test_criterion_8_squeezed_vacuum_variant():
                               basis_state(out.register, {mode(2): 1})))
         anti_fid = min(anti_fid, fidelity(out, bell))
 
-    acc = sv_access_polarization(sv_generate(0.7, 0.5))
+    acc = sv_access_polarization(sv_generate(0.7, 0.5).output_state)
     pipeline_target = analytic_subtracted_bell(
         polarized_register([1, 2], max(acc.output_state.register.cutoffs)), 0.7)
     pipe_fid = subsystem_fidelity(acc.output_state, pipeline_target, PATH12_RAILS)
-    book = abs(acc.postselect_probability - acc.branch_product())
+    book = abs(acc.postselect_probability - math.prod(p for _, p in acc.branch_log))
 
     ok = (gen_fid >= 1.0 - 1e-9 and peak_at_balance and anti_fid >= 1.0 - 1e-9
           and pipe_fid >= 1.0 - 1e-6 and book <= 1e-10)

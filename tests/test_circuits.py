@@ -24,7 +24,7 @@ from dualcat.circuits import (
     sv_antisqueeze_to_single_photon,
     sv_generate,
 )
-from dualcat import elements
+from dualcat import circuits, elements
 from dualcat.elements import Imperfection
 from dualcat.fock import (
     DegenerateInputError,
@@ -35,6 +35,7 @@ from dualcat.fock import (
     plain_register,
     polarized_register,
     product,
+    scale,
 )
 from dualcat.states import SqueezeParams, coherent
 
@@ -68,7 +69,8 @@ def test_generation_delivers_one_ebit(alpha):
 def test_generation_postselection_is_lossless():
     rep = generate_entangled_cat(1.2)
     assert rep.postselect_probability == pytest.approx(1.0, abs=1e-9)
-    assert rep.postselect_probability == pytest.approx(rep.branch_product(), abs=1e-12)
+    assert rep.postselect_probability == pytest.approx(
+        math.prod(p for _, p in rep.branch_log), abs=1e-12)
 
 
 def test_generation_rejects_zero_alpha():
@@ -111,8 +113,6 @@ def test_parity_access_reproduces_two_path_form():
     o2 = cat(reg, mode(2, "H"), CatParams(alpha, "odd"))
     o1 = cat(reg, mode(1, "H"), CatParams(alpha, "odd"))
     e2 = cat(reg, mode(2, "H"), CatParams(alpha, "even"))
-    from dualcat.fock import scale
-
     target = normalized(add(product(e1, o2), scale(product(o1, e2), -1.0)))
     assert fidelity(out, target) >= 1.0 - 1e-9
 
@@ -155,7 +155,8 @@ def test_polarization_access_conditions_on_the_coherent_bell_state():
 def test_polarization_access_bookkeeping_is_consistent():
     rep = generate_entangled_cat(1.2)
     acc = access_polarization(rep.output_state)
-    assert acc.postselect_probability == pytest.approx(acc.branch_product(), abs=1e-10)
+    assert acc.postselect_probability == pytest.approx(
+        math.prod(p for _, p in acc.branch_log), abs=1e-10)
     assert 0.0 < acc.postselect_probability < 1.0
 
 
@@ -316,18 +317,19 @@ def test_sv_generate_rejects_bad_parameters():
 
 def test_sv_access_heralds_the_subtracted_bell_state():
     rep = sv_generate(0.7, 0.5)
-    acc = sv_access_polarization(rep)
+    acc = sv_access_polarization(rep.output_state)
     out = acc.output_state
     target = analytic_subtracted_bell(
         polarized_register([1, 2], max(out.register.cutoffs)), 0.7)
     assert subsystem_fidelity(out, target, PATH12_RAILS) >= 1.0 - 1e-6
     assert acc.postselect_probability == pytest.approx(0.5, abs=1e-9)
-    assert acc.postselect_probability == pytest.approx(acc.branch_product(), abs=1e-10)
+    assert acc.postselect_probability == pytest.approx(
+        math.prod(p for _, p in acc.branch_log), abs=1e-10)
 
 
 def test_sv_access_without_the_exchange_stage_mismatches_envelopes():
     rep = sv_generate(0.7, 0.5)
-    acc = sv_access_polarization(rep, skip_cswap=True)
+    acc = sv_access_polarization(rep.output_state, skip_cswap=True)
     target = analytic_subtracted_bell(
         polarized_register([1, 2], max(acc.output_state.register.cutoffs)), 0.7)
     assert subsystem_fidelity(acc.output_state, target, PATH12_RAILS) < 0.9
@@ -383,6 +385,15 @@ def test_polarization_access_accepts_single_path_registers():
     assert subsystem_fidelity(acc.output_state, target, PATH12_RAILS) >= 1.0 - 1e-6
 
 
+def test_polarization_access_refuses_an_empty_dark_port(monkeypatch):
+    """An empty dark port leaves nothing to condition on: the access raises
+    rather than report a state it did not condition."""
+    monkeypatch.setattr(circuits, "mixer_dark_branch",
+                        lambda psi, *args, **kwargs: scale(psi, 0.0))
+    with pytest.raises(DegenerateInputError):
+        access_polarization(generate_entangled_cat(1.2).output_state)
+
+
 # ---------------------------------------------------------------------------
 # how access_polarization meets ambiguous control light, and its memory
 
@@ -391,7 +402,6 @@ def test_polarization_access_accepts_single_path_registers():
     (None, "error"),
     (Imperfection(flip_angle=2.0, cphase_angle=1.0), "error"),
     (Imperfection(displacement_offset=0.2), "pass"),
-    (Imperfection(displacement_actual=1.2 / math.sqrt(2.0)), "pass"),
 ])
 def test_on_ambiguous_follows_the_imperfection(monkeypatch, imperfection, expected):
     """The four path-3 gates run as one fused call; it gets the mode the

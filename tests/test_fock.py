@@ -461,6 +461,7 @@ def test_product_refuses_factors_on_a_common_mode():
 
 def test_cutoff_rules_are_monotone_in_amplitude():
     assert coherent_cutoff(0.0) == 1
+    assert coherent_cutoff(1.0, 1e20) == 1  # a budget past all the mass
     assert coherent_cutoff(1.0) < coherent_cutoff(2.0)
     assert squeezed_cutoff(0.0) == 1
     assert squeezed_cutoff(0.5) < squeezed_cutoff(1.5)
@@ -563,6 +564,29 @@ def test_factory_seeds_its_deficit_with_the_tail_past_the_cutoff(kind, x, eps):
         levels, exact = range(keep, cutoff + 1, 2), weight * _poisson_tail(x * x, cutoff, keep)
     assert len(state) == len(levels)  # nothing pruned: the deficit is the seed alone
     assert exact * (1.0 - PASS_ROUNDING) <= state.norm_deficit <= 2.0 * exact
+
+
+@pytest.mark.parametrize("build", [
+    lambda reg: coherent(reg, mode(1), 1.2 + 0.5j),
+    lambda reg: cat(reg, mode(1), CatParams(1.2, "odd")),
+    lambda reg: squeezed_vacuum(reg, mode(1), SqueezeParams(0.8)),
+])
+def test_factory_sums_its_mass_series_once(monkeypatch, build):
+    """The cutoff check and the amplitudes of a factory read one pass of
+    its mass series, on a register past the cutoff its rule needs."""
+    from dualcat import fock, states
+
+    calls = []
+    for name in ("_poisson_masses", "_squeezed_masses"):
+        def counted(*args, _series=getattr(fock, name)):
+            calls.append(args)
+            return _series(*args)
+
+        # count a call by either name the factories can reach the series by
+        monkeypatch.setattr(fock, name, counted)
+        monkeypatch.setattr(states, name, counted, raising=False)
+    build(plain_register([1], 100))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
