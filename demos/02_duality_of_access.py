@@ -39,7 +39,7 @@ print(f"branch log                              : {pol.branch_log}")
 
 target = analytic_coherent_bell(
     polarized_register([1, 2], max(pol.output_state.register.cutoffs)),
-    alpha / math.sqrt(2.0), "-")
+    alpha / math.sqrt(2.0))
 rails = [mode(1, "H"), mode(1, "V"), mode(2, "H"), mode(2, "V")]
 print(f"conditional fidelity to the coherent-envelope Bell state: "
       f"{subsystem_fidelity(pol.output_state, target, rails):.12f}")

@@ -1,9 +1,11 @@
 """Composite circuits: generation, DOF access, bomb testing, squeezed route.
 
 Every circuit returns a :class:`CircuitReport` whose ``branch_log`` records
-the probability of each measurement branch that was kept; the product of
-those probabilities is the reported post-selection probability.  States are
-never renormalized behind the caller's back: conditioning is explicit.
+the probability of each measurement branch that was kept, given the state
+that entered the measurement: a branch is an unnormalized state, so this is
+its norm² over its input's.  The product of those probabilities is the
+reported post-selection probability.  States are never renormalized behind
+the caller's back: conditioning is explicit.
 Each circuit runs as a whole on one OpenBLAS thread (see ``blas._one_blas_thread``).
 """
 
@@ -103,9 +105,9 @@ def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitR
     log = []
     out = split
     for path, kind in ((1, "H"), (2, "V")):
-        branch = elements.polarizer(out, path, kind)
-        out = branch.state("pass")
-        log.append((f"path{path}_{kind}_polarizer_pass", branch.probability("pass")))
+        passed, _ = elements.polarizer(out, path, kind)
+        log.append((f"path{path}_{kind}_polarizer_pass", passed.norm_sq() / out.norm_sq()))
+        out = passed
     out = elements.pbs(out, 1, 2)
     return CircuitReport(out, tuple(log))
 
@@ -141,10 +143,10 @@ def analytic_dual_rail_pair(register: ModeRegister, alpha: float, sign: str = "-
 
 
 def analytic_coherent_bell(register: ModeRegister, amplitude: complex,
-                           sign: str = "-", tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
-    """(|H>_A,1 |V>_A,2 -+ |V>_A,1 |H>_A,2)/sqrt2 with coherent envelopes."""
+                           tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
+    """(|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2 with coherent envelopes."""
     envelope = functools.partial(states.coherent, register, alpha=amplitude, tail_eps=tail_eps)
-    return _hv_pair(envelope, envelope, sign)
+    return _hv_pair(envelope, envelope, "-")
 
 
 def analytic_subtracted_bell(register: ModeRegister, r: float,
@@ -261,13 +263,13 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
 
     psi = elements.controlled_pol_gates(
         psi, 3, flips=[(target, imp.flip_angle) for target in (1, 2)],
-        phases=[(target, imp.cphase_angle) for target in (1, 2)], on_ambiguous=imp.on_ambiguous)
+        phases=[(target, math.pi) for target in (1, 2)], on_ambiguous=imp.on_ambiguous)
 
     dark = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
-    click = elements.onoff_detect(dark, mode(3, "V"))
+    click, _ = elements.onoff_detect(dark, mode(3, "V"))
     log = (("tag_dark_port", dark.norm_sq() / psi.norm_sq()),
-           ("tag_click", click.probability("click") / max(dark.norm_sq(), 1e-300)))
-    return CircuitReport(normalized(click.state("click")), log)
+           ("tag_click", click.norm_sq() / max(dark.norm_sq(), 1e-300)))
+    return CircuitReport(normalized(click), log)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +329,10 @@ def _polarization_events(theta: float, bomb: bool) -> tuple[dict, float]:
 
     explode = 0.0
     if bomb:
-        branch = elements.absorb_arm(psi, mode(1, "V"))
-        explode = branch.probability("explode")
-        psi = branch.state("survive")
+        exploded, psi = elements.onoff_detect(psi, mode(1, "V"))
+        explode = exploded.norm_sq()
     for path in (1, 2):
-        psi = elements.polarizer(psi, path, "diag45").state("pass")
+        psi = elements.rotate_45(psi, path)
 
     # rail of each path: +1 for H only, -1 for V only, 0 for neither or both
     on = reg.digits(psi.keys, [reg.index(mode(p, s)) for p in (1, 2) for s in "HV"]) > 0
@@ -349,9 +350,8 @@ def _single_photon_events(bomb: bool) -> tuple[dict, float]:
     psi = apply_two_mode_mixer(psi, mode(1), mode(2), SINGLE_PHOTON_THETA)
     explode = 0.0
     if bomb:
-        branch = elements.absorb_arm(psi, mode(2))
-        explode = branch.probability("explode")
-        psi = branch.state("survive")
+        exploded, psi = elements.onoff_detect(psi, mode(2))
+        explode = exploded.norm_sq()
     psi = apply_two_mode_mixer(psi, mode(1), mode(2), -SINGLE_PHOTON_THETA)
     bright = abs(psi.amps.get((1, 0), 0.0)) ** 2
     dark = abs(psi.amps.get((0, 1), 0.0)) ** 2
@@ -446,7 +446,7 @@ def sv_access_polarization(state: PureState, skip_cswap: bool = False) -> Circui
         psi = elements.cswap_pol(psi, 3, 1, 2)
     psi = normalized(add(apply_annihilation(psi, mode(2, "H")),
                          apply_annihilation(psi, mode(2, "V"))))
-    psi = elements.polarizer(psi, 3, "diag45").state("pass")
-    herald = elements.onoff_detect(psi, mode(3, "V"))
-    p = herald.probability("click") / max(psi.norm_sq(), 1e-300)
-    return CircuitReport(normalized(herald.state("click")), (("diag_herald_V", p),))
+    psi = elements.rotate_45(psi, 3)
+    click, _ = elements.onoff_detect(psi, mode(3, "V"))
+    p = click.norm_sq() / max(psi.norm_sq(), 1e-300)
+    return CircuitReport(normalized(click), (("diag_herald_V", p),))

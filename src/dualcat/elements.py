@@ -5,8 +5,11 @@ Conventions (fixed once, used everywhere):
 * PBS transmits H and reflects V with reflection phase +1, so it acts as a
   pure exchange of the V-mode contents of its two ports.
 * HWP exchanges the H and V mode contents of one path with no extra phase.
-* The 45-degree polarizer rotation maps |H> -> (|H>+|V>)/sqrt2 and
+* The 45-degree rotation ``rotate_45`` maps |H> -> (|H>+|V>)/sqrt2 and
   |V> -> (|V>-|H>)/sqrt2.
+* Measurement channels return their branches as a tuple of unnormalized
+  states; a branch's probability is its norm², and its probability given
+  the input is that over the input's norm².
 * Controlled polarization gates read their control path branch-wise:
   a component flips when the control's V mode is occupied and its H mode
   empty, passes when V is empty.  Components with both control
@@ -26,7 +29,6 @@ import numpy as np
 
 from .fock import (
     DEFAULT_PRUNE_EPS,
-    BranchedOutcome,
     ContractViolationError,
     CutoffError,
     ModeLabel,
@@ -54,12 +56,11 @@ class Imperfection:
 
     ``displacement_offset`` is added to the intended amplitude of the
     tagging displacements.  ``flip_angle`` = pi is a perfect controlled
-    polarization flip and ``cphase_angle`` = pi a perfect conditional phase.
+    polarization flip.
     """
 
     displacement_offset: complex = 0.0
     flip_angle: float = math.pi
-    cphase_angle: float = math.pi
 
     @property
     def on_ambiguous(self) -> str:
@@ -133,25 +134,23 @@ def phase_shift(state: PureState, m: ModeLabel, phi: float) -> PureState:
                  state.norm_deficit)
 
 
-def polarizer(state: PureState, path: int, kind: str) -> BranchedOutcome:
-    """Polarizer on one path.
+def polarizer(state: PureState, path: int, kind: str) -> tuple[PureState, PureState]:
+    """Polarizer on one path: ``(passed, blocked)``.
 
-    ``kind`` "H" or "V" keeps the matching polarization and diverts any
-    photons of the orthogonal one into a "blocked" branch.  ``kind``
-    "diag45" is the unitary 45-degree basis rotation (single branch).  Its
-    dark-H branch alone, without the rotated state, is
-    ``fock.mixer_dark_branch``.
+    ``kind`` "H" or "V" keeps the components with no photon of the
+    orthogonal polarization; ``blocked`` holds the others.
     """
     ih, iv = _pol_pair(state, path)
-    if kind == "diag45":
-        rotated = apply_two_mode_mixer(state, mode(path, "H"), mode(path, "V"),
-                                       theta=-math.pi / 4.0, phase=0.0)
-        return BranchedOutcome((("pass", rotated, rotated.norm_sq()),))
     if kind not in ("H", "V"):
         raise ValueError(f"unknown polarizer kind {kind!r}")
-    keep, lost = _split(state, state.register.digit(state.keys, iv if kind == "H" else ih) == 0)
-    return BranchedOutcome((("pass", keep, keep.norm_sq()),
-                            ("blocked", lost, lost.norm_sq())))
+    return _split(state, state.register.digit(state.keys, iv if kind == "H" else ih) == 0)
+
+
+def rotate_45(state: PureState, path: int) -> PureState:
+    """The 45-degree polarization rotation of one path.  Its dark-H branch
+    alone, without the rotated state, is ``fock.mixer_dark_branch``."""
+    return apply_two_mode_mixer(state, mode(path, "H"), mode(path, "V"),
+                                theta=-math.pi / 4.0, phase=0.0)
 
 
 def displace(state: PureState, m: ModeLabel, beta: complex,
@@ -338,26 +337,12 @@ def cswap_pol(state: PureState, control_path: int, path_a: int, path_b: int,
 # measurement channels
 
 
-def onoff_detect(state: PureState, modes: ModeLabel | tuple) -> BranchedOutcome:
-    """On/off detector: "click" projects onto >= 1 photon in the watched
-    mode(s), "no_click" onto vacuum there."""
+def onoff_detect(state: PureState, modes: ModeLabel | tuple) -> tuple[PureState, PureState]:
+    """On/off detector: ``(click, no_click)``, the projections onto >= 1
+    photon in the watched mode(s) and onto vacuum there."""
     watch = (modes,) if isinstance(modes, ModeLabel) else tuple(modes)
     idx = [state.register.index(m) for m in watch]
-    click, dark = _split(state, state.register.digits(state.keys, idx).any(axis=1))
-    return BranchedOutcome((("click", click, click.norm_sq()),
-                            ("no_click", dark, dark.norm_sq())))
-
-
-def absorb_arm(state: PureState, m: ModeLabel) -> BranchedOutcome:
-    """Absorbing obstacle in one arm: any photon there destroys the run.
-
-    The "explode" branch records only its probability (the state is gone);
-    the "survive" branch is the unnormalized vacuum projection.
-    """
-    empty = state.register.digit(state.keys, state.register.index(m)) == 0
-    survive = _split(state, empty)[0]
-    return BranchedOutcome((("explode", None, _mass(state.coeffs[~empty])),
-                            ("survive", survive, survive.norm_sq())))
+    return _split(state, state.register.digits(state.keys, idx).any(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -258,31 +258,6 @@ class AmplitudeView(Mapping):
 
 
 @dataclass(frozen=True)
-class BranchedOutcome:
-    """Measurement channel result: (label, unnormalized state, probability).
-
-    A branch whose physical state is destroyed (an absorbed beam) carries
-    ``None`` in the state slot.
-    """
-
-    branches: tuple
-
-    def probability(self, label: str) -> float:
-        for lab, _, p in self.branches:
-            if lab == label:
-                return p
-        raise KeyError(label)
-
-    def state(self, label: str) -> PureState:
-        for lab, s, _ in self.branches:
-            if lab == label:
-                if s is None:
-                    raise ValueError(f"branch {label!r} carries no state")
-                return s
-        raise KeyError(label)
-
-
-@dataclass(frozen=True)
 class DensityView:
     """Reduced density matrix over the occupation patterns that occur.
 

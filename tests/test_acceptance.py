@@ -127,7 +127,7 @@ def test_criterion_3_duality_invariant():
                          [mode(1, "H"), mode(1, "V")]).entropy_bits
     target = analytic_coherent_bell(
         polarized_register([1, 2], max(acc.output_state.register.cutoffs)),
-        alpha / math.sqrt(2.0), "-")
+        alpha / math.sqrt(2.0))
     bell_fid = subsystem_fidelity(acc.output_state, target, PATH12_RAILS)
     ok = (abs(e_par - e_gen) <= 1e-6 and abs(e_pol - e_gen) <= 1e-6
           and bell_fid >= 1.0 - 1e-6)

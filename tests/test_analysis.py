@@ -158,7 +158,7 @@ def test_qubit_extraction_of_coherent_bell_state():
     from dualcat.circuits import analytic_coherent_bell
 
     reg = polarized_register([1, 2], 16)
-    bell = analytic_coherent_bell(reg, 1.0, "-")
+    bell = analytic_coherent_bell(reg, 1.0)
     q = polarization_qubit_state(bell, 1, 2)
     neg, logneg = negativity_two_qubit(q.rho)
     assert neg == pytest.approx(0.5, abs=1e-10)

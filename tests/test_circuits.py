@@ -73,6 +73,15 @@ def test_generation_postselection_is_lossless():
         math.prod(p for _, p in rep.branch_log), abs=1e-12)
 
 
+def test_generation_logs_conditional_polarizer_probabilities():
+    # both polarizers pass every amplitude, so each passes all of the mass
+    # that reaches it, however much the cutoff dropped before
+    for make in (generate_entangled_cat, generate_even_cat_control):
+        rep = make(1.2, "-", 1e-6)
+        assert [p for _, p in rep.branch_log] == [1.0, 1.0]
+        assert rep.postselect_probability == 1.0
+
+
 def test_generation_rejects_zero_alpha():
     with pytest.raises(DegenerateInputError):
         generate_entangled_cat(0.0)
@@ -145,7 +154,7 @@ def test_polarization_access_conditions_on_the_coherent_bell_state():
     out = acc.output_state
     target = analytic_coherent_bell(
         polarized_register([1, 2], max(out.register.cutoffs)),
-        alpha / math.sqrt(2.0), "-")
+        alpha / math.sqrt(2.0))
     assert subsystem_fidelity(out, target, PATH12_RAILS) >= 1.0 - 1e-6
     q = polarization_qubit_state(out, 1, 2)
     _, logneg = negativity_two_qubit(q.rho)
@@ -381,7 +390,7 @@ def test_polarization_access_accepts_single_path_registers():
     acc = access_polarization(pair)
     target = analytic_coherent_bell(
         polarized_register([1, 2], max(acc.output_state.register.cutoffs)),
-        1.0 / math.sqrt(2.0), "-")
+        1.0 / math.sqrt(2.0))
     assert subsystem_fidelity(acc.output_state, target, PATH12_RAILS) >= 1.0 - 1e-6
 
 
@@ -400,7 +409,7 @@ def test_polarization_access_refuses_an_empty_dark_port(monkeypatch):
 
 @pytest.mark.parametrize("imperfection, expected", [
     (None, "error"),
-    (Imperfection(flip_angle=2.0, cphase_angle=1.0), "error"),
+    (Imperfection(flip_angle=2.0), "error"),
     (Imperfection(displacement_offset=0.2), "pass"),
 ])
 def test_on_ambiguous_follows_the_imperfection(monkeypatch, imperfection, expected):

@@ -8,7 +8,6 @@ import pytest
 import oracles
 from dualcat.elements import (
     ParityLineCorrelator,
-    absorb_arm,
     cnot_pol,
     cphase_pol,
     cswap_pol,
@@ -20,6 +19,7 @@ from dualcat.elements import (
     pbs,
     phase_shift,
     polarizer,
+    rotate_45,
     squeeze,
 )
 from dualcat.fock import (
@@ -108,36 +108,35 @@ def test_hwp_swaps_rails_and_is_involution():
 # polarizer
 
 
-def test_diag45_is_a_rotation():
+def test_rotate_45_is_a_rotation():
     # the 45-degree map is a proper rotation: twice gives the rail swap up
     # to a sign, four times returns the input up to a global phase
     reg = polarized_register([1], 6)
     s = basis_state(reg, {mode(1, "H"): 1, mode(1, "V"): 2})
     out = s
     for k in range(2):
-        out = polarizer(out, 1, "diag45").state("pass")
+        out = rotate_45(out, 1)
     assert fid(out, hwp(s, 1)) == pytest.approx(1.0, abs=1e-12)
     for k in range(2):
-        out = polarizer(out, 1, "diag45").state("pass")
+        out = rotate_45(out, 1)
     assert fid(out, s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_h_polarizer_passes_h_light():
     reg = polarized_register([1], 6)
     s = basis_state(reg, {mode(1, "H"): 1})
-    out = polarizer(s, 1, "H")
-    assert out.probability("pass") == pytest.approx(1.0)
-    assert out.probability("blocked") == pytest.approx(0.0)
+    passed, blocked = polarizer(s, 1, "H")
+    assert passed.norm_sq() == pytest.approx(1.0)
+    assert blocked.norm_sq() == pytest.approx(0.0)
 
 
 def test_polarizer_blocks_orthogonal_photons():
     reg = polarized_register([1], 14)
     s = coherent(reg, mode(1, "V"), 1.0, tail_eps=1e-6)
-    out = polarizer(s, 1, "H")
+    passed, blocked = polarizer(s, 1, "H")
     # only the vacuum component of the V rail survives an H polarizer
-    assert out.probability("pass") == pytest.approx(math.exp(-1.0), abs=1e-6)
-    assert out.probability("pass") + out.probability("blocked") == pytest.approx(
-        s.norm_sq(), abs=1e-12)
+    assert passed.norm_sq() == pytest.approx(math.exp(-1.0), abs=1e-6)
+    assert passed.norm_sq() + blocked.norm_sq() == pytest.approx(s.norm_sq(), abs=1e-12)
 
 
 def test_polarizer_rejects_unknown_kind():
@@ -146,12 +145,12 @@ def test_polarizer_rejects_unknown_kind():
         polarizer(vacuum(reg), 1, "circular")
 
 
-def test_diag45_matches_caption_map_on_single_photons():
+def test_rotate_45_matches_caption_map_on_single_photons():
     reg = polarized_register([1], 3)
     h = basis_state(reg, {mode(1, "H"): 1})
     v = basis_state(reg, {mode(1, "V"): 1})
-    out_h = polarizer(h, 1, "diag45").state("pass")
-    out_v = polarizer(v, 1, "diag45").state("pass")
+    out_h = rotate_45(h, 1)
+    out_v = rotate_45(v, 1)
     target_h = normalized(add(h, v))              # (|H> + |V>)/sqrt2
     target_v = normalized(add(v, scale(h, -1.0)))  # (|V> - |H>)/sqrt2
     assert abs(inner_product(out_h, target_h) - 1.0) < 1e-12
@@ -274,13 +273,13 @@ def test_cnot_pol_flips_on_v_control():
     # control therefore leaves its vacuum slice's target untouched
     s, reg = _control_target_state("V", -1.0)
     out = cnot_pol(s, 3, 1)
-    ctrl = onoff_detect(coherent(reg, mode(3, "V"), 2.0), mode(3, "V"))
-    flipped = product(coherent(reg, mode(1, "V"), -1.0), ctrl.state("click"))
-    passed = product(coherent(reg, mode(1, "H"), -1.0), ctrl.state("no_click"))
+    click, no_click = onoff_detect(coherent(reg, mode(3, "V"), 2.0), mode(3, "V"))
+    flipped = product(coherent(reg, mode(1, "V"), -1.0), click)
+    passed = product(coherent(reg, mode(1, "H"), -1.0), no_click)
     target = add(flipped, passed)
     assert fid(out, target) == pytest.approx(1.0, abs=1e-12)
     # conditioned on a click the flip is exact
-    clicked = onoff_detect(out, mode(3, "V")).state("click")
+    clicked, _ = onoff_detect(out, mode(3, "V"))
     assert fid(clicked, flipped) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -313,10 +312,10 @@ def test_cnot_pol_rejects_ambiguous_control():
 def test_cphase_pol_applies_pi_phase_on_v_control():
     s, reg = _control_target_state("V", -0.9)
     out = cphase_pol(s, 3, 1, math.pi)
-    ctrl = onoff_detect(coherent(reg, mode(3, "V"), 2.0), mode(3, "V"))
+    click, no_click = onoff_detect(coherent(reg, mode(3, "V"), 2.0), mode(3, "V"))
     # e^{i pi n}|-a> = |a> on the occupied-control slice
-    target = add(product(coherent(reg, mode(1, "H"), 0.9), ctrl.state("click")),
-                 product(coherent(reg, mode(1, "H"), -0.9), ctrl.state("no_click")))
+    target = add(product(coherent(reg, mode(1, "H"), 0.9), click),
+                 product(coherent(reg, mode(1, "H"), -0.9), no_click))
     assert fid(out, target) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -420,56 +419,38 @@ def test_cswap_pol_is_involution_on_v_control():
 # detectors
 
 
-def test_every_detection_branch_keeps_the_input_deficit():
-    reg = polarized_register([1], 6)
-    psi = coherent(reg, mode(1, "H"), 1.0, tail_eps=1e-3)
-    psi = add(psi, coherent(reg, mode(1, "V"), 0.5, tail_eps=1e-3))
-    assert psi.norm_deficit > 0.0
-    branches = (polarizer(psi, 1, "H").branches + onoff_detect(psi, mode(1, "H")).branches
-                + absorb_arm(psi, mode(1, "V")).branches)
-    kept = [state for _, state, _ in branches if state is not None]
-    assert len(kept) == 5
-    assert all(state.norm_deficit == psi.norm_deficit for state in kept)
-
-
 def test_onoff_detect_vacuum_never_clicks():
     reg = plain_register([1], 4)
-    out = onoff_detect(vacuum(reg), mode(1))
-    assert out.probability("no_click") == pytest.approx(1.0)
-    assert out.probability("click") == pytest.approx(0.0)
+    click, no_click = onoff_detect(vacuum(reg), mode(1))
+    assert no_click.norm_sq() == pytest.approx(1.0)
+    assert click.norm_sq() == pytest.approx(0.0)
 
 
 def test_onoff_detect_click_probability_of_coherent_light():
     reg = plain_register([1], 25)
     s = coherent(reg, mode(1), 2.0)  # |2A> with A = 1
-    out = onoff_detect(s, mode(1))
-    assert out.probability("click") == pytest.approx(1.0 - math.exp(-4.0), abs=1e-10)
-    assert out.probability("click") + out.probability("no_click") == pytest.approx(1.0, abs=1e-12)
+    click, no_click = onoff_detect(s, mode(1))
+    assert click.norm_sq() == pytest.approx(1.0 - math.exp(-4.0), abs=1e-10)
+    assert click.norm_sq() + no_click.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_absorb_arm_vacuum_survives():
+def test_onoff_detect_single_photon_always_clicks():
     reg = plain_register([1], 4)
-    out = absorb_arm(vacuum(reg), mode(1))
-    assert out.probability("survive") == pytest.approx(1.0)
-    assert out.probability("explode") == pytest.approx(0.0)
+    click, no_click = onoff_detect(basis_state(reg, {mode(1): 1}), mode(1))
+    assert click.norm_sq() == pytest.approx(1.0)
+    assert len(no_click) == 0
 
 
-def test_absorb_arm_single_photon_explodes():
-    reg = plain_register([1], 4)
-    out = absorb_arm(basis_state(reg, {mode(1): 1}), mode(1))
-    assert out.probability("explode") == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        out.state("explode")
-
-
-def test_absorb_arm_on_bell_input_survives_half():
+def test_onoff_detect_on_bell_input_clicks_half():
+    # the bomb arm of the interaction-free test: a photon in 1V is absorbed
     reg = polarized_register([1, 2], 2)
     hv = basis_state(reg, {mode(1, "H"): 1, mode(2, "V"): 1})
     vh = basis_state(reg, {mode(1, "V"): 1, mode(2, "H"): 1})
     psi = normalized(add(hv, vh))
-    out = absorb_arm(psi, mode(1, "V"))
-    assert out.probability("survive") == pytest.approx(0.5, abs=1e-12)
-    assert out.probability("explode") == pytest.approx(0.5, abs=1e-12)
+    exploded, survived = onoff_detect(psi, mode(1, "V"))
+    assert survived.norm_sq() == pytest.approx(0.5, abs=1e-12)
+    assert exploded.norm_sq() == pytest.approx(0.5, abs=1e-12)
+    assert fid(survived, hv) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +561,7 @@ def test_unitary_elements_preserve_inner_products(rng):
         lambda s: pbs(s, 1, 2),
         lambda s: hwp(s, 1),
         lambda s: phase_shift(s, mode(2, "V"), 0.7),
-        lambda s: polarizer(s, 2, "diag45").state("pass"),
+        lambda s: rotate_45(s, 2),
         lambda s: displace(s, mode(1, "H"), 0.15),
     ]
     a, b = rand_state(), rand_state()
@@ -616,29 +597,33 @@ def test_element_pipeline_matches_dense_oracle():
     assert np.linalg.norm(oracles.dense_vector(out) - vec) < 1e-8
 
 
-def test_diag45_in_dense_pipeline():
+def test_rotate_45_in_dense_pipeline():
     from dualcat.fock import ModeRegister
 
     d = 8
     reg = ModeRegister.of({mode(1, "H"): d - 1, mode(1, "V"): d - 1})
     psi = normalized(PureState(reg, {
         (1, 0): 0.7, (0, 2): -0.4j, (2, 1): 0.5, (3, 0): 0.2j}, 0.0))
-    out = polarizer(psi, 1, "diag45").state("pass")
-    # dense two-mode mixer with the diag45 angle convention
+    out = rotate_45(psi, 1)
+    # dense two-mode mixer with the rotate_45 angle convention
     dense = oracles.dense_mixer(reg, 0, 1, -math.pi / 4.0, 0.0)
     want = dense @ oracles.dense_vector(psi)
     assert np.linalg.norm(oracles.dense_vector(out) - want) < 1e-10
 
 
-def test_branch_probabilities_equal_squared_norms():
-    reg = polarized_register([1], 14)
-    s = normalized(add(coherent(reg, mode(1, "H"), 0.7, tail_eps=1e-6),
-                       coherent(reg, mode(1, "V"), -0.5, tail_eps=1e-6)))
-    for outcome in (polarizer(s, 1, "H"), onoff_detect(s, mode(1, "V"))):
-        total = 0.0
-        for label, state, prob in outcome.branches:
-            if state is not None:
-                assert prob == pytest.approx(state.norm_sq(), abs=1e-12)
-            total += prob
-        assert total == pytest.approx(s.norm_sq(), abs=1e-10)
-        assert total <= 1.0 + 1e-10
+def test_measurement_branches_partition_the_input():
+    # each channel splits the input's components into two states: disjoint
+    # keys whose union is the input's, norms² summing to the input's, and
+    # the input's deficit on both
+    reg = polarized_register([1], 6)
+    psi = add(coherent(reg, mode(1, "H"), 1.0, tail_eps=1e-3),
+              coherent(reg, mode(1, "V"), -0.5, tail_eps=1e-3))
+    assert psi.norm_deficit > 0.0
+    channels = (polarizer(psi, 1, "H"), polarizer(psi, 1, "V"),
+                onoff_detect(psi, mode(1, "V")), onoff_detect(psi, (mode(1, "H"), mode(1, "V"))))
+    for first, second in channels:
+        assert len(first) and len(second)
+        assert not set(first.keys.tolist()) & set(second.keys.tolist())
+        assert sorted(first.keys.tolist() + second.keys.tolist()) == psi.keys.tolist()
+        assert first.norm_sq() + second.norm_sq() == pytest.approx(psi.norm_sq(), rel=1e-14)
+        assert first.norm_deficit == second.norm_deficit == psi.norm_deficit

@@ -29,7 +29,7 @@ from dualcat.elements import (
     onoff_detect,
     parity_controlled_flip,
     pbs,
-    polarizer,
+    rotate_45,
 )
 from dualcat.fock import (
     ContractViolationError,
@@ -228,7 +228,7 @@ def test_dark_branch_norm_leaves_out_what_the_rotation_prunes():
     reg = ModeRegister((mode(1, "H"), mode(1, "V"), mode(2)), (1, 1, 1))
     psi = PureState(reg, {(1, 1, 0): 0.11346}, 0.0)
     dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
-    rotated = polarizer(psi, 1, "diag45").state("pass")
+    rotated = rotate_45(psi, 1)
     assert len(rotated) == len(dark) == 0
     assert dark.norm_sq() == rotated.norm_sq() == 0.0
     _, exact = dense_dark_branch(psi, -math.pi / 4.0, 0.0)
@@ -245,7 +245,7 @@ def test_dark_branch_norm_counts_a_fitting_block_whole():
     reg = ModeRegister((mode(1, "H"), mode(1, "V"), mode(2)), (1, 1, 1))
     psi = PureState(reg, {(1, 0, 0): 1.2e-16}, 0.0)
     dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
-    rotated = polarizer(psi, 1, "diag45").state("pass")
+    rotated = rotate_45(psi, 1)
     assert len(rotated) == len(dark) == 0
     assert dark.norm_sq() == rotated.norm_sq() == 0.0
     _, exact = dense_dark_branch(psi, -math.pi / 4.0, 0.0)
@@ -288,8 +288,8 @@ def test_dark_branch_is_one_bincount_pass_at_any_slice_size(psi, chunk):
         patch.setattr(fock, "_CHUNK", chunk)
         patch.setattr(fock, "_mixed", dense)
         dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
-    rotated = polarizer(psi, 1, "diag45").state("pass")
-    composed = onoff_detect(rotated, mode(1, "H")).state("no_click")
+    rotated = rotate_45(psi, 1)
+    _, composed = onoff_detect(rotated, mode(1, "H"))
     assert dark.keys.tolist() == composed.keys.tolist()
     assert np.max(np.abs(dark.coeffs - composed.coeffs), initial=0.0) <= 1e-14
     # the dense mixer on a register wide enough for every total, then 1H = 0
@@ -306,8 +306,8 @@ def test_dark_branch_is_one_bincount_pass_at_any_slice_size(psi, chunk):
 @given(psi=tag_path_states())
 def test_dark_branch_matches_rotation_then_dark_port(psi):
     dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
-    rotated = polarizer(psi, 1, "diag45").state("pass")
-    composed = onoff_detect(rotated, mode(1, "H")).state("no_click")
+    rotated = rotate_45(psi, 1)
+    _, composed = onoff_detect(rotated, mode(1, "H"))
     assert dark.keys.tolist() == composed.keys.tolist()
     assert np.max(np.abs(dark.coeffs - composed.coeffs), initial=0.0) <= 1e-14
     # the mass of the n_1H = 0 column that the cutoff of 1V drops
