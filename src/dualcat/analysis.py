@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import (ParityLineCorrelator, ParityPolarCorrelator, displaced_parity_expect,
-                       phase_shift)
+from .elements import ParityCorrelator, _polar, phase_shift
 from .fock import (
     CutoffError,
     ModeLabel,
@@ -192,17 +191,15 @@ def negativity_two_qubit(rho: np.ndarray) -> tuple[float, float]:
 # CHSH with displaced parity readout
 
 
-def chsh_displaced_parity(state: PureState, settings: BellSettings) -> float:
-    """E(b1,b2) + E(b1,b2') + E(b1',b2) - E(b1',b2') with parity readout."""
-    e = displaced_parity_expect
-    return (e(state, settings.beta1, settings.beta2)
-            + e(state, settings.beta1, settings.beta2p)
-            + e(state, settings.beta1p, settings.beta2)
-            - e(state, settings.beta1p, settings.beta2p))
-
-
 #: CHSH signs of E(side-1 setting a or a', side-2 setting b or b')
 _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def chsh_displaced_parity(state: PureState, settings: BellSettings) -> float:
+    """E(b1,b2) + E(b1,b2') + E(b1',b2) - E(b1',b2') with parity readout."""
+    e = ParityCorrelator(state)([settings.beta1, settings.beta1p],
+                                [settings.beta2, settings.beta2p])
+    return float((_SIGNS * e).sum())
 
 
 def _chsh_derivatives(jets: np.ndarray, k: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -237,19 +234,16 @@ def _ascend(evaluate, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.
     """Damped Newton ascent on sign * B from ``x0``, sign that of B there.
 
     ``evaluate(x)`` returns (B, gradient, Hessian), or raises a cutoff error
-    past the edge.  A step solves (shift - H) s = g, the shift above every
-    eigenvalue of H unless H is negative definite; it is kept only if it
-    raises sign * B, else the shift grows.  A step whose predicted gain is
-    rounding ends the ascent, kept if B holds to that level; so do a gradient
-    at rounding and ``iters`` steps.  Returns the end point and |B| there, or
-    ``x0`` and ``start_val`` if that is better.
+    past the edge rule ``x0`` passed already.  A step solves (shift - H) s = g,
+    the shift above every eigenvalue of H unless H is negative definite; it is
+    kept only if it raises sign * B, else the shift grows.  A step whose
+    predicted gain is rounding ends the ascent, kept if B holds to that level;
+    so do a gradient at rounding and ``iters`` steps.  Returns the end point
+    and |B| there, or ``x0`` and ``start_val`` if that is better.
     """
     if iters <= 0:
         return x0, start_val
-    try:
-        val, grad, hess = evaluate(x0)
-    except CutoffError:  # a seed within the evaluation's edge margin stays as it is
-        return x0, start_val
+    val, grad, hess = evaluate(x0)
     sign = 1.0 if val >= 0 else -1.0
     x, f, grad, hess = x0, sign * val, sign * grad, sign * hess
     shift = 0.0
@@ -309,35 +303,29 @@ def _best_seed(E: np.ndarray) -> tuple[float, tuple]:
     return best, seed
 
 
-def _line_search(state: PureState, search: BellSearch, unit: complex
+def _line_search(corr: ParityCorrelator, unit: complex, axis: np.ndarray, iters: int
                  ) -> tuple[BellSettings, float]:
-    """Grid over the line ``unit * [-r, r]``, then refine along that line.
+    """Grid over the line ``unit * axis``, then refine along that line.
 
-    Every correlator comes from one ``ParityLineCorrelator`` of the state:
-    the grid is one matrix product, and each Newton step of a refinement
-    takes B, its gradient and its Hessian from one 6x6 block of its jets.
-    Maximizing B and maximizing -B are separate problems, so the best grid
-    point of each sign seeds its own refinement and the larger |B| wins.
-    Grid points with a == a' or b == b' are skipped as seeds: there B
-    collapses to 2 E(a, b), so many of them tie at |B| = 2 (for a parity
-    eigenstate, every one with a = b = 0) and would pick an arbitrary seed.
+    Every correlator comes from the line form ``corr.line(unit)``: the grid
+    is one matrix product, and each Newton step of a refinement takes B, its
+    gradient and its Hessian from one 6x6 block of its jets.  Maximizing B
+    and maximizing -B are separate problems, so the best grid point of each
+    sign seeds its own refinement and the larger |B| wins.  Grid points with
+    a == a' or b == b' are skipped as seeds: there B collapses to 2 E(a, b),
+    so many of them tie at |B| = 2 (for a parity eigenstate, every one with
+    a = b = 0) and would pick an arbitrary seed.
     """
-    r = float(search.radius)
-    n2 = state.norm_sq()
-    nbar = max(occupation_moments(state, m)[0] for m in state.register.modes) / n2 if n2 else 0.0
-    # spacing 2r / (n - 1) <= pi / (16 sqrt(nbar)), 1/8 of the fringe period
-    n = max(search.grid_density, 1 + math.ceil(32.0 * r * math.sqrt(nbar) / math.pi))
-    axis = np.linspace(-r, r, n)
-    corr = ParityLineCorrelator(state, unit)
-    E = corr(axis, axis)
+    line = corr.line(unit)
+    E = line(axis, axis)
 
     def evaluate(x):
-        return _chsh_derivatives(corr.jets(x[:2], x[2:]), 1)
+        return _chsh_derivatives(line.jets(x[:2], x[2:]), 1)
 
     found = []
     for sign in (1.0, -1.0):
         val, seed = _best_seed(sign * E)
-        found.append(_ascend(evaluate, axis[list(seed)], abs(val), search.refine_iters))
+        found.append(_ascend(evaluate, axis[list(seed)], abs(val), iters))
     x, val = max(found, key=lambda f: f[1])
     return BellSettings(*(complex(unit * v) for v in x)), val
 
@@ -352,31 +340,35 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     B: the search maximizes |B|, returns it, and the returned settings give
     ``chsh_displaced_parity(state, settings) == +value`` or ``-value``.
 
-    Deterministic: a grid along the search line (one matrix product of a
-    ``ParityLineCorrelator``) followed by a damped Newton ascent on exact
-    derivatives from the best grid point of each sign of B, capped at
-    ``refine_iters`` Newton steps.  The "complex" search runs both the
+    Deterministic, on one ``ParityCorrelator``: a grid along the search line
+    (one matrix product of its line form) followed by a damped Newton ascent
+    on exact derivatives from the best grid point of each sign of B, capped
+    at ``refine_iters`` Newton steps.  The "complex" search runs both the
     imaginary and the real line search and refines all 8 real parameters,
-    the polar (rho, phi) of each setting, from the better of the two (a
-    ``ParityPolarCorrelator``), so it never returns less than either line
-    search.  Raises a cutoff error if the search radius would push the
-    state off the register's cutoffs.
+    the polar (rho, phi) of each setting, from the better of the two (its
+    polar jets), so it never returns less than either line search.  Raises a
+    cutoff error if the search radius would push the state off the
+    register's cutoffs, by the edge rule every evaluation keeps.
     """
     r = float(search.radius)
+    corr = ParityCorrelator(state)
     for probe in (r, -r, 1j * r, -1j * r):
         try:
-            displaced_parity_expect(state, probe, probe)
+            corr.check(probe, probe)
         except CutoffError as err:
             raise CutoffError(f"search radius {r} is not cutoff-safe: {err}") from err
 
+    n2 = state.norm_sq()
+    nbar = max(occupation_moments(state, m)[0] for m in state.register.modes) / n2 if n2 else 0.0
+    # spacing 2r / (n - 1) <= pi / (16 sqrt(nbar)), 1/8 of the fringe period
+    n = max(search.grid_density, 1 + math.ceil(32.0 * r * math.sqrt(nbar) / math.pi))
+    axis = np.linspace(-r, r, n)
     if search.axis != "complex":
-        return _line_search(state, search, 1j if search.axis == "imag" else 1.0)
+        return _line_search(corr, 1j if search.axis == "imag" else 1.0, axis, search.refine_iters)
 
-    seed, seed_val = max((_line_search(state, search, unit) for unit in (1j, 1.0)),
-                         key=lambda found: found[1])
-    betas = seed.as_array()
-    x0 = np.column_stack([np.abs(betas), np.angle(betas)]).ravel()
-    corr = ParityPolarCorrelator(state)
+    seed, seed_val = max((_line_search(corr, unit, axis, search.refine_iters)
+                          for unit in (1j, 1.0)), key=lambda found: found[1])
+    x0 = np.column_stack(_polar(seed.as_array())).ravel()
 
     def evaluate(x):
         x = x.reshape(4, 2)

@@ -94,8 +94,8 @@ def _finite(text: str) -> float:
 def parse_grid(spec: str) -> list:
     """Parse "start:stop:step" (inclusive) or a comma list into finite floats."""
     spec = spec.strip()
-    if not spec:
-        raise ConfigError("empty grid specification")
+    if not spec.replace(",", "").strip():
+        raise ConfigError(f"grid {spec!r} holds no value")
     if "," in spec:
         return [_finite(x) for x in spec.split(",") if x.strip()]
     parts = spec.split(":")
@@ -291,7 +291,7 @@ EXPERIMENTS: dict = {
     "bell": Experiment(
         "optimized displaced-parity CHSH sweep",
         {"alpha_grid": Param("0.5:2.0:0.5", "grid"), "radius": Param(1.0, low=math.ulp(0.0)),
-         "grid_density": Param(25, "int", low=2),
+         "grid_density": Param(25, "int", low=2, high=math.isqrt(MAX_GRID_POINTS)),
          "refine_iters": Param(600, "int", low=0,
                                help="cap on Newton steps of each refinement (0: grid only)"),
          "axis": Param("imag", "choice", ("imag", "real", "complex"))},

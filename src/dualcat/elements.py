@@ -17,6 +17,9 @@ Conventions (fixed once, used everywhere):
   caller opts into pass-through (physically: the gate fails to actuate on
   ambiguous control light, which is how miscalibrated displacements
   degrade the protocol).
+* Every displaced-parity correlator of a two-mode state comes from one
+  ``ParityCorrelator``, at any settings, on a line or with derivatives,
+  under the one cutoff-edge rule of its ``check``.
 """
 
 from __future__ import annotations
@@ -349,179 +352,145 @@ def onoff_detect(state: PureState, modes: ModeLabel | tuple) -> tuple[PureState,
 # displaced parity correlation
 
 
-def _state_matrix(state: PureState) -> np.ndarray:
-    reg = state.register
-    if reg.n_modes != 2:
-        raise ValueError("displaced parity expectation needs a two-mode state")
-    out = np.zeros(reg.dims, dtype=complex)
-    out[reg.digit(state.keys, 0), reg.digit(state.keys, 1)] = state.coeffs
-    return out
+def _polar(betas) -> tuple[np.ndarray, np.ndarray]:
+    """Complex settings as (rho, phi) = (|beta|, arg beta)."""
+    b = np.atleast_1d(np.asarray(betas, dtype=complex))
+    return np.abs(b), np.angle(b)
 
 
-@_one_blas_thread
-def displaced_parity_expect(state: PureState, beta1: complex, beta2: complex,
-                            tail_eps: float = 1e-9) -> float:
-    """< D(b1)D(b2) (-1)^{n1+n2} D†(b2)D†(b1) > for a two-mode state.
+class ParityCorrelator:
+    """E(b1, b2) = < D(b1)D(b2) (-1)^{n1+n2} D†(b2)D†(b1) > of one two-mode
+    state with amplitude matrix M, at any settings, with exact derivatives.
 
-    Computed by displacing the state by (-b1, -b2) and summing the signed
-    photon-number probabilities; the result lies in [-1, 1].
-    """
-    reg = state.register
-    m = _state_matrix(state)
-    d1 = displacement_matrix(-complex(beta1), reg.cutoffs[0] + 1)
-    d2 = displacement_matrix(-complex(beta2), reg.cutoffs[1] + 1)
-    shifted = d1 @ m @ d2.T
-    top = float(np.sum(np.abs(shifted[-1, :]) ** 2) + np.sum(np.abs(shifted[:, -1]) ** 2))
-    if top > tail_eps:
-        raise CutoffError(
-            f"displacement ({beta1}, {beta2}) pushes mass {top:.3g} onto the cutoff edge")
-    probs = np.abs(shifted) ** 2
-    signs1 = (-1.0) ** np.arange(probs.shape[0])
-    signs2 = (-1.0) ** np.arange(probs.shape[1])
-    return float(signs1 @ probs @ signs2)
+    Parity anticommutes with the truncated a† - a, so D(b) P D†(b) = D(2b) P
+    exactly.  With i(a† - a) = V diag(lam) V† (the cached spectrum), entry
+    [m, n] of Pi = D(2 beta) P at beta = rho e^{i phi} is e^{i phi (m - n)}
+    Q[m, n], Q = V diag(e^{-2i rho lam}) V† P, and E = sum conj(M) ∘ (Pi1 M Pi2^T).
+    d/drho multiplies e^{-2i rho lam} by -2i lam, d/dphi entry [m, n] by i(m - n).
 
-
-#: derivative evaluations refuse edge masses above this share of ``tail_eps``.
-#: A refinement can converge onto the edge, and the edge masses summed here
-#: and by ``displaced_parity_expect`` differ by up to about 1.5e-17 (1.5e-8 of
-#: the default 1e-9); the margin keeps the points it accepts inside both.
-_JET_EDGE = 1.0 - 1e-6
-
-
-def _check_edge(mass1: np.ndarray, mass2: np.ndarray, tail_eps: float,
-                beta1: np.ndarray, beta2: np.ndarray) -> None:
-    """Raise a cutoff error when a pair (beta1[i], beta2[j]) of displacements
-    pushes more than ``tail_eps`` onto the cutoff edges, given the edge mass of
-    each side."""
-    top = mass1[:, None] + mass2
-    if np.any(top > tail_eps):
-        i, j = np.unravel_index(int(np.argmax(top > tail_eps)), top.shape)
-        raise CutoffError(f"displacement ({beta1[i]}, {beta2[j]}) pushes mass "
-                          f"{top[i, j]:.3g} onto the cutoff edge")
-
-
-class ParityLineCorrelator:
-    """Displaced-parity correlator of one two-mode state on the line
-    beta = t * unit, as a bilinear form in two phase vectors.
-
-    The truncated a† - a couples only levels n and n +- 1, so parity
-    anticommutes with it and D(b) P D†(b) = D(2b) P holds exactly on the
-    truncated space.  With i(a† - a) = V diag(lam) V† per mode and
-    Phi = diag(e^{i arg(unit) n}), E(t1, t2) = Re[e1^T W e2] with
-    e = exp(-2i t |unit| lam) and W = A ∘ B^T, A = V1† Phi1† P1 M P2 Phi2* V2*,
-    B = V2^T Phi2 M† Phi1 V1 built once from the amplitude matrix M.  Each
-    correlator costs O(dim^2) and a grid of them is one matrix product.  The
-    cutoff-edge masses of the displaced state are the quadratic forms
-    x C x† with x = V[-1, :] ∘ e^{i t |unit| lam}, so every evaluation keeps
-    the edge check of ``displaced_parity_expect``.
+    Every evaluation, ``line`` forms included, keeps the edge rule of
+    ``check``: with x the last row of D(-beta), the displaced state holds
+    |x M|^2 on the top level of mode 1 and |x M^T|^2 on that of mode 2, and
+    a pair of settings whose edge masses sum above ``tail_eps`` is refused.
     """
 
-    @_one_blas_thread
-    def __init__(self, state: PureState, unit: complex, tail_eps: float = 1e-9):
-        m = _state_matrix(state)
-        self.unit, self.tail_eps = complex(unit), tail_eps
-        spectra = [generator_spectrum("displace", d) for d in m.shape]
-        pv1, pv2 = (np.exp(1j * np.angle(unit) * np.arange(len(lam)))[:, None] * v
-                    for lam, v, _ in spectra)
-        p1, p2 = ((-1.0) ** np.arange(d) for d in m.shape)
-        a = pv1.conj().T @ (p1[:, None] * m * p2) @ pv2.conj()
-        b = pv2.T @ m.conj().T @ pv1
-        self.w = a * b.T
-        # per mode: (lam, top row of V, C) with the edge mass x C x†
-        self.sides = [(lam, v[-1], pv.conj().T @ mm @ pv) for (lam, v, _), pv, mm
-                      in zip(spectra, (pv1, pv2), (m @ m.conj().T, m.T @ m.conj()))]
-
-    @_one_blas_thread
-    def _side(self, t: np.ndarray, lam: np.ndarray, top: np.ndarray, c: np.ndarray):
-        """Cutoff-edge mass and correlator phase vector at each coordinate."""
-        phases = np.exp(1j * abs(self.unit) * t[:, None] * lam)
-        x = top * phases
-        return ((x @ c) * x.conj()).sum(axis=1).real, phases.conj() ** 2
-
-    @_one_blas_thread
-    def _phases(self, t1: np.ndarray, t2: np.ndarray, tail_eps: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase vectors of both sides, once every pair passed the edge check."""
-        t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
-        (mass1, e1), (mass2, e2) = (self._side(t, *side) for t, side in zip((t1, t2), self.sides))
-        _check_edge(mass1, mass2, tail_eps, t1 * self.unit, t2 * self.unit)
-        return e1, e2
-
-    @_one_blas_thread
-    def __call__(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        """E[i, j] = displaced_parity_expect(state, t1[i] * unit, t2[j] * unit).
-
-        Raises a cutoff error when any pair pushes more than ``tail_eps``
-        of mass onto the cutoff edge.
-        """
-        e1, e2 = self._phases(t1, t2, self.tail_eps)
-        return (e1 @ self.w @ e2.T).real
-
-    @_one_blas_thread
-    def jets(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        """J[i, k, j, l] = d^k/dt1^k d^l/dt2^l E(t1[i], t2[j]) for k, l in 0, 1, 2.
-
-        d/dt multiplies e by kappa = -2i |unit| lam, so one product of the
-        stacked [e, kappa e, kappa^2 e] of each side gives them all, with the
-        edge check of ``__call__`` held ``_JET_EDGE`` inside the edge.
-        """
-        e1, e2 = self._phases(t1, t2, self.tail_eps * _JET_EDGE)
-        left, right = ((e[:, None, :] * (-2j * abs(self.unit) * side[0]) ** np.arange(3)[:, None]
-                        ).reshape(-1, e.shape[1]) for e, side in zip((e1, e2), self.sides))
-        return (left @ self.w @ right.T).real.reshape(len(e1), 3, len(e2), 3)
-
-
-class ParityPolarCorrelator:
-    """Displaced-parity correlator of one two-mode state at settings
-    beta = rho e^{i phi}, with its exact derivatives in (rho, phi).
-
-    With R = diag(e^{i phi n}), D(2 beta) P = R D(2 rho) P R†, so entry [m, n]
-    of Pi = D(2 beta) P is e^{i phi (m - n)} Q[m, n] with
-    Q = V diag(e^{-2i rho lam}) V† P from the cached spectrum of i(a† - a).
-    A rho-derivative multiplies e^{-2i rho lam} by -2i lam and a
-    phi-derivative multiplies entry [m, n] by i(m - n), and
-    E = sum conj(M) ∘ (Pi1 M Pi2^T) for the amplitude matrix M.  An
-    evaluation costs O(dim^3) and keeps the edge check of
-    ``displaced_parity_expect``: the edge mass of each side is x C x† with
-    x the last row of D(-beta).
-    """
-
-    @_one_blas_thread
     def __init__(self, state: PureState, tail_eps: float = 1e-9):
-        self.m = _state_matrix(state)
+        reg = state.register
+        if reg.n_modes != 2:
+            raise ValueError("displaced parity expectation needs a two-mode state")
+        self.m = np.zeros(reg.dims, dtype=complex)
+        self.m[reg.digit(state.keys, 0), reg.digit(state.keys, 1)] = state.coeffs
         self.tail_eps = tail_eps
-        self.sides = [(*generator_spectrum("displace", d), mm) for d, mm
-                      in zip(self.m.shape, (self.m @ self.m.conj().T, self.m.T @ self.m.conj()))]
+        self.spectra = [generator_spectrum("displace", d) for d in self.m.shape]
 
     @staticmethod
     @_one_blas_thread
-    def _side(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
-              vh: np.ndarray, c: np.ndarray):
-        """Cutoff-edge mass and the jets [Pi, Pi_rho, Pi_phi, Pi_rr, Pi_rp, Pi_pp]
-        of each setting (rho[k], phi[k])."""
+    def _edge(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
+              vh: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """|x m|^2 at each setting (rho[k], phi[k]), x the last row of
+        D(-rho e^{i phi}) up to a phase.  Each row is a product of its own, as
+        a k-row product sums in another order for some k: a setting gets one
+        edge mass in every evaluation, whatever the batch."""
+        x = ((v[-1] * np.exp(1j * rho[:, None] * lam))[:, None] @ vh
+             * np.exp(-1j * phi)[:, None, None] ** np.arange(len(lam)))
+        return (np.abs(x @ m) ** 2).sum(axis=(1, 2))
+
+    def _check(self, s1: tuple, s2: tuple) -> np.ndarray:
+        top = (self._edge(*s1, *self.spectra[0], self.m)[:, None]
+               + self._edge(*s2, *self.spectra[1], self.m.T))
+        if np.any(top > self.tail_eps):
+            i, j = np.unravel_index(int(np.argmax(top > self.tail_eps)), top.shape)
+            b1, b2 = s1[0][i] * np.exp(1j * s1[1][i]), s2[0][j] * np.exp(1j * s2[1][j])
+            raise CutoffError(f"displacement ({b1}, {b2}) puts mass {top[i, j]:.3g} on the edge")
+        return top
+
+    def check(self, b1, b2) -> np.ndarray:
+        """The cutoff-edge mass top[i, j] of the state displaced by
+        (-b1[i], -b2[j]); raises a cutoff error when one exceeds ``tail_eps``."""
+        return self._check(_polar(b1), _polar(b2))
+
+    @staticmethod
+    @_one_blas_thread
+    def _pi(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
+            vh: np.ndarray, derivatives: bool) -> np.ndarray:
+        """Pi[k, 0] = D(2 beta) P at each setting (rho[k], phi[k]), and with
+        ``derivatives`` its jets [Pi, Pi_rho, Pi_phi, Pi_rr, Pi_rp, Pi_pp]."""
         n = np.arange(len(lam))
-        x = ((v[-1] * np.exp(1j * rho[:, None] * lam)) @ vh) * np.exp(-1j * phi[:, None] * n)
-        mass = ((x @ c) * x.conj()).sum(axis=1).real
-        kappa = (-2j * lam) ** np.arange(3)[:, None]
+        kappa = (-2j * lam) ** np.arange(3 if derivatives else 1)[:, None]
         q = (v * (kappa * np.exp(-2j * rho[:, None, None] * lam))[:, :, None, :]) @ vh
         q = q * (-1.0) ** n
         dn = 1j * (n[:, None] - n)
         ph = np.exp(phi[:, None, None] * dn)[:, None]
-        pi = ph * np.stack([q[:, 0], q[:, 1], dn * q[:, 0], q[:, 2], dn * q[:, 1], dn * dn * q[:, 0]],
-                           axis=1)
-        return mass, pi
+        return ph * (np.stack([q[:, 0], q[:, 1], dn * q[:, 0], q[:, 2], dn * q[:, 1],
+                               dn * dn * q[:, 0]], axis=1) if derivatives else q)
 
     @_one_blas_thread
+    def _jets(self, s1: tuple, s2: tuple, derivatives: bool) -> np.ndarray:
+        self._check(s1, s2)
+        pi1, pi2 = (self._pi(*s, *spectrum, derivatives)
+                    for s, spectrum in zip((s1, s2), self.spectra))
+        z = self.m.conj() @ pi2 @ self.m.T  # sum conj(M) ∘ (Pi1 M Pi2^T) = sum Pi1 ∘ z
+        return np.einsum("ikab,jlab->ikjl", pi1, z).real
+
+    def __call__(self, b1, b2) -> np.ndarray:
+        """E[i, j] = E(b1[i], b2[j]) at any complex settings, in [-1, 1]."""
+        return self._jets(_polar(b1), _polar(b2), False)[:, 0, :, 0]
+
     def jets(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """J[i, k, j, l] = the derivative of E(s1[i], s2[j]) that entry k of the
         setting s1[i] = (rho, phi) of mode 1 and entry l of s2[j] name, in the
-        order value, d/drho, d/dphi, d2/drho2, d2/drho dphi, d2/dphi2.  Raises
-        a cutoff error like ``jets`` of ``ParityLineCorrelator``."""
-        s1, s2 = np.asarray(s1, dtype=float), np.asarray(s2, dtype=float)
-        (mass1, pi1), (mass2, pi2) = (self._side(s[:, 0], s[:, 1], *side)
-                                      for s, side in zip((s1, s2), self.sides))
-        _check_edge(mass1, mass2, self.tail_eps * _JET_EDGE,
-                    *(s[:, 0] * np.exp(1j * s[:, 1]) for s in (s1, s2)))
-        # sum conj(M) ∘ (Pi1 M Pi2^T) = sum Pi1 ∘ (conj(M) Pi2 M^T)
-        z = self.m.conj() @ pi2 @ self.m.T
-        return np.einsum("ikab,jlab->ikjl", pi1, z).real
+        order value, d/drho, d/dphi, d2/drho2, d2/drho dphi, d2/dphi2."""
+        return self._jets(np.asarray(s1, dtype=float).T, np.asarray(s2, dtype=float).T, True)
+
+    def line(self, unit: complex) -> ParityLine:
+        """The correlator on the line of settings beta = t * unit."""
+        return ParityLine(self, unit)
+
+
+class ParityLine:
+    """A :class:`ParityCorrelator` on the line beta = t * unit, as a bilinear
+    form: with Phi = diag(e^{i arg(unit) n}), E(t1, t2) = Re[e1^T W e2] with
+    e = exp(-2i t |unit| lam) and W = A ∘ B^T, A = V1† Phi1† P1 M P2 Phi2* V2*,
+    B = V2^T Phi2 M† Phi1 V1.  Each correlator costs O(dim^2), a grid of them
+    is one matrix product, and each evaluation first runs ``check`` on t * unit.
+    """
+
+    @_one_blas_thread
+    def __init__(self, corr: ParityCorrelator, unit: complex):
+        self.corr, self.unit, m = corr, complex(unit), corr.m
+        pv1, pv2 = (np.exp(1j * np.angle(self.unit) * np.arange(len(lam)))[:, None] * v
+                    for lam, v, _ in corr.spectra)
+        p1, p2 = ((-1.0) ** np.arange(d) for d in m.shape)
+        a = pv1.conj().T @ (p1[:, None] * m * p2) @ pv2.conj()
+        b = pv2.T @ m.conj().T @ pv1
+        self.w = a * b.T
+
+    def _phases(self, t1, t2) -> list:
+        """The phase vectors e of both sides, once every pair passed the check."""
+        t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
+        self.corr.check(t1 * self.unit, t2 * self.unit)
+        return [np.exp(1j * abs(self.unit) * t[:, None] * lam).conj() ** 2
+                for t, (lam, _, _) in zip((t1, t2), self.corr.spectra)]
+
+    @_one_blas_thread
+    def __call__(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        """E[i, j] = E(t1[i] * unit, t2[j] * unit)."""
+        e1, e2 = self._phases(t1, t2)
+        return (e1 @ self.w @ e2.T).real
+
+    @_one_blas_thread
+    def jets(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        """J[i, k, j, l] = d^k/dt1^k d^l/dt2^l E(t1[i], t2[j]) for k, l in 0, 1, 2:
+        d/dt multiplies e by kappa = -2i |unit| lam, so one product of the
+        stacked [e, kappa e, kappa^2 e] of each side gives them all."""
+        e1, e2 = self._phases(t1, t2)
+        left, right = ((e[:, None, :] * (-2j * abs(self.unit) * lam) ** np.arange(3)[:, None]
+                        ).reshape(-1, e.shape[1])
+                       for e, (lam, _, _) in zip((e1, e2), self.corr.spectra))
+        return (left @ self.w @ right.T).real.reshape(len(e1), 3, len(e2), 3)
+
+
+def displaced_parity_expect(state: PureState, beta1: complex, beta2: complex,
+                            tail_eps: float = 1e-9) -> float:
+    """E(beta1, beta2) of a two-mode state, in [-1, 1]: see :class:`ParityCorrelator`."""
+    return float(ParityCorrelator(state, tail_eps)(beta1, beta2)[0, 0])

@@ -25,8 +25,8 @@ from dualcat.circuits import (
     noon_from_cat_pair,
 )
 from dualcat.elements import (
-    ParityLineCorrelator,
-    ParityPolarCorrelator,
+    ParityCorrelator,
+    _polar,
     displace,
     displaced_parity_expect,
 )
@@ -349,7 +349,7 @@ def test_chsh_derivatives_match_central_differences(rng):
 
     pair = _cat_pair(1.0)
     for unit in (1j, 1.0, complex(math.cos(0.4), math.sin(0.4))):
-        corr = ParityLineCorrelator(pair, unit)
+        corr = ParityCorrelator(pair).line(unit)
 
         def line_b(x):
             e = corr(x[:2], x[2:])
@@ -363,7 +363,7 @@ def test_chsh_derivatives_match_central_differences(rng):
         assert np.abs(hess - fd_hess).max() <= 1e-5
         assert np.array_equal(hess, hess.T)
 
-    polar = ParityPolarCorrelator(pair)
+    polar = ParityCorrelator(pair)
 
     def polar_b(x):
         x = x.reshape(4, 2)
@@ -414,6 +414,62 @@ def test_chsh_refinement_stays_inside_the_cutoff_edge(axis):
         assert all(np.any((b / unit).real == grid) and (b / unit).imag == 0.0
                    for b in seed_settings.as_array())
     assert abs(chsh_displaced_parity(pair, seed_settings)) == pytest.approx(seed_val, abs=1e-12)
+
+
+@pytest.mark.parametrize("unit", [1j, 1.0, complex(math.cos(0.4), math.sin(0.4))])
+def test_every_evaluator_keeps_one_edge_rule(monkeypatch, unit):
+    # a tight register and settings on the imaginary line, the real line and
+    # neither: with tail_eps at a pair's own edge-mass sum every evaluator
+    # accepts the pair, and one ulp below it every one refuses it
+    from dualcat import analysis
+
+    pair = _cat_pair(1.0, cutoff=coherent_cutoff(1.5), tail_eps=1e-6)
+    t1, t2 = np.array([0.9]), np.array([-0.7])
+    b1, b2 = t1 * unit, t2 * unit
+    top = ParityCorrelator(pair, tail_eps=math.inf).check(b1, b2)[0, 0]
+    assert top > 0.0
+    # the grid around the pair: the pair holds its largest edge mass
+    grid1, grid2 = np.array([0.0, t1[0]]), np.array([t2[0], 0.3])
+    assert ParityCorrelator(pair, tail_eps=math.inf).check(grid1 * unit, grid2 * unit).max() == top
+    for tail_eps, accepted in ((top, True), (np.nextafter(top, 0.0), False)):
+        corr = ParityCorrelator(pair, tail_eps)
+        line = corr.line(unit)
+        monkeypatch.setattr(analysis, "ParityCorrelator",
+                            lambda state: ParityCorrelator(state, tail_eps))
+        evaluators = {
+            "call": lambda: corr(b1, b2),
+            "line grid": lambda: line(grid1, grid2),
+            "line jets": lambda: line.jets(t1, t2),
+            "polar jets": lambda: corr.jets(np.column_stack(_polar(b1)),
+                                            np.column_stack(_polar(b2))),
+            "displaced_parity_expect": lambda: displaced_parity_expect(pair, b1[0], b2[0],
+                                                                        tail_eps),
+            "chsh_displaced_parity": lambda: chsh_displaced_parity(
+                pair, BellSettings(b1[0], b1[0], b2[0], b2[0])),
+        }
+        for name, evaluate in evaluators.items():
+            if accepted:
+                evaluate()
+            else:
+                with pytest.raises(CutoffError):
+                    evaluate()
+                    pytest.fail(f"{name} accepted an edge mass above tail_eps")
+
+
+@pytest.mark.parametrize("axis", ["imag", "real", "complex"])
+def test_chsh_optimize_builds_no_displacement_matrix(monkeypatch, axis):
+    from dualcat import elements, fock
+
+    calls = []
+    for module in (fock, elements):
+        real = module.displacement_matrix
+        monkeypatch.setattr(module, "displacement_matrix",
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    pair = _cat_pair(0.5)
+    chsh_optimize(pair, BellSearch(axis=axis))
+    assert calls == []
+    displace(pair, mode(1), 0.1)  # the counter sees a displacement matrix
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.49, 1.0, 1.5, 3.0])

@@ -44,6 +44,14 @@ def test_parse_grid_rejects_nonsense():
         parse_grid("1.0:0.5:0.1")
     with pytest.raises(ConfigError):
         parse_grid("")
+    for spec in (",", ",,", " , "):
+        with pytest.raises(ConfigError, match="holds no value"):
+            parse_grid(spec)
+
+
+def test_a_blank_optional_grid_means_no_sweep():
+    cfg = resolve_config("sv-generate", {}, {"t_grid": ""}, 1e-12, 1, None)
+    assert cli.EXPERIMENTS["sv-generate"].params["t_grid"].points(cfg.parameters["t_grid"]) == []
 
 
 def test_resolve_config_fills_defaults():
@@ -522,6 +530,13 @@ BAD_VALUES = [
     (["ifm"], {"bomb": "no"}),
     (["bell"], {"grid_density": 2.5}),
     (["fisher"], {"alpha_grid": [1.0, 1.5]}),
+    # comma lists that hold no value
+    (["bell", "--alpha-grid", ","], {}),
+    (["fisher", "--alpha-grid", ",,"], {}),
+    (["imperfection-sweep", "--b-offsets", ","], {}),
+    (["sv-generate", "--t-grid", ","], {}),
+    # a 100000 x 100000 grid of setting pairs
+    (["bell", "--grid-density", "100000"], {}),
 ]
 
 
@@ -636,7 +651,7 @@ WRONG_TYPE = {"bool": ["no", 1, None], "choice": ["bogus", 1, None, ["imag"]],
 #: strings that argparse or the checks refuse, as flags (and, for grids, in a config file)
 BAD_STRINGS = {"bool": [], "choice": ["bogus"], "int": ["2.5", "x"],
                "float": ["nan", "inf", "-inf", "x"],
-               "grid": ["nan", "0:inf:1", "1,nan", "1:0.5:0.1", "1:2:3:4", "x", "0:2e4:1"]}
+               "grid": ["nan", "0:inf:1", "1,nan", "1:0.5:0.1", "1:2:3:4", "x", "0:2e4:1", ","]}
 
 
 def _refused(experiment: str, key: str, par) -> list:

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from dualcat.elements import (
-    ParityLineCorrelator,
+    ParityCorrelator,
     cnot_pol,
     cphase_pol,
     cswap_pol,
@@ -516,7 +516,7 @@ def test_line_correlator_raises_exactly_where_displaced_parity_does(alpha, unit)
 
     reg = plain_register([1, 2], coherent_cutoff(alpha + 1.3))
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
-    corr = ParityLineCorrelator(pair, unit)
+    corr = ParityCorrelator(pair).line(unit)
     ts = np.linspace(-5.0, 5.0, 25)
     refused = np.zeros((len(ts), len(ts)), dtype=bool)
     for i, t1 in enumerate(ts):

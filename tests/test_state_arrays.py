@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from dualcat import fock
 from dualcat.elements import (
-    ParityLineCorrelator,
+    ParityCorrelator,
     cnot_pol,
     controlled_pol_gates,
     cphase_pol,
@@ -178,7 +178,7 @@ def line_cases(draw, cutoffs, top, reach):
 def test_line_correlator_grid_matches_truncated_dense_parity(case):
     # exact on the truncated space, at any occupation and amplitude
     psi, unit, t1, t2 = case
-    got = ParityLineCorrelator(psi, unit, tail_eps=math.inf)(t1, t2)
+    got = ParityCorrelator(psi, tail_eps=math.inf).line(unit)(t1, t2)
     want = [[oracles.truncated_displaced_parity(psi, a * unit, b * unit) for b in t2]
             for a in t1]
     assert np.max(np.abs(got - want)) <= TOL
@@ -190,7 +190,7 @@ def test_line_correlator_grid_matches_laguerre_oracle(case):
     # low occupations keep the truncated displacement equal to the
     # infinite-space Laguerre elements far below the tolerance
     psi, unit, t1, t2 = case
-    got = ParityLineCorrelator(psi, unit, tail_eps=math.inf)(t1, t2)
+    got = ParityCorrelator(psi, tail_eps=math.inf).line(unit)(t1, t2)
     dense = oracles.cached_dense_correlator(psi)
     want = [[dense(a * unit, b * unit) for b in t2] for a in t1]
     assert np.max(np.abs(got - want)) <= TOL
