@@ -14,6 +14,7 @@ import numpy as np
 
 from .elements import ParityCorrelator, _polar, phase_shift
 from .fock import (
+    _CHUNK,
     CutoffError,
     ModeLabel,
     PureState,
@@ -274,17 +275,21 @@ def _ascend(evaluate, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.
 
 def _best_seed(E: np.ndarray) -> tuple[float, tuple]:
     """Grid indices (a, a', b, b') with a != a', b != b' that maximize
-    B = E[a,b] + E[a,b'] + E[a',b] - E[a',b'], and that B.
+    B = E[a,b] + E[a,b'] + E[a',b] - E[a',b'], and that B; of tied ones, the
+    first (a, a') in row order.
 
     For fixed (a, a'), B = s[b] + d[b'] with s = E[a] + E[a'] and
     d = E[a] - E[a'], so the best b != b' pairs the top two entries of s
-    and of d; one row of a at a time keeps the memory O(n^2).
+    and of d.  All (a, a') rows are evaluated at once, in blocks of rows of
+    a that keep each temporary near ``_CHUNK`` entries.
     """
     n = len(E)
-    rows = np.arange(n)
-    best, seed = -np.inf, None
-    for a in range(n):
-        s, d = E[a] + E, E[a] - E
+    best, seed, step = -np.inf, None, max(_CHUNK // (n * n), 1)
+    for lo in range(0, n, step):
+        a = np.arange(lo, min(lo + step, n))
+        # one row per pair (a, a'), a-major
+        s, d = (E[a, None] + E).reshape(-1, n), (E[a, None] - E).reshape(-1, n)
+        rows = np.arange(len(s))
         i1, j1 = s.argmax(axis=1), d.argmax(axis=1)
         s1, d1 = s[rows, i1], d[rows, j1]
         s[rows, i1] = d[rows, j1] = -np.inf
@@ -296,10 +301,10 @@ def _best_seed(E: np.ndarray) -> tuple[float, tuple]:
         b = np.where(take_s2, i2, i1)
         bp = np.where(clash & ~take_s2, j2, j1)
         val = np.where(clash, np.maximum(s1 + d2, s2 + d1), s1 + d1)
-        val[a] = -np.inf  # a == a'
-        ap = int(np.argmax(val))
-        if val[ap] > best:
-            best, seed = float(val[ap]), (a, ap, int(b[ap]), int(bp[ap]))
+        val[(a - lo) * n + a] = -np.inf  # a == a'
+        at = int(np.argmax(val))
+        if val[at] > best:
+            best, seed = float(val[at]), (lo + at // n, at % n, int(b[at]), int(bp[at]))
     return best, seed
 
 

@@ -20,21 +20,30 @@ import numpy as np
 from . import elements, states
 from .elements import PERFECT, Imperfection
 from .fock import (
+    _CHUNK,
     DEFAULT_TAIL_EPS,
     DegenerateInputError,
     ModeLabel,
     ModeRegister,
     PureState,
+    _finish,
+    _joined,
+    _mass,
+    _mixer_row,
     _one_blas_thread,
+    _refuse_top_mass,
+    _run_end,
+    _slice,
     add,
     apply_annihilation,
     apply_creation,
     apply_two_mode_mixer,
     basis_state,
     coherent_cutoff,
+    displacement_matrix,
     embed,
+    group_by,
     mean_occupation,
-    mixer_dark_branch,
     mode,
     normalized,
     polarized_register,
@@ -230,10 +239,13 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     the diagonal basis, where the branch tags share a common vertical
     component and an equal-amplitude vacuum projection of the horizontal
     one erases which-branch information.  Conditioning keeps the dark
-    horizontal port and a click on the vertical port; the rotation and the
-    dark port run as one op, ``fock.mixer_dark_branch``.  The rotation is
-    unitary, and what the cutoffs drop from the dark port is in its deficit,
-    so the dark port's probability is its norm² over that of its input.
+    horizontal port and a click on the vertical port.  Every stage after the
+    tag mixers (displacements, PBS, gates, rotation and dark port) runs as
+    one contraction, :func:`_erased_tags`, which never builds the displaced
+    tag state; it keeps the guards and the deficit of those stages run one
+    by one.  The stages are unitary, and what the cutoffs drop from the dark
+    port is in its deficit, so the dark port's probability is its norm² over
+    that of the tag-mixed state.
 
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
@@ -241,6 +253,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     """
     imp = imperfection or PERFECT
     reg = state.register
+    if any(m.path > 2 for m in reg.modes):
+        raise ValueError("the cat pair must live on paths 1 and 2; paths 3 and 4 carry the tags")
     alpha_est = _infer_cat_amplitude(state)
     A = alpha_est / SQRT2
     B = A + imp.displacement_offset
@@ -256,20 +270,72 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
                                theta=math.pi / 4.0, phase=math.pi)
     psi = apply_two_mode_mixer(psi, mode(2, "V"), mode(4, "V"),
                                theta=math.pi / 4.0, phase=math.pi)
-    psi = elements.displace(psi, mode(3, "H"), B)
-    psi = elements.displace(psi, mode(4, "V"), B)
-    psi = elements.pbs(psi, 3, 4)
+    # diagonal on the rails, so it commutes with every tag step
     psi = elements.phase_shift(psi, mode(2, "V"), math.pi)
-
-    psi = elements.controlled_pol_gates(
-        psi, 3, flips=[(target, imp.flip_angle) for target in (1, 2)],
-        phases=[(target, math.pi) for target in (1, 2)], on_ambiguous=imp.on_ambiguous)
-
-    dark = mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), theta=-math.pi / 4.0)
+    dark = _erased_tags(psi, B, imp)
     click, _ = elements.onoff_detect(dark, mode(3, "V"))
     log = (("tag_dark_port", dark.norm_sq() / psi.norm_sq()),
            ("tag_click", click.norm_sq() / max(dark.norm_sq(), 1e-300)))
     return CircuitReport(normalized(click), log)
+
+
+@_one_blas_thread
+def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
+    """The dark port of :func:`access_polarization` from its tag-mixed state.
+
+    ``psi`` holds c[r, a, b]: rails r on paths 1 and 2, tags a in 3H and b
+    in 4V, 3V and 4H empty.  The tag displacements D and the PBS make
+    phi[r, n, m] = sum D[n, a] D[m, b] c (n in 3H, m in 3V), the gates G act
+    where n = 0, and the dark port keeps sum_n U_t[0, n] phi[r, n, t - n] at
+    3V = t.  So the port is sum_{n > 0} U_t[0, n] phi[r, n, t - n] plus
+    G(held), held = U_t[0, 0] phi[r, 0, t] for t > 0, and no displaced state
+    is built: each slice of whole rests is a dense block of about ``_CHUNK``
+    entries.  The guards and the deficit are those of the staged ops: the
+    top-level mass of 3H, then of 4V, then the ambiguous control mass
+    (n, m > 0); the input deficit, the dark mass past the cutoff of 3V, the
+    pruned dust and what the gates lose.
+    """
+    reg = psi.register
+    h3, v3, v4 = mode(3, "H"), mode(3, "V"), mode(4, "V")
+    dim = reg.cutoff_of(h3) + 1  # both tags share it
+    d = displacement_matrix(complex(beta), dim)
+    rows = np.concatenate([_mixer_row(t, -math.pi / 4.0) for t in range(2 * dim - 1)])
+    n = np.arange(dim)
+    t = n[:, None] + n
+    w = rows[t * (t + 1) // 2 + n[:, None]]  # w[n, m] = U_{n+m}[0, n]
+    stride = int(reg.strides[reg.index(v3)])
+    dark, held, top_h, top_v, ambiguous = [], [], 0.0, 0.0, 0.0
+    lo, size = 0, max(_CHUNK // dim ** 2, 1)
+    while lo < len(psi):
+        hi = _run_end(psi, reg.index(h3), lo, size)
+        rest, group, occ = group_by(_slice(psi, lo, hi), [h3, v4])
+        k, (a, b) = len(rest), (occ.max(axis=0) + 1).tolist()
+        c = np.zeros((a, k * b), dtype=complex)  # c[a, r * b + b']
+        c[occ[:, 0], group * b + occ[:, 1]] = psi.coeffs[lo:hi]
+        x = d[:, :a] @ c  # 3H displaced
+        top_h += _mass(x[-1])
+        phi = (x.reshape(-1, b) @ d[:, :b].T).reshape(dim, k, dim)  # and 4V, moved to 3V
+        top_v += _mass(phi[:, :, -1])
+        if imp.on_ambiguous == "error":
+            ambiguous += _mass(phi[1:, :, 1:])
+        phi *= w[:, None]
+        held.append(_finish(reg, (rest[:, None] + stride * n[1:]).ravel(),
+                            phi[0, :, 1:].ravel(), 0.0))
+        port = np.zeros((k, 2 * dim - 1), dtype=complex)
+        port[:, 0] = phi[0, :, 0]
+        for i in range(1, dim):
+            port[:, i:i + dim] += phi[i]
+        dark.append(_finish(reg, (rest[:, None] + stride * n).ravel(), port[:, :dim].ravel(),
+                            _mass(port[:, dim:])))
+        lo, size = hi, max((hi - lo) * _CHUNK // (k * dim ** 2), 1)
+    _refuse_top_mass(h3, top_h, elements.TOP_LEVEL_TOL)
+    _refuse_top_mass(v4, top_v, elements.TOP_LEVEL_TOL)
+    if imp.on_ambiguous == "error":
+        elements._refuse_ambiguous(ambiguous, psi.norm_sq())
+    gated = elements.controlled_pol_gates(
+        _joined(reg, held, 0.0), 3, flips=[(target, imp.flip_angle) for target in (1, 2)],
+        phases=[(target, math.pi) for target in (1, 2)], on_ambiguous="pass")
+    return add(_joined(reg, dark, psi.norm_deficit), gated)
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,12 @@ def rotate_45(state: PureState, path: int) -> PureState:
                                 theta=-math.pi / 4.0, phase=0.0)
 
 
+#: probability mass a displacement or squeeze may leave on the top Fock level
+TOP_LEVEL_TOL = 1e-10
+
+
 def displace(state: PureState, m: ModeLabel, beta: complex,
-             tail_eps: float = 1e-10) -> PureState:
+             tail_eps: float = TOP_LEVEL_TOL) -> PureState:
     """Displacement D(beta) on one mode, exactly unitary on the truncated space.
 
     Raises a cutoff error when the displaced state piles more than
@@ -169,7 +173,7 @@ def displace(state: PureState, m: ModeLabel, beta: complex,
 
 
 def squeeze(state: PureState, m: ModeLabel, r: float,
-            tail_eps: float = 1e-10) -> PureState:
+            tail_eps: float = TOP_LEVEL_TOL) -> PureState:
     """Squeezing S(r) on one mode; negative r anti-squeezes."""
     dim = state.register.cutoff_of(m) + 1
     return apply_single_mode_matrix(state, m, squeeze_matrix(float(r), dim),
@@ -184,18 +188,25 @@ def squeeze(state: PureState, m: ModeLabel, r: float,
 AMBIGUOUS_TOL = 1e-10
 
 
+def _refuse_ambiguous(mass: float, norm_sq: float) -> None:
+    """Raise a contract violation when ``mass``, the mass of the components
+    whose control path has both polarizations occupied, is more than
+    truncation dust of a state of squared norm ``norm_sq``."""
+    if mass > 0.0 and mass > AMBIGUOUS_TOL * max(norm_sq, 1e-300):
+        raise ContractViolationError(
+            f"control path has both polarizations occupied on probability mass "
+            f"{mass:.3g}; the gate is only defined on definite-polarization "
+            f"control branches")
+
+
 def _control(state: PureState, ich: int, icv: int, on_ambiguous: str) -> np.ndarray:
     """Mask of the components whose control path is V-polarized (V occupied,
     H empty).  Components with both control polarizations occupied raise
     unless ``on_ambiguous`` is "pass" or their mass is truncation dust."""
     lit = state.register.digit(state.keys, icv) > 0
     dark = state.register.digit(state.keys, ich) == 0
-    mass = 0.0 if on_ambiguous == "pass" else _mass(state.coeffs[lit & ~dark])
-    if mass > 0.0 and mass > AMBIGUOUS_TOL * max(state.norm_sq(), 1e-300):
-        raise ContractViolationError(
-            f"control path has both polarizations occupied on probability mass "
-            f"{mass:.3g}; the gate is only defined on definite-polarization "
-            f"control branches")
+    if on_ambiguous != "pass":
+        _refuse_ambiguous(_mass(state.coeffs[lit & ~dark]), state.norm_sq())
     lit &= dark
     return lit
 

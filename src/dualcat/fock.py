@@ -627,6 +627,16 @@ def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.n
 
 
 @_one_blas_thread
+def _mixer_row(t: int, theta: float, phase: float = 0.0) -> np.ndarray:
+    """Row 0 of the mixer block unitary of total ``t``, U_t[0, n] for n = 0..t,
+    with no block built: (V[0] e^{-i theta lam}) V† from the cached spectrum,
+    times the e^{-i phase n} of the conjugation of :func:`_gaussian_unitary`."""
+    lam, vecs, adjoint = generator_spectrum("mix", t + 1)
+    row = (vecs[0] * np.exp(-1j * theta * lam)) @ adjoint
+    return row * np.exp(-1j * phase * np.arange(t + 1)) if phase else row
+
+
+@_one_blas_thread
 def _mixed(part: PureState, ia: int, ib: int, unitary) -> tuple[np.ndarray, np.ndarray, float]:
     """Keys and amplitudes of ``part`` mixed in full, unsorted and unpruned,
     and the mass of the columns beyond a cutoff, which are dropped.
@@ -716,8 +726,8 @@ def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
         rest, group, occ = group_by(part, [mode_a, mode_b])
         total = occ.sum(axis=1)
         top = int(total.max())
-        if top >= built:  # copies, so no whole U_t stays alive
-            row0 = np.concatenate([row0] + [_gaussian_unitary("mix", t + 1, theta, phase)[0].copy()
+        if top >= built:
+            row0 = np.concatenate([row0] + [_mixer_row(t, theta, phase)
                                             for t in range(built, top + 1)])
             built = top + 1
         coeffs = part.coeffs * row0[total * (total + 1) // 2 + occ[:, 0]]
@@ -766,13 +776,18 @@ def apply_single_mode_matrix(state: PureState, m: ModeLabel, matrix: np.ndarray,
         hi = _run_end(state, i, lo, size)
         out, top, rows = apply(_slice(state, lo, hi))
         top_mass += top
-        if tail_eps is not None and top_mass > tail_eps:
-            raise CutoffError(
-                f"mode {m}: top-level mass {top_mass:.3g} exceeds {tail_eps:.3g}; "
-                f"increase the cutoff")
+        if tail_eps is not None:
+            _refuse_top_mass(m, top_mass, tail_eps)
         parts.append(out)
         lo, size = hi, max((hi - lo) * _CHUNK // (rows * dim), 1)
     return _joined(reg, parts, state.norm_deficit)
+
+
+def _refuse_top_mass(m: ModeLabel, mass: float, tail_eps: float) -> None:
+    """Raise a cutoff error when ``mass`` on the top Fock level of ``m`` exceeds ``tail_eps``."""
+    if mass > tail_eps:
+        raise CutoffError(f"mode {m}: top-level mass {mass:.3g} exceeds {tail_eps:.3g}; "
+                          f"increase the cutoff")
 
 
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:

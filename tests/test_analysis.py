@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from dualcat import analysis
 from dualcat.analysis import (
     BellSearch,
     BellSettings,
@@ -225,6 +227,63 @@ def test_chsh_optimize_beats_its_own_grid():
     _, v_coarse = chsh_optimize(pair, coarse)
     _, v_fine = chsh_optimize(pair, fine)
     assert v_fine >= v_coarse - 1e-12
+
+
+def first_best_pair(E: np.ndarray) -> tuple[float, tuple]:
+    """By brute force: the largest B = E[a,b] + E[a,b'] + E[a',b] - E[a',b']
+    over a != a', b != b', and the first (a, a') in row order that reaches it."""
+    pairs = list(itertools.permutations(range(len(E)), 2))  # in row order
+    best, first = -np.inf, None
+    for a, ap in pairs:
+        value = max(E[a, b] + E[a, bp] + E[ap, b] - E[ap, bp] for b, bp in pairs)
+        if value > best:
+            best, first = value, (a, ap)
+    return best, first
+
+
+def row_by_row_seed(E: np.ndarray) -> tuple[float, tuple]:
+    """The seed search one row of a at a time: the reference whose every
+    sum the blocked search repeats, so the two agree exactly."""
+    n = len(E)
+    rows = np.arange(n)
+    best, seed = -np.inf, None
+    for a in range(n):
+        s, d = E[a] + E, E[a] - E
+        i1, j1 = s.argmax(axis=1), d.argmax(axis=1)
+        s1, d1 = s[rows, i1], d[rows, j1]
+        s[rows, i1] = d[rows, j1] = -np.inf
+        i2, j2 = s.argmax(axis=1), d.argmax(axis=1)
+        s2, d2 = s[rows, i2], d[rows, j2]
+        clash = i1 == j1
+        take_s2 = clash & (s2 + d1 > s1 + d2)
+        b = np.where(take_s2, i2, i1)
+        bp = np.where(clash & ~take_s2, j2, j1)
+        val = np.where(clash, np.maximum(s1 + d2, s2 + d1), s1 + d1)
+        val[a] = -np.inf
+        ap = int(np.argmax(val))
+        if val[ap] > best:
+            best, seed = float(val[ap]), (a, ap, int(b[ap]), int(bp[ap]))
+    return best, seed
+
+
+@pytest.mark.parametrize("chunk", [1, analysis._CHUNK])
+def test_bell_seed_is_the_first_best_grid_point(monkeypatch, rng, chunk):
+    """On small-integer grids, full of exact ties, the seed search finds the
+    largest B and keeps the first (a, a') that reaches it, in blocks of one
+    row of a or of all of them; on these and on uniform grids it returns
+    what the row-by-row search returns."""
+    monkeypatch.setattr(analysis, "_CHUNK", chunk)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        E = rng.integers(-2, 3, size=(n, n)).astype(float)
+        value, (a, ap, b, bp) = analysis._best_seed(E)
+        assert (value, (a, ap)) == first_best_pair(E)
+        assert a != ap and b != bp
+        assert E[a, b] + E[a, bp] + E[ap, b] - E[ap, bp] == value
+        assert analysis._best_seed(E) == row_by_row_seed(E)
+    for n in (2, 9, 25, 40):
+        E = rng.uniform(-1.0, 1.0, size=(n, n))
+        assert analysis._best_seed(E) == row_by_row_seed(E)
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])

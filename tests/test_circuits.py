@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from dualcat.analysis import (
@@ -24,12 +25,20 @@ from dualcat.circuits import (
     sv_antisqueeze_to_single_photon,
     sv_generate,
 )
-from dualcat import circuits, elements
+from dualcat import circuits, elements, fock
 from dualcat.elements import Imperfection
 from dualcat.fock import (
+    DEFAULT_TAIL_EPS,
+    ContractViolationError,
+    CutoffError,
     DegenerateInputError,
+    ModeRegister,
+    PureState,
     add,
+    apply_two_mode_mixer,
     basis_state,
+    embed,
+    mixer_dark_branch,
     mode,
     normalized,
     plain_register,
@@ -394,59 +403,174 @@ def test_polarization_access_accepts_single_path_registers():
     assert subsystem_fidelity(acc.output_state, target, PATH12_RAILS) >= 1.0 - 1e-6
 
 
+def test_polarization_access_refuses_a_register_with_tag_paths():
+    reg = polarized_register([1, 2, 3], 22)
+    with pytest.raises(ValueError, match="paths 3 and 4"):
+        access_polarization(analytic_dual_rail_pair(reg, 1.0, "-"))
+
+
 def test_polarization_access_refuses_an_empty_dark_port(monkeypatch):
     """An empty dark port leaves nothing to condition on: the access raises
     rather than report a state it did not condition."""
-    monkeypatch.setattr(circuits, "mixer_dark_branch",
-                        lambda psi, *args, **kwargs: scale(psi, 0.0))
+    monkeypatch.setattr(circuits, "_erased_tags", lambda psi, *args: PureState(psi.register, {}))
     with pytest.raises(DegenerateInputError):
         access_polarization(generate_entangled_cat(1.2).output_state)
+
+
+# ---------------------------------------------------------------------------
+# the erasure step against the staged ops it contracts
+
+
+def staged_access(state, imp=Imperfection(), tail_eps=DEFAULT_TAIL_EPS):
+    """The polarization access up to its dark port as a chain of public ops,
+    each stage a state: the reference the one-contraction erasure step must
+    reproduce.  Returns the dark port and the squared norm of the state that
+    meets it."""
+    A = circuits._infer_cat_amplitude(state) / math.sqrt(2.0)
+    B = A + imp.displacement_offset
+    cut_tag = circuits.tag_cutoff(A, imp, tail_eps)
+    big = ModeRegister.of({mode(p, pol): max(state.register.cutoffs) if p < 3 else cut_tag
+                           for p in (1, 2, 3, 4) for pol in ("H", "V")})
+    psi = elements.pbs(embed(state, big), 1, 2)
+    psi = apply_two_mode_mixer(psi, mode(1, "H"), mode(3, "H"), math.pi / 4.0, math.pi)
+    psi = apply_two_mode_mixer(psi, mode(2, "V"), mode(4, "V"), math.pi / 4.0, math.pi)
+    psi = elements.displace(psi, mode(3, "H"), B)
+    psi = elements.displace(psi, mode(4, "V"), B)
+    psi = elements.pbs(psi, 3, 4)
+    psi = elements.phase_shift(psi, mode(2, "V"), math.pi)
+    psi = elements.controlled_pol_gates(
+        psi, 3, flips=[(target, imp.flip_angle) for target in (1, 2)],
+        phases=[(target, math.pi) for target in (1, 2)], on_ambiguous=imp.on_ambiguous)
+    return mixer_dark_branch(psi, mode(3, "H"), mode(3, "V"), -math.pi / 4.0), psi.norm_sq()
+
+
+def max_gap(a, b) -> float:
+    return float(np.max(np.abs(add(a, scale(b, -1.0)).coeffs), initial=0.0))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.19, 2.0])
+@pytest.mark.parametrize("offset", [0.0, 0.2, 0.6])
+@pytest.mark.parametrize("flip", [math.pi, math.pi / 2.0, 0.0])
+def test_polarization_access_matches_the_staged_ops(monkeypatch, alpha, offset, flip):
+    """Dark port and output amplitudes within 1e-12 of the norm, the dark
+    port's deficit within 1e-9 relative (it holds the dark mass past the
+    cutoff, 1e-21 next to an input deficit of 1e-13), branch probabilities
+    within 1e-12 relative.  A click probability that both put below 1e-14
+    is rounding dust (at the zero flip), whose digits carry nothing."""
+    gen = generate_entangled_cat(alpha).output_state
+    imp = Imperfection(displacement_offset=offset, flip_angle=flip)
+    ports = []
+    erase = circuits._erased_tags
+    monkeypatch.setattr(circuits, "_erased_tags", lambda *args: ports.append(erase(*args)) or ports[0])
+    acc = access_polarization(gen, imp)
+    dark, norm_sq = staged_access(gen, imp)
+    assert max_gap(ports[0], dark) <= 1e-12 * math.sqrt(norm_sq)
+    assert ports[0].norm_deficit == pytest.approx(dark.norm_deficit, rel=1e-9, abs=0.0)
+    assert acc.output_state.norm_deficit >= gen.norm_deficit / gen.norm_sq()
+
+    click, _ = elements.onoff_detect(dark, mode(3, "V"))
+    (_, q_dark), (_, q_click) = acc.branch_log
+    assert q_dark == pytest.approx(dark.norm_sq() / norm_sq, rel=1e-12, abs=0.0)
+    assert q_click == pytest.approx(click.norm_sq() / dark.norm_sq(), rel=1e-12, abs=1e-14)
+    ours = scale(acc.output_state, math.sqrt(q_dark * q_click * norm_sq))
+    assert max_gap(ours, click) <= 1e-12 * math.sqrt(norm_sq)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.6])
+def test_erasure_slices_do_not_change_the_output(monkeypatch, offset):
+    """Slices of one or two rests (one rest holds a 35 x 35 dense block at
+    alpha 1.19, offset 0.6) give the output of the default slices."""
+    gen = generate_entangled_cat(1.19).output_state
+    imp = Imperfection(displacement_offset=offset)
+    whole = access_polarization(gen, imp)
+    monkeypatch.setattr(circuits, "_CHUNK", 2000)
+    sliced = access_polarization(gen, imp)
+    for (_, p), (_, q) in zip(whole.branch_log, sliced.branch_log):
+        assert q == pytest.approx(p, rel=1e-12, abs=0.0)
+    assert max_gap(whole.output_state, sliced.output_state) <= 1e-12
+
+
+@pytest.mark.parametrize("eps, error, mass", [
+    (1e-6, CutoffError, "mode 3H: top-level mass 9.27e-10"),
+    (1e-8, ContractViolationError, "probability mass 4.74e-10"),
+])
+def test_polarization_access_guards_match_the_staged_ops(eps, error, mass):
+    """At a loose tail budget the tags outgrow their cutoff (1e-6) or leave
+    ambiguous control light (1e-8): the access refuses as the staged ops do,
+    with the same error and message."""
+    gen = generate_entangled_cat(1.2, "-", eps).output_state
+    with pytest.raises(error) as ours:
+        access_polarization(gen, tail_eps=eps)
+    with pytest.raises(error) as staged:
+        staged_access(gen, tail_eps=eps)
+    assert str(ours.value) == str(staged.value)
+    assert mass in str(ours.value)
 
 
 # ---------------------------------------------------------------------------
 # how access_polarization meets ambiguous control light, and its memory
 
 
-@pytest.mark.parametrize("imperfection, expected", [
-    (None, "error"),
-    (Imperfection(flip_angle=2.0), "error"),
-    (Imperfection(displacement_offset=0.2), "pass"),
+@pytest.mark.parametrize("imperfection, refused", [
+    (None, True),
+    (Imperfection(flip_angle=2.0), True),
+    (Imperfection(displacement_offset=0.2), False),
 ])
-def test_on_ambiguous_follows_the_imperfection(monkeypatch, imperfection, expected):
-    """The four path-3 gates run as one fused call; it gets the mode the
-    imperfection asks for, and both flips and both phases."""
+def test_on_ambiguous_follows_the_imperfection(monkeypatch, imperfection, refused):
+    """At a tail budget of 1e-8 the tags leave 4.7e-10 of ambiguous control
+    light.  On target (no displacement error) that is a contract violation;
+    off target the gates do not actuate on it.  The four path-3 gates run as
+    one fused call with both flips and both phases."""
     seen = []
     gates = elements.controlled_pol_gates
 
-    def recorded(*args, on_ambiguous, **kwargs):
-        seen.append((on_ambiguous, len(kwargs["flips"]), len(kwargs["phases"])))
-        return gates(*args, on_ambiguous=on_ambiguous, **kwargs)
+    def recorded(*args, **kwargs):
+        seen.append((len(kwargs["flips"]), len(kwargs["phases"])))
+        return gates(*args, **kwargs)
 
     monkeypatch.setattr(elements, "controlled_pol_gates", recorded)
-    access_polarization(generate_entangled_cat(1.2).output_state, imperfection)
-    assert seen == [(expected, 2, 2)]
-    assert (imperfection or Imperfection()).on_ambiguous == expected
+    gen = generate_entangled_cat(1.2, "-", 1e-8).output_state
+    if refused:
+        with pytest.raises(ContractViolationError):
+            access_polarization(gen, imperfection, 1e-8)
+        access_polarization(generate_entangled_cat(1.2).output_state, imperfection)
+    else:
+        access_polarization(gen, imperfection, 1e-8)
+    assert seen == [(2, 2)]
+    assert (imperfection or Imperfection()).on_ambiguous == ("error" if refused else "pass")
 
 
-def test_polarization_access_peak_is_at_most_80_bytes_per_amplitude(monkeypatch):
-    """The numpy peak of one access at alpha 1.19, offset 0.6 (tag cutoff 34,
-    160,520 amplitudes before erasure) against its largest register."""
-    state = generate_entangled_cat(1.19).output_state
-    sizes = []
-    for name in ("pbs", "displace", "cnot_pol", "cphase_pol"):
-        op = getattr(elements, name)
-
-        def counted(psi, *args, _op=op, **kwargs):
-            sizes.append(len(psi))
-            return _op(psi, *args, **kwargs)
-
-        monkeypatch.setattr(elements, name, counted)
+@pytest.mark.parametrize("alpha, offset, bound_mb", [(1.19, 0.6, 12.8), (2.8, 0.0, 50.0)])
+def test_polarization_access_peak_stays_under_a_fixed_bound(alpha, offset, bound_mb):
+    """The numpy peak of one access.  At alpha 1.19, offset 0.6 (tag cutoff
+    34) the bound is 80 bytes per amplitude of the 160,520-amplitude tag
+    state that a staged erasure builds; at alpha 2.8 (1.42 M amplitudes
+    there) staged ops peak at about 85 MB."""
+    state = generate_entangled_cat(alpha).output_state
+    imp = Imperfection(displacement_offset=offset)
+    access_polarization(state, imp)  # the cached spectra are not the access's
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        access_polarization(state, Imperfection(displacement_offset=0.6))
+        access_polarization(state, imp)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert max(sizes) > 150_000
-    assert peak <= 80 * max(sizes)
+    assert peak <= bound_mb * 1e6
+
+
+def test_polarization_access_builds_no_state_twice_its_output(monkeypatch):
+    """At alpha 1.19, offset 0.6 no state the access builds holds more than
+    twice the amplitudes of its output (a staged erasure holds 160,520
+    against 13,320)."""
+    sizes = []
+    fill = fock._fill
+
+    def counted(state, register, keys, *args):
+        sizes.append(len(keys))
+        return fill(state, register, keys, *args)
+
+    state = generate_entangled_cat(1.19).output_state
+    monkeypatch.setattr(fock, "_fill", counted)
+    out = access_polarization(state, Imperfection(displacement_offset=0.6)).output_state
+    assert max(sizes) <= 2 * len(out)
