@@ -34,9 +34,7 @@ from .circuits import (
 )
 from .elements import (
     Imperfection,
-    cnot_pol,
     controlled_pol_gates,
-    cphase_pol,
     cswap_pol,
     displace,
     displaced_parity_expect,
@@ -68,17 +66,13 @@ from .fock import (
     coherent_cutoff,
     embed,
     inner_product,
-    mean_occupation,
     mode,
     normalized,
-    parity_expectation,
     partial_trace,
     plain_register,
     polarized_register,
-    restrict,
     scale,
     squeezed_cutoff,
-    vacuum,
 )
 from .results import ExperimentResult, Table
 from .states import (

@@ -43,9 +43,9 @@ from .fock import (
     displacement_matrix,
     embed,
     group_by,
-    mean_occupation,
     mode,
     normalized,
+    occupation_moments,
     polarized_register,
     plain_register,
     product,
@@ -203,8 +203,8 @@ def _infer_cat_amplitude(state: PureState) -> float:
     amplitude a is 2 a^2 coth(2 a^2), which rises with a; invert it by
     bisection down to adjacent floats.
     """
-    n_tot = (mean_occupation(state, mode(1, "H"))
-             + mean_occupation(state, mode(1, "V"))) / state.norm_sq()
+    n_tot = (occupation_moments(state, mode(1, "H"))[0]
+             + occupation_moments(state, mode(1, "V"))[0]) / state.norm_sq()
 
     def gap(a: float) -> float:
         x = 2.0 * a * a
@@ -506,8 +506,7 @@ def sv_access_polarization(state: PureState, skip_cswap: bool = False) -> Circui
     psi = elements.pbs(psi, 1, 2)                       # V rail -> path 2
     psi = apply_creation(psi, mode(3, "H"))             # attach |H>_3
     psi = elements.parity_controlled_flip(psi, mode(2, "V"), 3)
-    psi = elements.cnot_pol(psi, 3, 1)
-    psi = elements.cnot_pol(psi, 3, 2)
+    psi = elements.controlled_pol_gates(psi, 3, flips=[(1, math.pi), (2, math.pi)])
     if not skip_cswap:
         psi = elements.cswap_pol(psi, 3, 1, 2)
     psi = normalized(add(apply_annihilation(psi, mode(2, "H")),

@@ -210,7 +210,7 @@ def _duality(p: dict, eps: float) -> ExperimentResult:
         "entropy_paths": analysis.entanglement(normalized(par), path1).entropy_bits,
         "entropy_polarization": analysis.entanglement(pol.output_state, path1).entropy_bits,
         "bell_fidelity": _paths_fidelity(pol.output_state, circuits.analytic_coherent_bell,
-                                         p["alpha"] / math.sqrt(2.0), tail_eps=eps),
+                                         abs(p["alpha"]) / math.sqrt(2.0), tail_eps=eps),
         "postselect_probability": pol.postselect_probability,
     }, pol.output_state)
 

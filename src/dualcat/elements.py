@@ -10,13 +10,14 @@ Conventions (fixed once, used everywhere):
 * Measurement channels return their branches as a tuple of unnormalized
   states; a branch's probability is its norm², and its probability given
   the input is that over the input's norm².
-* Controlled polarization gates read their control path branch-wise:
-  a component flips when the control's V mode is occupied and its H mode
-  empty, passes when V is empty.  Components with both control
-  polarizations occupied violate the gate contract and raise, unless the
-  caller opts into pass-through (physically: the gate fails to actuate on
-  ambiguous control light, which is how miscalibrated displacements
-  degrade the protocol).
+* Controlled polarization gates (``controlled_pol_gates``, the one op for
+  path-controlled flips and phases, and ``cswap_pol``) read their control
+  path branch-wise: a component is acted on when the control's V mode is
+  occupied and its H mode empty, passes when V is empty.  Components with
+  both control polarizations occupied violate the gate contract and raise,
+  unless the caller opts into pass-through (physically: the gate fails to
+  actuate on ambiguous control light, which is how miscalibrated
+  displacements degrade the protocol).
 * Every displaced-parity correlator of a two-mode state comes from one
   ``ParityCorrelator``, at any settings, on a line or with derivatives,
   under the one cutoff-edge rule of its ``check``.
@@ -238,7 +239,16 @@ def _controlled(state: PureState, where: np.ndarray, *gates) -> PureState:
 
 
 def _flip(state: PureState, control_path: int, target_path: int, flip_angle: float):
-    """The map of :func:`cnot_pol` on the components its control selects."""
+    """The polarization flip of the target path on the components the control
+    selects: exp[i(z/2)(F - 1)] at ``flip_angle`` z, F being the H/V
+    exchange, so identity at z=0 and exact flip at z=pi.
+
+    The exchanged part can land on patterns the selected components hold,
+    so it joins the part that stays through :func:`add`.  Where every
+    amplitude of the staying part of a moved component is at most
+    ``DEFAULT_PRUNE_EPS`` (about 6e-17 of the amplitude at z=pi), that part
+    is not built: its mass goes to the deficit.
+    """
     ith, itv = _pol_pair(state, target_path)
     if control_path == target_path:
         raise ValueError("control and target paths must differ")
@@ -259,7 +269,8 @@ def _flip(state: PureState, control_path: int, target_path: int, flip_angle: flo
 
 
 def _phase(state: PureState, target_path: int, angle: float):
-    """The map of :func:`cphase_pol` on the components its control selects."""
+    """The phase e^{i angle n} on all target-path photons of the components
+    the control selects."""
     ith, itv = _pol_pair(state, target_path)
     reg = state.register
     phases = np.exp(1j * angle * np.arange(reg.cutoffs[ith] + reg.cutoffs[itv] + 1))
@@ -276,42 +287,22 @@ def controlled_pol_gates(state: PureState, control_path: int,
                          flips: Sequence[tuple[int, float]] = (),
                          phases: Sequence[tuple[int, float]] = (),
                          on_ambiguous: str = "error") -> PureState:
-    """:func:`cnot_pol` for each (target path, flip angle) of ``flips``, then
-    :func:`cphase_pol` for each (target path, angle) of ``phases``, all under
-    one control path, in one pass.
+    """Polarization flips, then photon-number phases, on target paths where
+    the control path is V-polarized, all under one control, in one pass.
 
-    No gate moves the control, so the control mask and its ambiguity check
-    are computed once, the gates map the selected components in turn, and
-    their output is merged back once.  The output equals the gates run one
-    by one, bit for bit, deficit included.
+    Each (target path, flip angle) of ``flips`` flips the target's
+    polarization by that angle (pi is an exact flip, partial angles rotate
+    part way: see :func:`_flip`); each (target path, angle) of ``phases``
+    applies e^{i angle n} on all the target's photons.  No gate moves the
+    control, so the control mask and its ambiguity check are computed once,
+    the gates map the selected components in turn, and their output is
+    merged back once.  The output equals one call per gate, run in turn,
+    bit for bit, deficit included.
     """
     ich, icv = _pol_pair(state, control_path)
     gates = ([_flip(state, control_path, target, angle) for target, angle in flips]
              + [_phase(state, target, angle) for target, angle in phases])
     return _controlled(state, _control(state, ich, icv, on_ambiguous), *gates)
-
-
-def cnot_pol(state: PureState, control_path: int, target_path: int,
-             flip_angle: float = math.pi, on_ambiguous: str = "error") -> PureState:
-    """Flip the target path's polarization where the control path is V-polarized.
-
-    A partial ``flip_angle`` z applies exp[i(z/2)(F - 1)] on the conditioned
-    components, F being the H/V exchange: identity at z=0, exact flip at z=pi.
-    The exchanged part can land on patterns the conditioned components hold,
-    so it joins the part that stays through :func:`add`.  Where every
-    amplitude of the staying part of a moved component is at most
-    ``DEFAULT_PRUNE_EPS`` (about 6e-17 of the amplitude at z=pi), that part
-    is not built: its mass goes to the deficit.
-    """
-    return controlled_pol_gates(state, control_path, flips=[(target_path, flip_angle)],
-                                on_ambiguous=on_ambiguous)
-
-
-def cphase_pol(state: PureState, control_path: int, target_path: int,
-               angle: float = math.pi, on_ambiguous: str = "error") -> PureState:
-    """Phase e^{i angle n} on all target-path photons where the control is V."""
-    return controlled_pol_gates(state, control_path, phases=[(target_path, angle)],
-                                on_ambiguous=on_ambiguous)
 
 
 def parity_controlled_flip(state: PureState, control_mode: ModeLabel,

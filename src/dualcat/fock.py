@@ -132,9 +132,6 @@ class ModeRegister:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def vacuum_key(self) -> tuple[int, ...]:
-        return (0,) * len(self.modes)
-
     def encode(self, occ: Sequence[int]) -> int:
         """Key of one occupation tuple; out-of-range entries raise."""
         if len(occ) != len(self.cutoffs) or not all(0 <= n <= c for n, c in zip(occ, self.cutoffs)):
@@ -267,14 +264,6 @@ class DensityView:
     matrix: np.ndarray
     basis: tuple
     modes: tuple
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    @_one_blas_thread
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +461,9 @@ def _replace(state: PureState, sel: np.ndarray, part: PureState, deficit: float)
     return _wrap(state.register, out_keys, out_coeffs, deficit)
 
 
-def vacuum(register: ModeRegister) -> PureState:
-    return PureState(register, {register.vacuum_key(): 1.0 + 0.0j})
-
-
 def basis_state(register: ModeRegister, occupations: Mapping[ModeLabel, int]) -> PureState:
     """Fock basis state with the given occupations (unlisted modes empty)."""
-    key = list(register.vacuum_key())
+    key = [0] * register.n_modes
     for m, n in occupations.items():
         i = register.index(m)
         if not 0 <= n <= register.cutoffs[i]:
@@ -540,21 +525,6 @@ def embed(state: PureState, register: ModeRegister) -> PureState:
         positions.append(j)
     keys = old.digits(state.keys) @ register.strides[positions]
     return _wrap(register, keys, state.coeffs, state.norm_deficit)
-
-
-def restrict(state: PureState, keep: Sequence[ModeLabel]) -> PureState:
-    """Drop modes in vacuum; error if the dropped modes hold over 1e-12 of the mass."""
-    reg = state.register
-    keep_idx = [reg.index(m) for m in keep]
-    occ = reg.digits(state.keys)
-    stray = np.delete(occ, keep_idx, axis=1).any(axis=1)
-    stray_mass = _mass(state.coeffs[stray])
-    if stray_mass > 1e-12:
-        raise ContractViolationError(f"dropped modes hold probability {stray_mass:.3g} > 1e-12")
-    new_reg = ModeRegister(tuple(reg.modes[i] for i in keep_idx),
-                           tuple(reg.cutoffs[i] for i in keep_idx))
-    return _wrap(new_reg, occ[~stray][:, keep_idx] @ new_reg.strides,
-                 state.coeffs[~stray], state.norm_deficit)
 
 
 # ---------------------------------------------------------------------------
@@ -816,23 +786,12 @@ def inner_product(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.coeffs[hit], b.coeffs[pos[hit]]))
 
 
-def mean_occupation(state: PureState, m: ModeLabel) -> float:
-    return occupation_moments(state, m)[0]
-
-
 @_one_blas_thread
 def occupation_moments(state: PureState, m: ModeLabel) -> tuple[float, float]:
     """(⟨n⟩, ⟨n²⟩) for one mode."""
     n = state.register.digit(state.keys, state.register.index(m)).astype(float)
     w = np.abs(state.coeffs) ** 2
     return float(n @ w), float((n * n) @ w)
-
-
-@_one_blas_thread
-def parity_expectation(state: PureState) -> float:
-    """⟨(-1)^{sum of occupations}⟩ over all modes."""
-    odd = state.register.digits(state.keys).sum(axis=1) % 2
-    return float((1.0 - 2.0 * odd) @ (np.abs(state.coeffs) ** 2))
 
 
 def amplitude_matrix(state: PureState, keep: Sequence[ModeLabel]) -> tuple[np.ndarray, tuple]:

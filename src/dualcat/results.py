@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class Table:
@@ -32,8 +34,6 @@ class ExperimentResult:
 
 def _plain(value):
     """Recursively convert numpy scalars / complex numbers for JSON output."""
-    import numpy as np
-
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -39,14 +39,13 @@ from dualcat.fock import (
     apply_two_mode_mixer,
     basis_state,
     coherent_cutoff,
-    mean_occupation,
     mode,
     normalized,
+    occupation_moments,
     plain_register,
     polarized_register,
     product,
     scale,
-    vacuum,
 )
 from dualcat.states import CatParams, cat, coherent, entangled_cat_pair
 
@@ -116,7 +115,7 @@ def test_entanglement_invariant_under_local_unitaries(rng):
 
 def test_entanglement_requires_normalized_input():
     reg = plain_register([1, 2], 4)
-    s = scale(vacuum(reg), 0.5)
+    s = scale(basis_state(reg, {}), 0.5)
     with pytest.raises(ValueError):
         entanglement(s, [mode(1)])
 
@@ -294,7 +293,7 @@ def test_bell_search_refuses_a_radius_that_is_not_positive(radius):
 
 def test_chsh_optimize_on_vacuum_stays_classical():
     reg = plain_register([1, 2], 12)
-    _, val = chsh_optimize(vacuum(reg), BellSearch(grid_density=7, radius=0.8))
+    _, val = chsh_optimize(basis_state(reg, {}), BellSearch(grid_density=7, radius=0.8))
     assert val <= 2.0 + 1e-6
 
 
@@ -536,8 +535,8 @@ def test_cat_amplitude_inference_matches_brentq(alpha):
     from scipy.optimize import brentq
 
     state = generate_entangled_cat(alpha).output_state
-    n_tot = (mean_occupation(state, mode(1, "H"))
-             + mean_occupation(state, mode(1, "V"))) / state.norm_sq()
+    n_tot = (occupation_moments(state, mode(1, "H"))[0]
+             + occupation_moments(state, mode(1, "V"))[0]) / state.norm_sq()
     root = brentq(lambda a: 2.0 * a * a / math.tanh(2.0 * a * a) - n_tot,
                   1e-4, max(4.0 * math.sqrt(n_tot), 1.0), xtol=1e-14)
     assert abs(_infer_cat_amplitude(state) - root) <= 1e-13

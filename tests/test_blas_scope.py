@@ -128,7 +128,7 @@ def test_real_openblas_count_is_the_callers_outside_and_one_inside():
 # every BLAS call site runs in the scope
 
 #: integer key arithmetic (``@`` or ``np.dot`` on int64 arrays), not BLAS
-KEY_ARITHMETIC = {"fock.embed", "fock.restrict", "fock.PureState.__init__",
+KEY_ARITHMETIC = {"fock.embed", "fock.PureState.__init__",
                   "fock.ModeRegister.encode", "analysis.subsystem_fidelity"}
 #: outermost scopes whose inner kernel calls must nest
 OUTERMOST = {"analysis.chsh_optimize", "circuits.access_polarization"}

@@ -111,6 +111,20 @@ def test_duality_run_reports_matching_entropies(tmp_path, capsys):
     assert scalars["bell_fidelity"] >= 1.0 - 1e-6
 
 
+def test_duality_at_negative_alpha_reads_as_at_its_magnitude(tmp_path, capsys):
+    # the generated pair and its access depend on |alpha| alone, so the
+    # Bell target must too
+    scalars = []
+    for alpha in ("-1.2", "1.2"):
+        out_file = tmp_path / f"duality{alpha}.json"
+        code, _, _ = run_main(["--output", str(out_file), "duality", "--alpha", alpha], capsys)
+        assert code == 0
+        scalars.append(load_result(out_file)["result"]["scalars"])
+    assert scalars[0].keys() == scalars[1].keys()
+    for key, value in scalars[1].items():
+        assert scalars[0][key] == pytest.approx(value, abs=1e-12), key
+
+
 def test_bell_defaults_find_the_global_optimum_at_large_alpha(tmp_path, capsys):
     # the default grid must seed the global |B| basin at alpha 2.5 and 3.0,
     # where a 13-point grid over radius 1 settled on 2.617 and 2.678
@@ -262,19 +276,18 @@ def test_empty_grid_is_a_config_error(capsys):
     assert code == EXIT_CONFIG
 
 
-def test_reruns_are_byte_identical_except_timestamp(tmp_path, capsys):
-    # duality runs the polarization access, through the fused erasure projection
-    for argv in (["ifm", "--state", "entangled", "--bomb"], ["duality"]):
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        for path in (out_a, out_b):
-            code, _, _ = run_main(["--output", str(path)] + argv, capsys)
-            assert code == 0
-        a = load_result(out_a)
-        b = load_result(out_b)
-        a.pop("timestamp")
-        b.pop("timestamp")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_reruns_are_byte_identical_except_timestamp(tmp_path, capsys, experiment):
+    runs = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        code, _, _ = run_main(["--output", str(tmp_path / name / "out.json"), experiment], capsys)
+        assert code == 0
+        result = load_result(tmp_path / name / "out.json")
+        result.pop("timestamp")
+        tables = {f.name: f.read_bytes() for f in (tmp_path / name).glob("*.csv")}
+        runs.append((json.dumps(result, sort_keys=True), tables))
+    assert runs[0] == runs[1]
 
 
 def test_output_records_versions_and_blas_threads(capsys, monkeypatch):

@@ -20,9 +20,7 @@ import oracles
 from dualcat import fock
 from dualcat.elements import (
     ParityCorrelator,
-    cnot_pol,
     controlled_pol_gates,
-    cphase_pol,
     cswap_pol,
     displaced_parity_expect,
     hwp,
@@ -49,7 +47,6 @@ from dualcat.fock import (
     normalized,
     partial_trace,
     polarized_register,
-    restrict,
 )
 
 TOL = 1e-12
@@ -327,7 +324,7 @@ def test_dark_branch_deficit_bounds_its_missing_mass(psi, theta, phase):
 
 
 # ---------------------------------------------------------------------------
-# partial trace, embedding, restriction
+# partial trace, embedding
 
 
 @SETTINGS
@@ -347,7 +344,7 @@ def test_partial_trace_matches_dense_reduction(psi, order, n_keep):
 
 @SETTINGS
 @given(psi=plain_states(), order=st.permutations(range(5)), extra=st.integers(0, 2))
-def test_embed_places_amplitudes_and_restrict_undoes_it(psi, order, extra):
+def test_embed_places_amplitudes_and_reads_them_back(psi, order, extra):
     reg = psi.register
     labels = list(reg.modes) + [mode(p) for p in (7, 8)]
     order = [i for i in order if i < len(labels)]
@@ -362,9 +359,10 @@ def test_embed_places_amplitudes_and_restrict_undoes_it(psi, order, extra):
             target[big.index(reg.modes[i])] = n
         ref[tuple(target)] = src[occ]
     assert np.max(np.abs(dense(lifted) - ref)) <= TOL
-    back = restrict(lifted, list(reg.modes))
-    assert back.register == ModeRegister(reg.modes, tuple(c + extra for c in reg.cutoffs))
-    assert np.max(np.abs(dense(embed(psi, back.register)) - dense(back))) <= TOL
+    positions = [big.index(m) for m in reg.modes]
+    back = {tuple(occ[j] for j in positions): c for occ, c in lifted.amps.items()}
+    assert back == dict(psi.amps)
+    assert all(occ[j] == 0 for occ in lifted.amps for j in set(range(big.n_modes)) - set(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +418,9 @@ def flip_closed_states(draw):
 
 @SETTINGS
 @given(case=flip_closed_states(), angle=st.floats(0.0, math.pi))
-def test_partial_cnot_pol_matches_dense_oracle(case, angle):
+def test_partial_controlled_flip_matches_dense_oracle(case, angle):
     psi, control, target = case
-    out = cnot_pol(psi, control, target, flip_angle=angle, on_ambiguous="pass")
+    out = controlled_pol_gates(psi, control, flips=[(target, angle)], on_ambiguous="pass")
     gate = oracles.dense_cnot_pol(psi.register, control, target, angle)
     expected = (gate @ oracles.dense_vector(psi)).reshape(oracles.dims(psi.register))
     assert np.max(np.abs(dense(out) - expected)) <= TOL
@@ -431,9 +429,9 @@ def test_partial_cnot_pol_matches_dense_oracle(case, angle):
 
 @SETTINGS
 @given(case=flip_closed_states(), angle=st.floats(-7.0, 7.0))
-def test_cphase_pol_matches_dense_oracle(case, angle):
+def test_controlled_phase_matches_dense_oracle(case, angle):
     psi, control, target = case
-    out = cphase_pol(psi, control, target, angle, on_ambiguous="pass")
+    out = controlled_pol_gates(psi, control, phases=[(target, angle)], on_ambiguous="pass")
     gate = oracles.dense_cphase_pol(psi.register, control, target, angle)
     expected = (gate @ oracles.dense_vector(psi)).reshape(oracles.dims(psi.register))
     assert np.max(np.abs(dense(out) - expected)) <= TOL
@@ -461,9 +459,9 @@ def mixed_control_states(draw):
 def test_controlled_gates_match_dense_oracles_on_mixed_controls(case, angle):
     psi, target = case
     reg, vec = psi.register, oracles.dense_vector(psi)
-    gates = [(cnot_pol(psi, 3, target, angle, on_ambiguous="pass"),
+    gates = [(controlled_pol_gates(psi, 3, flips=[(target, angle)], on_ambiguous="pass"),
               oracles.dense_cnot_pol(reg, 3, target, angle)),
-             (cphase_pol(psi, 3, target, 2.0 * angle, on_ambiguous="pass"),
+             (controlled_pol_gates(psi, 3, phases=[(target, 2.0 * angle)], on_ambiguous="pass"),
               oracles.dense_cphase_pol(reg, 3, target, 2.0 * angle)),
              (cswap_pol(psi, 3, 1, 2, on_ambiguous="pass"), oracles.dense_cswap_pol(reg, 3, 1, 2)),
              (parity_controlled_flip(psi, mode(3, "V"), target),
@@ -497,10 +495,10 @@ def fused_gate_cases(draw):
 
 
 def gates_one_by_one(psi, flips, phases, on_ambiguous):
-    for target, angle in flips:
-        psi = cnot_pol(psi, 3, target, angle, on_ambiguous=on_ambiguous)
-    for target, angle in phases:
-        psi = cphase_pol(psi, 3, target, angle, on_ambiguous=on_ambiguous)
+    for flip in flips:
+        psi = controlled_pol_gates(psi, 3, flips=[flip], on_ambiguous=on_ambiguous)
+    for phase in phases:
+        psi = controlled_pol_gates(psi, 3, phases=[phase], on_ambiguous=on_ambiguous)
     return psi
 
 
@@ -528,7 +526,8 @@ def test_controlled_gates_keep_the_deficit_on_no_selection_and_on_all(control_li
     psi = PureState(reg, {(a, b, 1, 0) + control_light: complex(gen.normal(), gen.normal())
                           for a in range(2) for b in range(2)}, 0.0)
     psi = _wrap(reg, psi.keys, psi.coeffs, 0.125)
-    outputs = [cnot_pol(psi, 3, 1, 2.0), cphase_pol(psi, 3, 2, 1.0), cswap_pol(psi, 3, 1, 2),
+    outputs = [controlled_pol_gates(psi, 3, flips=[(1, 2.0)]),
+               controlled_pol_gates(psi, 3, phases=[(2, 1.0)]), cswap_pol(psi, 3, 1, 2),
                controlled_pol_gates(psi, 3, [(1, 2.0), (2, math.pi)], [(1, 1.0), (2, -0.5)])]
     for out in outputs:
         assert out.norm_deficit == 0.125
@@ -551,9 +550,9 @@ def flip_test_state(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_cnot_pol_at_pi_leaves_out_the_stay_dust(seed):
+def test_controlled_flip_at_pi_leaves_out_the_stay_dust(seed):
     psi = flip_test_state(seed)
-    out = cnot_pol(psi, 1, 2, on_ambiguous="pass")
+    out = controlled_pol_gates(psi, 1, flips=[(2, math.pi)], on_ambiguous="pass")
     gate = oracles.dense_cnot_pol(psi.register, 1, 2, math.pi)
     assert np.max(np.abs(oracles.dense_vector(out) - gate @ oracles.dense_vector(psi))) <= 1e-15
     # the partner-less component moves and leaves no dust behind
@@ -567,9 +566,9 @@ def test_cnot_pol_at_pi_leaves_out_the_stay_dust(seed):
 
 
 @pytest.mark.parametrize("angle", [0.3, 2.0, math.pi - 1e-3])
-def test_cnot_pol_at_a_partial_angle_joins_both_parts(angle):
+def test_controlled_flip_at_a_partial_angle_joins_both_parts(angle):
     psi = flip_test_state(7)
-    out = cnot_pol(psi, 1, 2, flip_angle=angle, on_ambiguous="pass")
+    out = controlled_pol_gates(psi, 1, flips=[(2, angle)], on_ambiguous="pass")
     gate = oracles.dense_cnot_pol(psi.register, 1, 2, angle)
     assert np.max(np.abs(oracles.dense_vector(out) - gate @ oracles.dense_vector(psi))) <= 1e-15
     # the staying part of the moved component without a partner is kept
@@ -613,7 +612,7 @@ def test_gate_outputs_have_strictly_increasing_keys(psi, seed):
     outputs = (apply_two_mode_mixer(psi, mode(1, "H"), mode(2, "V"), 0.7, 0.3),
                apply_single_mode_matrix(psi, mode(2, "H"), matrix),
                pbs(psi, 1, 2),
-               cnot_pol(psi, 3, 1, flip_angle=1.1, on_ambiguous="pass"),
+               controlled_pol_gates(psi, 3, flips=[(1, 1.1)], on_ambiguous="pass"),
                cswap_pol(psi, 3, 1, 2, on_ambiguous="pass"),
                apply_creation(psi, mode(1, "V")))
     for out in outputs:

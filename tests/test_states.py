@@ -7,12 +7,11 @@ from dualcat.fock import (
     CutoffError,
     DegenerateInputError,
     inner_product,
-    mean_occupation,
     mode,
     occupation_moments,
-    parity_expectation,
     plain_register,
 )
+from dualcat.elements import displaced_parity_expect, phase_shift
 from dualcat.states import (
     CatParams,
     SqueezeParams,
@@ -22,6 +21,11 @@ from dualcat.states import (
     squeezed_vacuum,
     subtracted_sv,
 )
+
+
+def parity(s):
+    """<(-1)^n> of a one-mode state, as <s| e^{i pi n} |s>."""
+    return inner_product(s, phase_shift(s, mode(1), math.pi)).real
 
 
 @pytest.fixture
@@ -40,7 +44,7 @@ def test_coherent_at_zero_is_vacuum(reg):
 
 def test_coherent_mean_photon_number(reg):
     s = coherent(reg, mode(1), 1.3)
-    assert mean_occupation(s, mode(1)) == pytest.approx(1.3**2, abs=1e-9)
+    assert occupation_moments(s, mode(1))[0] == pytest.approx(1.3**2, abs=1e-9)
 
 
 def test_coherent_is_normalized(reg):
@@ -85,8 +89,8 @@ def test_even_cat_has_no_odd_support(reg):
 
 
 def test_cat_parity_expectations(reg):
-    assert parity_expectation(cat(reg, mode(1), CatParams(1.2, "even"))) == pytest.approx(1.0)
-    assert parity_expectation(cat(reg, mode(1), CatParams(1.2, "odd"))) == pytest.approx(-1.0)
+    assert parity(cat(reg, mode(1), CatParams(1.2, "even"))) == pytest.approx(1.0)
+    assert parity(cat(reg, mode(1), CatParams(1.2, "odd"))) == pytest.approx(-1.0)
 
 
 def test_even_and_odd_cats_are_orthogonal(reg):
@@ -141,7 +145,7 @@ def test_squeezed_vacuum_has_even_support_only(reg):
 
 def test_squeezed_vacuum_mean_photons(reg):
     s = squeezed_vacuum(reg, mode(1), SqueezeParams(0.8))
-    assert mean_occupation(s, mode(1)) == pytest.approx(math.sinh(0.8) ** 2, abs=1e-9)
+    assert occupation_moments(s, mode(1))[0] == pytest.approx(math.sinh(0.8) ** 2, abs=1e-9)
 
 
 def test_squeezed_vacuum_is_normalized(reg):
@@ -161,7 +165,7 @@ def test_squeeze_params_reject_negative_r():
 def test_subtracted_sv_has_odd_support(reg):
     s = subtracted_sv(reg, mode(1), SqueezeParams(0.8))
     assert all(occ[0] % 2 == 1 for occ in s.amps)
-    assert parity_expectation(s) == pytest.approx(-1.0)
+    assert parity(s) == pytest.approx(-1.0)
 
 
 def test_subtracted_sv_norm_comes_from_sinh(reg):
@@ -201,4 +205,4 @@ def test_entangled_cat_pair_parity_structure():
     # even x odd and odd x even components only: joint parity is always -1
     reg2 = plain_register([1, 2], 30)
     pair = entangled_cat_pair(reg2, mode(1), mode(2), 1.0, "-")
-    assert parity_expectation(pair) == pytest.approx(-1.0, abs=1e-12)
+    assert displaced_parity_expect(pair, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
