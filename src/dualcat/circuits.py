@@ -21,6 +21,7 @@ from . import elements, states
 from .elements import PERFECT, Imperfection
 from .fock import (
     _CHUNK,
+    DEFAULT_PRUNE_EPS,
     DEFAULT_TAIL_EPS,
     DegenerateInputError,
     ModeLabel,
@@ -29,11 +30,9 @@ from .fock import (
     _finish,
     _joined,
     _mass,
-    _mixer_row,
+    _mixer_table,
     _one_blas_thread,
     _refuse_top_mass,
-    _run_end,
-    _slice,
     add,
     apply_annihilation,
     apply_creation,
@@ -240,12 +239,12 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     component and an equal-amplitude vacuum projection of the horizontal
     one erases which-branch information.  Conditioning keeps the dark
     horizontal port and a click on the vertical port.  Every stage after the
-    tag mixers (displacements, PBS, gates, rotation and dark port) runs as
-    one contraction, :func:`_erased_tags`, which never builds the displaced
-    tag state; it keeps the guards and the deficit of those stages run one
-    by one.  The stages are unitary, and what the cutoffs drop from the dark
-    port is in its deficit, so the dark port's probability is its norm² over
-    that of the tag-mixed state.
+    rail PBS (tag mixers, displacements, tag PBS, gates, rotation and dark
+    port) runs as one contraction, :func:`_erased_tags`, which builds no tag
+    state; it keeps the guards and the deficit of those stages run one by
+    one.  The stages are unitary, and what the cutoffs drop on the way is
+    in the dark port's deficit, so the dark port's probability is its norm²
+    over that of the PBS output.
 
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
@@ -266,11 +265,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     psi = embed(state, big)
 
     psi = elements.pbs(psi, 1, 2)  # H stays on 1, V moves to 2
-    psi = apply_two_mode_mixer(psi, mode(1, "H"), mode(3, "H"),
-                               theta=math.pi / 4.0, phase=math.pi)
-    psi = apply_two_mode_mixer(psi, mode(2, "V"), mode(4, "V"),
-                               theta=math.pi / 4.0, phase=math.pi)
-    # diagonal on the rails, so it commutes with every tag step
+    # e^{i pi n} on 2V, which the staged ops apply after the 4V tag mixer:
+    # ahead of it, the mixer's phase pi turns into 0
     psi = elements.phase_shift(psi, mode(2, "V"), math.pi)
     dark = _erased_tags(psi, B, imp)
     click, _ = elements.onoff_detect(dark, mode(3, "V"))
@@ -279,55 +275,87 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     return CircuitReport(normalized(click), log)
 
 
+def _tag_extents(mag: np.ndarray, kmag: np.ndarray) -> np.ndarray:
+    """ext[r, s]: one past the largest tag level a of the first rail at
+    which some amplitude mag[r + a, s + b] kmag[a, r] kmag[b, s] of rest
+    (r, s) beats the prune level, else 0.  ``mag`` holds the rails'
+    magnitudes up to (t, u) and zeros to twice that size.  The largest over
+    b comes first, so no 4-index array is built."""
+    t, u = mag.shape[0] // 2 - 1, mag.shape[1] // 2 - 1
+    n, m = np.arange(t + 1), np.arange(u + 1)
+    peak = np.zeros((2 * t + 1, u + 1))
+    peak[:t + 1] = (mag[:t + 1, m[:, None] + m] * kmag[:u + 1, :u + 1]).max(axis=1)
+    live = peak[n[:, None] + n] * kmag[:t + 1, :t + 1, None] > DEFAULT_PRUNE_EPS  # [a, r, s]
+    return np.where(live.any(axis=0), t + 1 - np.argmax(live[::-1], axis=0), 0)
+
+
 @_one_blas_thread
 def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
-    """The dark port of :func:`access_polarization` from its tag-mixed state.
+    """The dark port of :func:`access_polarization` from its PBS output.
 
-    ``psi`` holds c[r, a, b]: rails r on paths 1 and 2, tags a in 3H and b
-    in 4V, 3V and 4H empty.  The tag displacements D and the PBS make
-    phi[r, n, m] = sum D[n, a] D[m, b] c (n in 3H, m in 3V), the gates G act
-    where n = 0, and the dark port keeps sum_n U_t[0, n] phi[r, n, t - n] at
-    3V = t.  So the port is sum_{n > 0} U_t[0, n] phi[r, n, t - n] plus
-    G(held), held = U_t[0, 0] phi[r, 0, t] for t > 0, and no displaced state
-    is built: each slice of whole rests is a dense block of about ``_CHUNK``
-    entries.  The guards and the deficit are those of the staged ops: the
-    top-level mass of 3H, then of 4V, then the ambiguous control mass
-    (n, m > 0); the input deficit, the dark mass past the cutoff of 3V, the
+    ``psi`` holds rails R1 in 1H and R2 in 2V (phase e^{i pi R2} applied),
+    the other rail modes as spectators, and empty tags.  Each tag mixer
+    meets an empty port, so it leaves c[r, a, b] = psi(r1 + a, r2 + b)
+    K3[a, r1] K4[b, r2]: rails r, tags a in 3H and b in 4V, with K3 and K4
+    from :func:`fock._mixer_table` (phase pi, and 0 for 4V, which meets the
+    2V phase first).  Tag mass past the cutoff joins the deficit, as a
+    mixer's does; tag levels of dust alone (:func:`_tag_extents`) are not
+    built, and their mass, at most 1e-32 an amplitude, joins no deficit.
+    The tag displacements D and the PBS make phi[r, n, m] =
+    sum D[n, a] D[m, b] c (n in 3H, m in 3V), the gates G act where n = 0,
+    and the dark port keeps sum_n U_t[0, n] phi[r, n, t - n] at 3V = t.  So
+    the port is sum_{n > 0} U_t[0, n] phi[r, n, t - n] plus G(held), held =
+    U_t[0, 0] phi[r, 0, t] for t > 0, and no tag state is built: each slice
+    of rests is a dense block of about ``_CHUNK`` entries.  The guards and
+    the deficit are those of the staged ops: the top-level mass of 3H, then
+    of 4V, then the ambiguous control mass (n, m > 0); the input deficit,
+    the tag mass past the cutoff, the dark mass past the cutoff of 3V, the
     pruned dust and what the gates lose.
     """
     reg = psi.register
-    h3, v3, v4 = mode(3, "H"), mode(3, "V"), mode(4, "V")
+    h1, v2, h3, v3, v4 = mode(1, "H"), mode(2, "V"), mode(3, "H"), mode(3, "V"), mode(4, "V")
     dim = reg.cutoff_of(h3) + 1  # both tags share it
     d = displacement_matrix(complex(beta), dim)
-    rows = np.concatenate([_mixer_row(t, -math.pi / 4.0) for t in range(2 * dim - 1)])
-    n = np.arange(dim)
-    t = n[:, None] + n
-    w = rows[t * (t + 1) // 2 + n[:, None]]  # w[n, m] = U_{n+m}[0, n]
-    stride = int(reg.strides[reg.index(v3)])
-    dark, held, top_h, top_v, ambiguous = [], [], 0.0, 0.0, 0.0
-    lo, size = 0, max(_CHUNK // dim ** 2, 1)
-    while lo < len(psi):
-        hi = _run_end(psi, reg.index(h3), lo, size)
-        rest, group, occ = group_by(_slice(psi, lo, hi), [h3, v4])
-        k, (a, b) = len(rest), (occ.max(axis=0) + 1).tolist()
-        c = np.zeros((a, k * b), dtype=complex)  # c[a, r * b + b']
-        c[occ[:, 0], group * b + occ[:, 1]] = psi.coeffs[lo:hi]
-        x = d[:, :a] @ c  # 3H displaced
-        top_h += _mass(x[-1])
-        phi = (x.reshape(-1, b) @ d[:, :b].T).reshape(dim, k, dim)  # and 4V, moved to 3V
-        top_v += _mass(phi[:, :, -1])
-        if imp.on_ambiguous == "error":
-            ambiguous += _mass(phi[1:, :, 1:])
-        phi *= w[:, None]
-        held.append(_finish(reg, (rest[:, None] + stride * n[1:]).ravel(),
-                            phi[0, :, 1:].ravel(), 0.0))
-        port = np.zeros((k, 2 * dim - 1), dtype=complex)
-        port[:, 0] = phi[0, :, 0]
-        for i in range(1, dim):
-            port[:, i:i + dim] += phi[i]
-        dark.append(_finish(reg, (rest[:, None] + stride * n).ravel(), port[:, :dim].ravel(),
-                            _mass(port[:, dim:])))
-        lo, size = hi, max((hi - lo) * _CHUNK // (k * dim ** 2), 1)
+    w = _mixer_table(-math.pi / 4.0, 0.0, dim)  # w[n, m] = U_{n+m}[0, n]
+    spectators, group, occ = group_by(psi, [h1, v2])
+    size = int(occ.max(initial=0)) + 1  # rails and tag levels stay below it
+    k3, k4 = (_mixer_table(math.pi / 4.0, phase, size) for phase in (math.pi, 0.0))
+    kmag = np.abs(k3)  # that of k4 too
+    n, per = np.arange(dim), max(_CHUNK // dim ** 2, 1)
+    s1, s2, s3 = (int(reg.strides[reg.index(m)]) for m in (h1, v2, v3))
+    dark, held, lost, top_h, top_v, ambiguous = [], [], 0.0, 0.0, 0.0, 0.0
+    for g, spectator in enumerate(spectators.tolist()):
+        on = group == g
+        top1, top2 = occ[on].max(axis=0).tolist()
+        rails = np.zeros((2 * top1 + 2, 2 * top2 + 2), dtype=complex)  # zero past the tops
+        rails[occ[on, 0], occ[on, 1]] = psi.coeffs[on]
+        mag = np.abs(rails)
+        ext1, ext2 = _tag_extents(mag, kmag), _tag_extents(mag.T, kmag).T
+        rests = np.flatnonzero(np.minimum(ext1, ext2))  # the two agree but for rounding
+        for lo in range(0, len(rests), per):
+            r1, r2 = np.divmod(rests[lo:lo + per], top2 + 1)
+            a, b = np.arange(ext1[r1, r2].max()), np.arange(ext2[r1, r2].max())
+            c = rails[(r1 + a[:, None])[:, :, None], r2[:, None] + b]  # c[a, r, b]
+            c *= k3[a][:, r1, None] * k4[b][:, r2].T
+            lost += _mass(c[dim:]) + _mass(c[:dim, :, dim:])
+            c = c[:dim, :, :dim]
+            k, (a, b) = len(r1), (c.shape[0], c.shape[2])
+            x = d[:, :a] @ c.reshape(a, k * b)  # 3H displaced
+            top_h += _mass(x[-1])
+            phi = (x.reshape(-1, b) @ d[:, :b].T).reshape(dim, k, dim)  # and 4V, moved to 3V
+            top_v += _mass(phi[:, :, -1])
+            if imp.on_ambiguous == "error":
+                ambiguous += _mass(phi[1:, :, 1:])
+            phi *= w[:, None]
+            rest = spectator + s1 * r1 + s2 * r2
+            held.append(_finish(reg, (rest[:, None] + s3 * n[1:]).ravel(),
+                                phi[0, :, 1:].ravel(), 0.0))
+            port = np.zeros((k, 2 * dim - 1), dtype=complex)
+            port[:, 0] = phi[0, :, 0]
+            for i in range(1, dim):
+                port[:, i:i + dim] += phi[i]
+            dark.append(_finish(reg, (rest[:, None] + s3 * n).ravel(), port[:, :dim].ravel(),
+                                _mass(port[:, dim:])))
     _refuse_top_mass(h3, top_h, elements.TOP_LEVEL_TOL)
     _refuse_top_mass(v4, top_v, elements.TOP_LEVEL_TOL)
     if imp.on_ambiguous == "error":
@@ -335,7 +363,7 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     gated = elements.controlled_pol_gates(
         _joined(reg, held, 0.0), 3, flips=[(target, imp.flip_angle) for target in (1, 2)],
         phases=[(target, math.pi) for target in (1, 2)], on_ambiguous="pass")
-    return add(_joined(reg, dark, psi.norm_deficit), gated)
+    return add(_joined(reg, dark, psi.norm_deficit + lost), gated)
 
 
 # ---------------------------------------------------------------------------

@@ -218,11 +218,11 @@ def _duality(p: dict, eps: float) -> ExperimentResult:
 def _access_cutoff(q: dict, eps: float) -> int:  # generation, then access at the tag offset
     imp = Imperfection(displacement_offset=q.get("b_offsets", 0.0))
     return max(circuits.generation_cutoff(q["alpha"], eps),
-               circuits.tag_cutoff(q["alpha"] / math.sqrt(2.0), imp, eps))
+               circuits.tag_cutoff(abs(q["alpha"]) / math.sqrt(2.0), imp, eps))
 
 
 def _bell_cutoff(q: dict, eps: float) -> int:
-    return coherent_cutoff(q["alpha_grid"] + q["radius"] + 0.3, eps)
+    return coherent_cutoff(abs(q["alpha_grid"]) + q["radius"] + 0.3, eps)
 
 
 def _bell_point(q: dict, eps: float) -> tuple:

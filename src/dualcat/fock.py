@@ -596,14 +596,17 @@ def _gaussian_unitary(kind: str, dim: int, t: float, phase: float = 0.0) -> np.n
     return (vecs * np.exp(-1j * t * lam)) @ adjoint
 
 
-@_one_blas_thread
-def _mixer_row(t: int, theta: float, phase: float = 0.0) -> np.ndarray:
-    """Row 0 of the mixer block unitary of total ``t``, U_t[0, n] for n = 0..t,
-    with no block built: (V[0] e^{-i theta lam}) V† from the cached spectrum,
-    times the e^{-i phase n} of the conjugation of :func:`_gaussian_unitary`."""
-    lam, vecs, adjoint = generator_spectrum("mix", t + 1)
-    row = (vecs[0] * np.exp(-1j * theta * lam)) @ adjoint
-    return row * np.exp(-1j * phase * np.arange(t + 1)) if phase else row
+def _mixer_table(theta: float, phase: float, dim: int) -> np.ndarray:
+    """K[k, j] = sqrt(C(k+j, k)) cos^j theta (-sin theta e^{-i phase})^k for
+    k, j < ``dim``: the mixer block entries that meet an empty port, in closed
+    form.  With U_t the block of total t of :func:`apply_two_mode_mixer`
+    (first index n_a), row 0 is U_t[0, n] = K[n, t - n] and the column of
+    an empty second port is U_t[n, t] = K[t - n, n].  The binomial comes
+    from ``math.lgamma`` in log space."""
+    n = np.arange(dim)
+    lg = np.array([math.lgamma(i + 1.0) for i in range(2 * dim - 1)])
+    binom = np.exp(0.5 * (lg[n[:, None] + n] - lg[n][:, None] - lg[n]))
+    return binom * np.cos(theta) ** n * ((-math.sin(theta) * np.exp(-1j * phase)) ** n)[:, None]
 
 
 @_one_blas_thread
@@ -680,27 +683,23 @@ def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     """The vacuum branch of ``mode_a`` after :func:`apply_two_mode_mixer`.
 
     The dark amplitude of a (total t, rest) block is the sum of U_t[0, n_a] c
-    over its amplitudes, row 0 of the block unitary: one weighted bincount
-    per :func:`_runs` slice, with no dense block.  A block with t up to the
-    cutoff of ``mode_b`` gives the amplitude at n_b = t.  The dark column of
-    any other block lies past that cutoff, so its mass joins the deficit,
-    which is then exactly the input deficit, plus the dark-column mass past
-    the cutoff, plus the pruned dust.
+    over its amplitudes, row 0 of the block unitary (:func:`_mixer_table`):
+    one weighted bincount per :func:`_runs` slice, with no dense block.  A
+    block with t up to the cutoff of ``mode_b`` gives the amplitude at
+    n_b = t.  The dark column of any other block lies past that cutoff, so
+    its mass joins the deficit, which is then exactly the input deficit,
+    plus the dark-column mass past the cutoff, plus the pruned dust.
     """
     reg = state.register
     ia, ib = reg.index(mode_a), reg.index(mode_b)
     if ia == ib:
         raise ValueError("mixer needs two distinct modes")
-    row0, built, parts = np.empty(0, dtype=complex), 0, []  # U_t[0] packed for t < built
+    table, parts = _mixer_table(theta, phase, max(reg.cutoffs[ia], reg.cutoffs[ib]) + 1), []
     for part in _runs(state, min(ia, ib)):
         rest, group, occ = group_by(part, [mode_a, mode_b])
         total = occ.sum(axis=1)
         top = int(total.max())
-        if top >= built:
-            row0 = np.concatenate([row0] + [_mixer_row(t, theta, phase)
-                                            for t in range(built, top + 1)])
-            built = top + 1
-        coeffs = part.coeffs * row0[total * (total + 1) // 2 + occ[:, 0]]
+        coeffs = part.coeffs * table[occ[:, 0], occ[:, 1]]  # U_t[0, n_a] at t = n_a + n_b
         code = total * len(rest) + group  # the block of each amplitude
         size = (top + 1) * len(rest)
         sums = np.bincount(code, coeffs.real, size) + 1j * np.bincount(code, coeffs.imag, size)

@@ -490,6 +490,41 @@ def test_erasure_slices_do_not_change_the_output(monkeypatch, offset):
     assert max_gap(whole.output_state, sliced.output_state) <= 1e-12
 
 
+def _spectator_pair():
+    """The generated pair at alpha 1.19 with light on 2H and 2V beside it,
+    which the rail PBS moves to 2H and 1V: rails the tags never touch."""
+    gen = generate_entangled_cat(1.19).output_state
+    reg = gen.register
+    side = add(basis_state(reg, {mode(2, "H"): 1}), scale(basis_state(reg, {mode(2, "V"): 2}), 0.3))
+    return normalized(add(scale(gen, 0.9), scale(product(gen, normalized(side)), 0.4))), 1e-12
+
+
+def _pair_past_the_tag_cutoff():
+    """The analytic pair at alpha 1 on 40 levels, whose rails reach past
+    the tag cutoff (16 at a tail budget of 1e-8, offset -0.3)."""
+    return analytic_dual_rail_pair(polarized_register([1], 40), 1.0, "-"), 1e-8
+
+
+@pytest.mark.parametrize("make, imp", [
+    (_spectator_pair, Imperfection()),
+    (_spectator_pair, Imperfection(displacement_offset=0.6, flip_angle=math.pi / 2.0)),
+    (_pair_past_the_tag_cutoff, Imperfection(displacement_offset=-0.3, flip_angle=2.0)),
+])
+def test_erasure_matches_the_staged_ops_off_the_generated_pair(monkeypatch, make, imp):
+    """Rails beside 1H and 2V ride through the erasure as the staged ops
+    carry them, and tag mass past the tag cutoff joins the deficit as the
+    staged mixers drop it: with the pair on 40 levels that mass, 5.7e-19,
+    is nearly all of the deficit, which is held to 1e-9 relative."""
+    state, eps = make()
+    ports = []
+    erase = circuits._erased_tags
+    monkeypatch.setattr(circuits, "_erased_tags", lambda *args: ports.append(erase(*args)) or ports[0])
+    access_polarization(state, imp, eps)
+    dark, norm_sq = staged_access(state, imp, eps)
+    assert max_gap(ports[0], dark) <= 1e-12 * math.sqrt(norm_sq)
+    assert ports[0].norm_deficit == pytest.approx(dark.norm_deficit, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("eps, error, mass", [
     (1e-6, CutoffError, "mode 3H: top-level mass 9.27e-10"),
     (1e-8, ContractViolationError, "probability mass 4.74e-10"),
@@ -574,3 +609,29 @@ def test_polarization_access_builds_no_state_twice_its_output(monkeypatch):
     monkeypatch.setattr(fock, "_fill", counted)
     out = access_polarization(state, Imperfection(displacement_offset=0.6)).output_state
     assert max(sizes) <= 2 * len(out)
+
+
+def test_polarization_access_runs_no_mixer(monkeypatch):
+    """The tag mixers meet empty ports, and so does the dark port of the
+    45° rotation: the access reads those entries in closed form, so it runs
+    no two-mode mixer and builds or reads no mixer spectrum."""
+    state = generate_entangled_cat(1.19).output_state
+    calls = []
+    mixer, spectrum = fock.apply_two_mode_mixer, fock.generator_spectrum
+
+    def counted_mixer(*args, **kwargs):
+        calls.append("apply_two_mode_mixer")
+        return mixer(*args, **kwargs)
+
+    def counted_spectrum(kind, dim):
+        calls.append(kind)
+        return spectrum(kind, dim)
+
+    for module in (fock, elements, circuits):
+        for name, counted in (("apply_two_mode_mixer", counted_mixer),
+                              ("generator_spectrum", counted_spectrum)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    access_polarization(state, Imperfection(displacement_offset=0.6, flip_angle=2.0))
+    assert "displace" in calls  # the counters see the calls they count
+    assert "apply_two_mode_mixer" not in calls and "mix" not in calls

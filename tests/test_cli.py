@@ -111,18 +111,40 @@ def test_duality_run_reports_matching_entropies(tmp_path, capsys):
     assert scalars["bell_fidelity"] >= 1.0 - 1e-6
 
 
-def test_duality_at_negative_alpha_reads_as_at_its_magnitude(tmp_path, capsys):
-    # the generated pair and its access depend on |alpha| alone, so the
-    # Bell target must too
-    scalars = []
-    for alpha in ("-1.2", "1.2"):
-        out_file = tmp_path / f"duality{alpha}.json"
-        code, _, _ = run_main(["--output", str(out_file), "duality", "--alpha", alpha], capsys)
-        assert code == 0
-        scalars.append(load_result(out_file)["result"]["scalars"])
-    assert scalars[0].keys() == scalars[1].keys()
-    for key, value in scalars[1].items():
-        assert scalars[0][key] == pytest.approx(value, abs=1e-12), key
+@pytest.mark.parametrize("argv, odd", [
+    (["generate", "--alpha", "{}"], ()),
+    (["duality", "--alpha", "{}"], ()),
+    (["bell", "--alpha-grid", "{}", "--grid-density", "5", "--refine-iters", "20"], ("alpha",)),
+    (["fisher", "--alpha-grid", "{}"], ("alpha",)),
+    (["imperfection-sweep", "--alpha", "{}", "--b-offsets", "0.0,0.3"], ()),
+])
+def test_a_negative_amplitude_reads_as_its_magnitude(tmp_path, capsys, argv, odd):
+    """Every experiment that takes an amplitude gives at -alpha the exit
+    code and every scalar of +alpha: the states depend on |alpha| up to a
+    sign or a displacement direction that no reported number sees, so the
+    cutoff rules and the analytic targets must read |alpha| too.  The table
+    columns in ``odd`` echo alpha and are odd in it.  ``qfi_decay_oracle``
+    is a finite difference at d = 5e-4: the round-off of its overlap, a few
+    1e-16, grows by 8/d² = 3.2e7, so that column is held to 1e-7."""
+    results = []
+    for alpha in ("-1.0", "1.0"):
+        out_file = tmp_path / f"run{alpha}.json"
+        code, _, _ = run_main(["--output", str(out_file)] + [a.format(alpha) for a in argv],
+                              capsys)
+        assert code == 0, alpha
+        results.append(load_result(out_file)["result"])
+    minus, plus = results
+    assert minus["scalars"].keys() == plus["scalars"].keys()
+    for key, value in plus["scalars"].items():
+        assert minus["scalars"][key] == pytest.approx(value, abs=1e-12), key
+    for key, value in plus["convergence"].items():
+        assert minus["convergence"][key] == pytest.approx(value, rel=1e-9, abs=1e-30), key
+    for name, table in plus["tables"].items():
+        for row, other in zip(table["rows"], minus["tables"][name]["rows"], strict=True):
+            for column, value, got in zip(table["columns"], row, other, strict=True):
+                sign = -1.0 if column in odd else 1.0
+                tol = 1e-7 if column == "qfi_decay_oracle" else 1e-12
+                assert got == pytest.approx(sign * value, abs=tol), (name, column)
 
 
 def test_bell_defaults_find_the_global_optimum_at_large_alpha(tmp_path, capsys):

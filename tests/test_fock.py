@@ -14,7 +14,9 @@ from dualcat.fock import (
     PureState,
     RegisterMismatchError,
     UnknownModeError,
+    _gaussian_unitary,
     _mass,
+    _mixer_table,
     add,
     apply_annihilation,
     apply_creation,
@@ -251,6 +253,32 @@ def test_mixer_preserves_norm_on_cat_split():
     out = apply_two_mode_mixer(src, mode(1), mode(2), math.pi / 4.0)
     assert abs(out.norm() - 1.0) < 1e-9
     assert out.norm_deficit < 1e-12
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4.0, -math.pi / 4.0, 0.3])
+@pytest.mark.parametrize("phase", [0.0, math.pi, 1.1])
+def test_mixer_table_holds_the_empty_port_entries_of_the_mixer_blocks(theta, phase):
+    """Row 0 of the block of total t is K[n, t - n], and the column of an
+    empty second port is K[t - n, n]."""
+    table = _mixer_table(theta, phase, 40)
+    for t in range(40):
+        block = _gaussian_unitary("mix", t + 1, theta, phase)
+        n = np.arange(t + 1)
+        assert np.max(np.abs(block[0] - table[n, t - n])) <= 1e-13
+        assert np.max(np.abs(block[:, t] - table[t - n, n])) <= 1e-13
+
+
+@pytest.mark.parametrize("theta, phase", [(math.pi / 4.0, math.pi), (0.3, 1.1), (-1.2, 0.0)])
+def test_mixer_table_is_exact_to_rounding_relative_to_each_entry(theta, phase):
+    """Up to t = 200 the entries reach 1e-26 and below, where the spectral
+    blocks carry about 1e-14 absolute error; the table keeps each entry to
+    1e-12 of itself against sqrt(C(k+j, k)) cos^j (-sin e^{-i phase})^k."""
+    table = _mixer_table(theta, phase, 201)
+    z = -math.sin(theta) * complex(math.cos(phase), -math.sin(phase))
+    for k in range(201):
+        for j in range(201 - k):
+            exact = math.sqrt(math.comb(k + j, k)) * math.cos(theta) ** j * z ** k
+            assert abs(table[k, j] - exact) <= 1e-12 * abs(exact), (k, j)
 
 
 def test_cutoff_monotonicity_of_split_fidelity():
