@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import elements, states
 from .elements import PERFECT, Imperfection
@@ -105,11 +106,18 @@ def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitR
     if alpha == 0 and parity == "odd":
         raise DegenerateInputError("odd cat input is undefined at alpha = 0")
     reg = polarized_register([1, 2], generation_cutoff(alpha, tail_eps))
-    src = states.cat(reg, mode(1, "H"), states.CatParams(SQRT2 * alpha, parity), tail_eps)
-    # splitter phase 0 gives the "-" pair, phase pi the "+" pair
-    phase = 0.0 if sign == "-" else math.pi
-    split = apply_two_mode_mixer(src, mode(1, "H"), mode(2, "V"),
-                                 theta=math.pi / 4.0, phase=phase)
+    h1, v2 = mode(1, "H"), mode(2, "V")
+    src = states.cat(reg, h1, states.CatParams(SQRT2 * alpha, parity), tail_eps)
+    # the 50:50 splitter meets an empty 2V port: it sends t photons in 1H to
+    # (n, t - n) on (1H, 2V) with amplitude U_t[n, t] = K[t - n, n]
+    # (:func:`fock._mixer_table`); phase 0 gives the "-" pair, pi the "+" pair
+    table = _mixer_table(math.pi / 4.0, 0.0 if sign == "-" else math.pi, reg.cutoff_of(h1) + 1)
+    t = reg.digit(src.keys, reg.index(h1))
+    row, n = np.nonzero(np.arange(t.max(initial=0) + 1) <= t[:, None])
+    moved = t[row] - n  # the photons sent to 2V
+    shift = reg.strides[reg.index(v2)] - reg.strides[reg.index(h1)]
+    split = _finish(reg, src.keys[row] + moved * shift, src.coeffs[row] * table[moved, n],
+                    src.norm_deficit)
     log = []
     out = split
     for path, kind in ((1, "H"), (2, "V")):
@@ -241,10 +249,12 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     horizontal port and a click on the vertical port.  Every stage after the
     rail PBS (tag mixers, displacements, tag PBS, gates, rotation and dark
     port) runs as one contraction, :func:`_erased_tags`, which builds no tag
-    state; it keeps the guards and the deficit of those stages run one by
-    one.  The stages are unitary, and what the cutoffs drop on the way is
-    in the dark port's deficit, so the dark port's probability is its norm²
-    over that of the PBS output.
+    state: one kernel per access maps each pair of tag levels to the dark
+    port, so a slice of rails reaches it in one product.  It keeps the
+    guards and the deficit of those stages run one by one.  The stages are
+    unitary, and what the cutoffs drop on the way is in the dark port's
+    deficit, so the dark port's probability is its norm² over that of the
+    PBS output.
 
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
@@ -289,6 +299,41 @@ def _tag_extents(mag: np.ndarray, kmag: np.ndarray) -> np.ndarray:
     return np.where(live.any(axis=0), t + 1 - np.argmax(live[::-1], axis=0), 0)
 
 
+def _shell_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tag pairs (a, b), a, b < ``size``, in order of max(a, b): the pairs of
+    a block of side s are the first s**2."""
+    n = np.arange(size)
+    return np.divmod(np.argsort(np.maximum.outer(n, n), axis=None, kind="stable"), size)
+
+
+@_one_blas_thread
+def _erasure_kernel(d: np.ndarray, w: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K[j, t] = sum_n d[n, a_j] w[n, t - n] d[t - n, b_j] over n > 0 (and
+    n = 0 at t = 0 only), t < 2 dim - 1: the dark port at 3V = t of the tag
+    pair (a_j, b_j), where (a, b) runs once over the pairs below a size
+    (:func:`_shell_pairs`).
+
+    Built a few columns b at a time: the weighted rows w[n, m] d[m, b] are
+    laid out at t = n + m by padding each row n to 2 dim and reading the
+    rows back at length 2 dim - 1, and one product sums over n.
+    """
+    dim, size = len(d), int(a.max()) + 1
+    span = 2 * dim - 1
+    row = np.empty((size, size), dtype=np.intp)
+    row[a, b] = np.arange(len(a))
+    kernel = np.empty((len(a), span), dtype=complex)
+    step = max(_CHUNK // (dim * span), 1)
+    for lo in range(0, size, step):
+        cols = slice(lo, min(lo + step, size))
+        width = cols.stop - lo
+        pad = np.zeros((dim, 2 * dim, width), dtype=complex)
+        np.multiply(w[:, :, None], d[:, cols], out=pad[:, :dim])
+        pad[0, 1:] = 0.0
+        skew = pad.reshape(-1, width)[:dim * span].reshape(dim, span * width)  # [n, (n + m, b)]
+        kernel[row[:, cols]] = (d[:, :size].T @ skew).reshape(size, span, width).transpose(0, 2, 1)
+    return kernel
+
+
 @_one_blas_thread
 def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     """The dark port of :func:`access_polarization` from its PBS output.
@@ -304,11 +349,17 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     The tag displacements D and the PBS make phi[r, n, m] =
     sum D[n, a] D[m, b] c (n in 3H, m in 3V), the gates G act where n = 0,
     and the dark port keeps sum_n U_t[0, n] phi[r, n, t - n] at 3V = t.  So
-    the port is sum_{n > 0} U_t[0, n] phi[r, n, t - n] plus G(held), held =
-    U_t[0, 0] phi[r, 0, t] for t > 0, and no tag state is built: each slice
-    of rests is a dense block of about ``_CHUNK`` entries.  The guards and
-    the deficit are those of the staged ops: the top-level mass of 3H, then
-    of 4V, then the ambiguous control mass (n, m > 0); the input deficit,
+    the port is c[r, a, b] K[(a, b), t], one product with the kernel of
+    :func:`_erasure_kernel` (the n > 0 terms), plus G(held), held =
+    U_t[0, 0] phi[r, 0, t] for t > 0, and no tag state is built.  Rests go
+    in order of their extent s, the larger of their two :func:`_tag_extents`,
+    in slices of k rests with k max(s**2, 2 dim - 1) at most ``_CHUNK``, so
+    neither the block nor the port outgrows it; each slice is a (k, s, s)
+    block whose pairs, in the kernel's row order (:func:`_shell_pairs`),
+    meet its first s**2 rows.  The kernel is freed before the gates.
+    The guards and the deficit are those of the staged ops: the top-level
+    mass of 3H, then of 4V, then the ambiguous control mass (n, m > 0) in
+    Gram form, sum c* (g c g^T) with g = D[1:]^H D[1:]; the input deficit,
     the tag mass past the cutoff, the dark mass past the cutoff of 3V, the
     pruned dust and what the gates lose.
     """
@@ -321,41 +372,51 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     size = int(occ.max(initial=0)) + 1  # rails and tag levels stay below it
     k3, k4 = (_mixer_table(math.pi / 4.0, phase, size) for phase in (math.pi, 0.0))
     kmag = np.abs(k3)  # that of k4 too
-    n, per = np.arange(dim), max(_CHUNK // dim ** 2, 1)
+    pairs = _shell_pairs(min(dim, size))
+    kernel = _erasure_kernel(d, w, *pairs)
+    gram = d[1:].conj().T @ d[1:] if imp.on_ambiguous == "error" else None
+    held_row = d.T * w[0]  # d[m, b] U_m[0, 0]
+    n, span = np.arange(dim), 2 * dim - 1
     s1, s2, s3 = (int(reg.strides[reg.index(m)]) for m in (h1, v2, v3))
     dark, held, lost, top_h, top_v, ambiguous = [], [], 0.0, 0.0, 0.0, 0.0
     for g, spectator in enumerate(spectators.tolist()):
         on = group == g
         top1, top2 = occ[on].max(axis=0).tolist()
-        rails = np.zeros((2 * top1 + 2, 2 * top2 + 2), dtype=complex)  # zero past the tops
+        top = max(top1, top2)
+        rails = np.zeros((top1 + top + 2, top2 + top + 2), dtype=complex)  # zero past the tops
         rails[occ[on, 0], occ[on, 1]] = psi.coeffs[on]
-        mag = np.abs(rails)
+        mag = np.abs(rails[:2 * top1 + 2, :2 * top2 + 2])
         ext1, ext2 = _tag_extents(mag, kmag), _tag_extents(mag.T, kmag).T
         rests = np.flatnonzero(np.minimum(ext1, ext2))  # the two agree but for rounding
-        for lo in range(0, len(rests), per):
-            r1, r2 = np.divmod(rests[lo:lo + per], top2 + 1)
-            a, b = np.arange(ext1[r1, r2].max()), np.arange(ext2[r1, r2].max())
-            c = rails[(r1 + a[:, None])[:, :, None], r2[:, None] + b]  # c[a, r, b]
-            c *= k3[a][:, r1, None] * k4[b][:, r2].T
-            lost += _mass(c[dim:]) + _mass(c[:dim, :, dim:])
-            c = c[:dim, :, :dim]
-            k, (a, b) = len(r1), (c.shape[0], c.shape[2])
-            x = d[:, :a] @ c.reshape(a, k * b)  # 3H displaced
-            top_h += _mass(x[-1])
-            phi = (x.reshape(-1, b) @ d[:, :b].T).reshape(dim, k, dim)  # and 4V, moved to 3V
-            top_v += _mass(phi[:, :, -1])
-            if imp.on_ambiguous == "error":
-                ambiguous += _mass(phi[1:, :, 1:])
-            phi *= w[:, None]
+        sides = np.maximum(ext1, ext2).ravel()[rests]
+        order = np.argsort(sides, kind="stable")
+        rests, sides = rests[order], sides[order].tolist()
+        cuts, lo = [], 0
+        for i, side in enumerate(sides):
+            if i > lo and (i - lo + 1) * max(side * side, span) > _CHUNK:
+                cuts.append(i)
+                lo = i
+        for lo, hi in zip([0, *cuts], [*cuts, len(rests)]):
+            r1, r2 = np.divmod(rests[lo:hi], top2 + 1)
+            s = sides[hi - 1]
+            c = sliding_window_view(rails, (s, s))[r1, r2]  # c[r, a, b]
+            c *= k3[:s, r1].T[:, :, None] * k4[:s, r2].T[:, None]
+            if s > dim:
+                lost += _mass(c[:, dim:]) + _mass(c[:, :dim, dim:])
+                c, s = c[:, :dim, :dim], dim
+            dr = d[:, :s]
+            top_h += _mass(dr[-1] @ c)  # 3H displaced
+            top_v += _mass((c @ dr[-1]) @ dr.T)  # and 4V, moved to 3V
+            if gram is not None:
+                ambiguous += float(np.vdot(c, gram[:s, :s] @ c @ gram[:s, :s].T).real)
             rest = spectator + s1 * r1 + s2 * r2
             held.append(_finish(reg, (rest[:, None] + s3 * n[1:]).ravel(),
-                                phi[0, :, 1:].ravel(), 0.0))
-            port = np.zeros((k, 2 * dim - 1), dtype=complex)
-            port[:, 0] = phi[0, :, 0]
-            for i in range(1, dim):
-                port[:, i:i + dim] += phi[i]
+                                ((dr[0] @ c) @ held_row[:s, 1:]).ravel(), 0.0))
+            a, b = pairs[0][:s * s], pairs[1][:s * s]
+            port = c[:, a, b] @ kernel[:s * s]
             dark.append(_finish(reg, (rest[:, None] + s3 * n).ravel(), port[:, :dim].ravel(),
                                 _mass(port[:, dim:])))
+    del kernel
     _refuse_top_mass(h3, top_h, elements.TOP_LEVEL_TOL)
     _refuse_top_mass(v4, top_v, elements.TOP_LEVEL_TOL)
     if imp.on_ambiguous == "error":

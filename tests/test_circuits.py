@@ -490,6 +490,70 @@ def test_erasure_slices_do_not_change_the_output(monkeypatch, offset):
     assert max_gap(whole.output_state, sliced.output_state) <= 1e-12
 
 
+@pytest.mark.parametrize("offset", [0.0, 0.6])
+def test_erasure_slices_of_one_rest_do_not_change_the_output(monkeypatch, offset):
+    """Slices of one rest each, and a kernel built one column at a time,
+    give the output of the default slices."""
+    gen = generate_entangled_cat(1.19).output_state
+    imp = Imperfection(displacement_offset=offset)
+    whole = access_polarization(gen, imp)
+    monkeypatch.setattr(circuits, "_CHUNK", 1)
+    sliced = access_polarization(gen, imp)
+    for (_, p), (_, q) in zip(whole.branch_log, sliced.branch_log):
+        assert q == pytest.approx(p, rel=1e-12, abs=0.0)
+    assert max_gap(whole.output_state, sliced.output_state) <= 1e-12
+
+
+def test_shell_pairs_of_a_block_come_first():
+    """The first s**2 tag pairs are exactly those with max(a, b) < s, once
+    each, so a block of side s meets the first s**2 rows of the kernel."""
+    a, b = circuits._shell_pairs(7)
+    assert len(a) == 49
+    for s in range(8):
+        assert set(zip(a[:s * s].tolist(), b[:s * s].tolist())) == {
+            (i, j) for i in range(s) for j in range(s)}
+
+
+@pytest.mark.parametrize("size", [6, 4])
+@pytest.mark.parametrize("chunk", [None, 132])
+def test_erasure_kernel_is_the_sum_over_each_antidiagonal(monkeypatch, size, chunk):
+    """K[j, t] = sum_n d[n, a_j] w[n, t - n] d[t - n, b_j] over n > 0, and
+    n = 0 at t = 0 only, for every t < 2 dim - 1: at dim 6, beta 0.7 + 0.2i,
+    built in one pass or two columns at a time."""
+    if chunk is not None:
+        monkeypatch.setattr(circuits, "_CHUNK", chunk)
+    dim = 6
+    d = fock.displacement_matrix(0.7 + 0.2j, dim)
+    w = fock._mixer_table(-math.pi / 4.0, 0.0, dim)
+    a, b = circuits._shell_pairs(size)
+    kernel = circuits._erasure_kernel(d, w, a, b)
+    assert kernel.shape == (size * size, 2 * dim - 1)
+    for j, (aj, bj) in enumerate(zip(a.tolist(), b.tolist())):
+        for t in range(2 * dim - 1):
+            want = sum(d[n, aj] * w[n, t - n] * d[t - n, bj]
+                       for n in range(max(t - dim + 1, 0), min(t, dim - 1) + 1) if n > 0 or t == 0)
+            assert kernel[j, t] == pytest.approx(want, abs=1e-15), (aj, bj, t)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gram_form_ambiguous_mass_is_the_direct_sum(monkeypatch, seed):
+    """On random rails the tag blocks hold O(1) ambiguous control light.
+    The contraction's Gram form, sum c* (g c g^T) with g = D[1:]^H D[1:],
+    equals the direct sum of |phi|^2 over n, m > 0 that the staged gates
+    take, to 1e-13 relative."""
+    rng = np.random.default_rng(seed)
+    reg = polarized_register([1], 22)
+    state = normalized(PureState(reg, {(h, v): complex(*rng.normal(size=2))
+                                       for h in range(4) for v in range(4)}))
+    masses = []
+    monkeypatch.setattr(elements, "_refuse_ambiguous", lambda mass, norm_sq: masses.append(mass))
+    access_polarization(state)
+    staged_access(state)
+    ours, direct = masses
+    assert direct > 0.1
+    assert ours == pytest.approx(direct, rel=1e-13, abs=0.0)
+
+
 def _spectator_pair():
     """The generated pair at alpha 1.19 with light on 2H and 2V beside it,
     which the rail PBS moves to 2H and 1V: rails the tags never touch."""

@@ -123,9 +123,10 @@ def test_a_negative_amplitude_reads_as_its_magnitude(tmp_path, capsys, argv, odd
     code and every scalar of +alpha: the states depend on |alpha| up to a
     sign or a displacement direction that no reported number sees, so the
     cutoff rules and the analytic targets must read |alpha| too.  The table
-    columns in ``odd`` echo alpha and are odd in it.  ``qfi_decay_oracle``
-    is a finite difference at d = 5e-4: the round-off of its overlap, a few
-    1e-16, grows by 8/d² = 3.2e7, so that column is held to 1e-7."""
+    columns in ``odd`` echo alpha and are odd in it.  Every column, the
+    finite-difference ``qfi_decay_oracle`` too, is held to 1e-12: that
+    column sums its overlap loss from positive terms, so its round-off does
+    not grow by the 8/d² of the difference."""
     results = []
     for alpha in ("-1.0", "1.0"):
         out_file = tmp_path / f"run{alpha}.json"
@@ -143,8 +144,7 @@ def test_a_negative_amplitude_reads_as_its_magnitude(tmp_path, capsys, argv, odd
         for row, other in zip(table["rows"], minus["tables"][name]["rows"], strict=True):
             for column, value, got in zip(table["columns"], row, other, strict=True):
                 sign = -1.0 if column in odd else 1.0
-                tol = 1e-7 if column == "qfi_decay_oracle" else 1e-12
-                assert got == pytest.approx(sign * value, abs=tol), (name, column)
+                assert got == pytest.approx(sign * value, abs=1e-12), (name, column)
 
 
 def test_bell_defaults_find_the_global_optimum_at_large_alpha(tmp_path, capsys):
