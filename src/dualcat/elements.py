@@ -42,7 +42,6 @@ from .fock import (
     _finish,
     _mass,
     _one_blas_thread,
-    _replace,
     _wrap,
     add,
     apply_single_mode_matrix,
@@ -213,9 +212,9 @@ def _control(state: PureState, ich: int, icv: int, on_ambiguous: str) -> np.ndar
 
 
 def _controlled(state: PureState, where: np.ndarray, *gates) -> PureState:
-    """Apply ``gates`` in turn to the components ``where`` holds and merge
-    the output back in once, by :func:`fock._replace`; the rest of the
-    state is not touched.
+    """Apply ``gates`` in turn to the components ``where`` holds and join
+    the output to the rest of the state once: the two sorted runs are
+    concatenated and the one stable sort merges them.
 
     Each gate maps the selected components, as a state of their own, to a
     state whose deficit is the mass that gate loses (it does not read the
@@ -235,7 +234,8 @@ def _controlled(state: PureState, where: np.ndarray, *gates) -> PureState:
         deficit += part.norm_deficit
     if whole:
         return _wrap(reg, part.keys, part.coeffs, deficit)
-    return _replace(state, sel, part, deficit)
+    return _wrap(reg, np.concatenate((state.keys[~where], part.keys)),
+                 np.concatenate((state.coeffs[~where], part.coeffs)), deficit)
 
 
 def _flip(state: PureState, control_path: int, target_path: int, flip_angle: float):

@@ -11,15 +11,16 @@ new state; probability mass lost to the per-mode cutoffs is tracked
 explicitly in ``norm_deficit`` instead of being silently renormalized.
 
 Every gate maps distinct keys to distinct keys, so building its output
-sorts and never sums: the one sort is stable, because gate outputs arrive
-as runs of sorted keys, which timsort merges in near-linear time.  The only
-place where amplitudes of one pattern meet is :func:`add`.
+sorts and never sums.  One stable sort, in :func:`_fill`, orders the keys
+of every output: they arrive as runs of sorted keys, which timsort merges
+in near-linear time.  A controlled gate maps only the amplitudes its
+control selects and joins its output to the rest of the state as one more
+run, and :func:`add` joins the new keys of its second term the same way;
+it is the only place where amplitudes of one pattern meet.
 
-Temporaries stay near the size of a gate's output.  The mixers and the
-single-mode matrices work on slices made of whole runs of keys
-(:func:`_runs`), whose sorted outputs follow one another, and a controlled
-gate maps only the amplitudes its control selects and merges them back in
-by binary search (:func:`_replace`).
+Each op makes one pass over the whole state.  Only the erasure contraction
+of the polarization access and the Bell seed search meet arrays big enough
+to cut into slices of about ``_CHUNK`` entries.
 """
 
 from __future__ import annotations
@@ -137,11 +138,6 @@ class ModeRegister:
         if len(occ) != len(self.cutoffs) or not all(0 <= n <= c for n, c in zip(occ, self.cutoffs)):
             raise CutoffError(f"occupations {tuple(occ)} do not fit cutoffs {self.cutoffs}")
         return int(np.dot(np.asarray(occ, dtype=np.int64), self.strides))
-
-    def field_end(self, i: int) -> int:
-        """The first key bit above the field of the mode at position ``i``:
-        keys that agree from it up agree on the modes before that mode."""
-        return int(self.shifts[i]) + int(self.masks[i]).bit_length()
 
     def digit(self, keys: np.ndarray, i: int) -> np.ndarray:
         """Occupation of the mode at position ``i`` in each key."""
@@ -368,47 +364,14 @@ def group_by(state: PureState, modes: Sequence[ModeLabel]
     return rest, group, occ
 
 
-#: amplitudes (or dense block entries) that a bounded op handles at once
+#: entries per slice of the erasure contraction and of the seed search
 _CHUNK = 1 << 15
 
 
-def _run_end(state: PureState, first: int, lo: int, size: int) -> int:
-    """End of the slice of ``state`` that starts at ``lo``: about ``size``
-    amplitudes, made of whole runs of keys that share their digits before
-    mode position ``first``.  A run longer than ``size`` is one slice."""
-    keys, reg = state.keys, state.register
-    hi = lo + size
-    if hi >= len(keys):
-        return len(keys)
-    span = 1 << reg.field_end(first)
-    head = int(keys[hi]) & -span  # the first key of the run holding keys[hi]
-    cut = int(np.searchsorted(keys, head))
-    return cut if cut > lo else int(np.searchsorted(keys, head + span))
-
-
-def _slice(state: PureState, lo: int, hi: int) -> PureState:
-    """Amplitudes ``lo:hi`` of ``state`` as a state of views, or the state
-    itself when that is all of it; the caller does not read its deficit."""
-    if lo == 0 and hi == len(state.keys):
-        return state
-    return _wrap(state.register, state.keys[lo:hi], state.coeffs[lo:hi], 0.0)
-
-
-def _runs(state: PureState, first: int):
-    """The state in consecutive :func:`_run_end` slices (:func:`_slice`) of
-    about ``_CHUNK`` amplitudes.  An op on the modes from ``first`` on keeps
-    each key inside its run, so the sorted outputs of the slices follow one
-    another in key order."""
-    lo = 0
-    while lo < len(state.keys):
-        hi = _run_end(state, first, lo, _CHUNK)
-        yield _slice(state, lo, hi)
-        lo = hi
-
-
 def _joined(register: ModeRegister, parts: list, deficit: float) -> PureState:
-    """One state from states whose keys follow one another in order, as the
-    outputs of :func:`_runs` slices do; their deficits join ``deficit``.
+    """One state from the sliced outputs ``parts``, states with disjoint
+    keys in any order; the one stable sort merges their sorted runs, and
+    their deficits join ``deficit``.
 
     The list is emptied once the keys are joined, which frees the parts'
     keys before the amplitudes are joined.
@@ -420,45 +383,6 @@ def _joined(register: ModeRegister, parts: list, deficit: float) -> PureState:
     coeffs = [p.coeffs for p in parts] or [np.empty(0, dtype=complex)]
     parts.clear()
     return _wrap(register, keys, np.concatenate(coeffs), deficit)
-
-
-def _replace(state: PureState, sel: np.ndarray, part: PureState, deficit: float) -> PureState:
-    """``state`` with its amplitudes at the sorted positions ``sel`` replaced
-    by ``part``, whose keys no other amplitude of ``state`` may hold, and
-    with deficit ``deficit``.
-
-    Where ``part`` keeps the keys it replaces, the output shares the state's
-    keys.  Otherwise the other amplitudes keep their order and those of
-    ``part`` go in at their ranks, found by binary search: nothing is sorted
-    but ``part``, and the kept amplitudes are copied ``_CHUNK`` at a time.
-    """
-    keys, coeffs = state.keys, state.coeffs
-    if np.array_equal(part.keys, keys[sel]):
-        if len(sel):
-            coeffs = coeffs.copy()
-            coeffs[sel] = part.coeffs
-        return _wrap(state.register, keys, coeffs, deficit)
-    # rank[j]: how many kept keys precede new key j, which lands at rank[j] + j
-    rank = np.searchsorted(keys, part.keys) - np.searchsorted(keys[sel], part.keys)
-    kept = np.ones(len(keys), dtype=bool)
-    kept[sel] = False
-    slot = np.ones(len(keys) - len(sel) + len(part.keys), dtype=bool)
-    new = rank + np.arange(len(rank))
-    slot[new] = False
-    out_keys, out_coeffs = np.empty(len(slot), dtype=np.int64), np.empty(len(slot), dtype=complex)
-    out_keys[new], out_coeffs[new] = part.keys, part.coeffs
-    first = 0  # the ordinal among the kept amplitudes of the first one in the slice
-    for lo in range(0, len(keys), _CHUNK):
-        take = kept[lo:lo + _CHUNK]
-        n = int(np.count_nonzero(take))
-        if n:
-            # kept amplitude r lands at r plus the new keys of rank <= r
-            a, b = np.searchsorted(rank, [first, first + n - 1], side="right")
-            where = slot[first + a:first + n + b]
-            out_keys[first + a:first + n + b][where] = keys[lo:lo + _CHUNK][take]
-            out_coeffs[first + a:first + n + b][where] = coeffs[lo:lo + _CHUNK][take]
-        first += n
-    return _wrap(state.register, out_keys, out_coeffs, deficit)
 
 
 def basis_state(register: ModeRegister, occupations: Mapping[ModeLabel, int]) -> PureState:
@@ -482,10 +406,10 @@ def add(a: PureState, b: PureState) -> PureState:
     if a.register != b.register:
         raise RegisterMismatchError("cannot add states on different registers")
     pos, hit = _lookup(a, b.keys)
-    summed = a.coeffs.copy()
+    summed = np.concatenate((a.coeffs, b.coeffs[~hit]))
     summed[pos[hit]] += b.coeffs[hit]
-    new = _wrap(a.register, b.keys[~hit], b.coeffs[~hit], 0.0)
-    out = _replace(_wrap(a.register, a.keys, summed, 0.0), np.empty(0, dtype=np.intp), new, 0.0)
+    # sorted before the prune, so the pruned mass is summed in key order
+    out = _wrap(a.register, np.concatenate((a.keys, b.keys[~hit])), summed, 0.0)
     return _finish(a.register, out.keys, out.coeffs, a.norm_deficit + b.norm_deficit)
 
 
@@ -610,18 +534,18 @@ def _mixer_table(theta: float, phase: float, dim: int) -> np.ndarray:
 
 
 @_one_blas_thread
-def _mixed(part: PureState, ia: int, ib: int, unitary) -> tuple[np.ndarray, np.ndarray, float]:
-    """Keys and amplitudes of ``part`` mixed in full, unsorted and unpruned,
+def _mixed(state: PureState, ia: int, ib: int, unitary) -> tuple[np.ndarray, np.ndarray, float]:
+    """Keys and amplitudes of ``state`` mixed in full, unsorted and unpruned,
     and the mass of the columns beyond a cutoff, which are dropped.
 
     Each (total t, rest) component that occurs is a row over n_a = 0..t of
     one packed array, whose rows of one total are mixed in one product; the
     keys of the kept columns are built once, after the products.
     """
-    reg = part.register
-    if not len(part):
+    reg = state.register
+    if not len(state):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), 0.0
-    rest, group, occ = group_by(part, [reg.modes[ia], reg.modes[ib]])
+    rest, group, occ = group_by(state, [reg.modes[ia], reg.modes[ib]])
     # one block per (total, rest) component that occurs, numbered by total
     # and then rest in a presence table, packed end to end
     at = occ.sum(axis=1)
@@ -637,7 +561,7 @@ def _mixed(part: PureState, ia: int, ib: int, unitary) -> tuple[np.ndarray, np.n
     np.take(rank, at, out=at)
     np.take(start, at, out=at)
     at += occ[:, 0]  # each amplitude's place: its block's start plus n_a
-    packed[at] = part.coeffs
+    packed[at] = state.coeffs
     keep = np.zeros(len(packed), dtype=bool)
     dropped = 0.0
     cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
@@ -665,16 +589,14 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     Applies exp[theta(e^{i phase} a†b - e^{-i phase} a b†)].  At theta=pi/4,
     phase=0 a coherent state splits as |g>|0> -> |g/sqrt2>|-g/sqrt2>.  The
     block unitary is exact on each total-photon-number subspace; components
-    pushed beyond a per-mode cutoff are dropped into the norm deficit.  The
-    state is mixed in :func:`_runs` slices, so temporaries stay bounded.
+    pushed beyond a per-mode cutoff are dropped into the norm deficit.
     """
     ia, ib = state.register.index(mode_a), state.register.index(mode_b)
     if ia == ib:
         raise ValueError("mixer needs two distinct modes")
     unitary = functools.cache(lambda t: _gaussian_unitary("mix", t + 1, theta, phase))
-    parts = [_finish(state.register, *_mixed(part, ia, ib, unitary))
-             for part in _runs(state, min(ia, ib))]
-    return _joined(state.register, parts, state.norm_deficit)
+    keys, coeffs, dropped = _mixed(state, ia, ib, unitary)
+    return _finish(state.register, keys, coeffs, state.norm_deficit + dropped)
 
 
 @_one_blas_thread
@@ -684,7 +606,7 @@ def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
 
     The dark amplitude of a (total t, rest) block is the sum of U_t[0, n_a] c
     over its amplitudes, row 0 of the block unitary (:func:`_mixer_table`):
-    one weighted bincount per :func:`_runs` slice, with no dense block.  A
+    one weighted bincount over the whole state, with no dense block.  A
     block with t up to the cutoff of ``mode_b`` gives the amplitude at
     n_b = t.  The dark column of any other block lies past that cutoff, so
     its mass joins the deficit, which is then exactly the input deficit,
@@ -694,21 +616,18 @@ def mixer_dark_branch(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     ia, ib = reg.index(mode_a), reg.index(mode_b)
     if ia == ib:
         raise ValueError("mixer needs two distinct modes")
-    table, parts = _mixer_table(theta, phase, max(reg.cutoffs[ia], reg.cutoffs[ib]) + 1), []
-    for part in _runs(state, min(ia, ib)):
-        rest, group, occ = group_by(part, [mode_a, mode_b])
-        total = occ.sum(axis=1)
-        top = int(total.max())
-        coeffs = part.coeffs * table[occ[:, 0], occ[:, 1]]  # U_t[0, n_a] at t = n_a + n_b
-        code = total * len(rest) + group  # the block of each amplitude
-        size = (top + 1) * len(rest)
-        sums = np.bincount(code, coeffs.real, size) + 1j * np.bincount(code, coeffs.imag, size)
-        dark = (reg.cutoffs[ib] + 1) * len(rest)  # the blocks whose dark column fits
-        blocks = np.flatnonzero(sums[:dark])  # an empty block sums to 0, which is pruned
-        t, row = np.divmod(blocks, len(rest))
-        parts.append(_finish(reg, rest[row] + t * reg.strides[ib], sums[blocks],
-                             _mass(sums[dark:])))
-    return _joined(reg, parts, state.norm_deficit)
+    table = _mixer_table(theta, phase, max(reg.cutoffs[ia], reg.cutoffs[ib]) + 1)
+    rest, group, occ = group_by(state, [mode_a, mode_b])
+    total = occ.sum(axis=1)
+    coeffs = state.coeffs * table[occ[:, 0], occ[:, 1]]  # U_t[0, n_a] at t = n_a + n_b
+    code = total * len(rest) + group  # the block of each amplitude
+    size = (int(total.max(initial=0)) + 1) * len(rest)
+    sums = np.bincount(code, coeffs.real, size) + 1j * np.bincount(code, coeffs.imag, size)
+    dark = (reg.cutoffs[ib] + 1) * len(rest)  # the blocks whose dark column fits
+    blocks = np.flatnonzero(sums[:dark])  # an empty block sums to 0, which is pruned
+    t, row = np.divmod(blocks, len(rest))
+    return _finish(reg, rest[row] + t * reg.strides[ib], sums[blocks],
+                   state.norm_deficit + _mass(sums[dark:]))
 
 
 # ---------------------------------------------------------------------------
@@ -722,34 +641,21 @@ def apply_single_mode_matrix(state: PureState, m: ModeLabel, matrix: np.ndarray,
 
     With ``tail_eps`` given, the output's probability mass at the top Fock
     level must stay below it, otherwise the cutoff is declared too small.
-    The dense (rest x dim) block is built, multiplied and pruned per
-    :func:`_run_end` slice of about ``_CHUNK`` block entries: each slice is
-    sized by the rows per amplitude of the one before.
+    The whole state is one dense (rest x dim) block and one product.
     """
     reg = state.register
     i = reg.index(m)
     dim = reg.cutoffs[i] + 1
     if matrix.shape != (dim, dim):
         raise ValueError(f"matrix shape {matrix.shape} does not fit cutoff {dim - 1}")
-
-    def apply(part: PureState) -> tuple[PureState, float, int]:
-        rest, group, occ = group_by(part, [m])
-        block = np.zeros((len(rest), dim), dtype=complex)
-        block[group, occ[:, 0]] = part.coeffs
-        out = block @ matrix.T
-        keys = rest[:, None] + reg.strides[i] * np.arange(dim)
-        return _finish(reg, keys.ravel(), out.ravel(), 0.0), _mass(out[:, -1]), len(rest)
-
-    parts, top_mass, lo, size = [], 0.0, 0, max(_CHUNK // dim, 1)
-    while lo < len(state):
-        hi = _run_end(state, i, lo, size)
-        out, top, rows = apply(_slice(state, lo, hi))
-        top_mass += top
-        if tail_eps is not None:
-            _refuse_top_mass(m, top_mass, tail_eps)
-        parts.append(out)
-        lo, size = hi, max((hi - lo) * _CHUNK // (rows * dim), 1)
-    return _joined(reg, parts, state.norm_deficit)
+    rest, group, occ = group_by(state, [m])
+    block = np.zeros((len(rest), dim), dtype=complex)
+    block[group, occ[:, 0]] = state.coeffs
+    out = block @ matrix.T
+    if tail_eps is not None:
+        _refuse_top_mass(m, _mass(out[:, -1]), tail_eps)
+    keys = rest[:, None] + reg.strides[i] * np.arange(dim)
+    return _finish(reg, keys.ravel(), out.ravel(), state.norm_deficit)
 
 
 def _refuse_top_mass(m: ModeLabel, mass: float, tail_eps: float) -> None:

@@ -132,12 +132,46 @@ def test_single_mode_matrix_matches_kronecker_lift(psi, which, seed):
 
 
 @SETTINGS
-@given(a=plain_states(), seed=st.integers(0, 2**32 - 1), c=st.complex_numbers(max_magnitude=3))
-def test_add_matches_dense_sum(a, seed, c):
+@given(a=plain_states(), seed=st.integers(0, 2**32 - 1), c=st.complex_numbers(max_magnitude=3),
+       near=st.sampled_from([None, 0.0, 1e-17]))
+def test_add_matches_dense_sum(a, seed, c, near):
+    """The sum matches the dense one, its keys strictly increase, and its
+    deficit is the inputs' plus the mass pruned from the sum; with ``near``
+    given, b holds -a on every other key of a, exactly (0.0) or to within
+    ``near`` (the real part cancels and ``near`` is left in the imaginary)."""
     b = random_state(a.register, seed, 8)
-    b = PureState(b.register, {k: c * v for k, v in b.amps.items()}, 0.0)
+    amps = {k: c * v for k, v in b.amps.items()}
+    if near is not None:
+        cancelled = set(list(a.amps)[::2])
+        a = PureState(a.register, {k: v.real if k in cancelled else v
+                                   for k, v in a.amps.items()}, 0.0)
+        amps.update({k: complex(-a.amps[k].real, near) for k in cancelled})
+    b = PureState(b.register, amps, 1e-33)
+    out = add(a, b)
     ref = oracles.dense_vector(a) + oracles.dense_vector(b)
-    assert np.max(np.abs(oracles.dense_vector(add(a, b)) - ref)) <= TOL
+    assert np.max(np.abs(oracles.dense_vector(out) - ref)) <= TOL
+    assert (out.keys[1:] > out.keys[:-1]).all()
+    pruned = np.abs(ref) <= fock.DEFAULT_PRUNE_EPS
+    assert out.norm_deficit == pytest.approx(
+        a.norm_deficit + b.norm_deficit + np.sum(np.abs(ref[pruned]) ** 2), rel=1e-12, abs=0.0)
+
+
+EMPTY = PureState(polarized_register(range(1, 4), 2), {}, 0.25)
+
+
+@pytest.mark.parametrize("op, deficit", [
+    (lambda s: apply_single_mode_matrix(s, mode(1, "H"), np.eye(3), tail_eps=1e-12), 0.25),
+    (lambda s: apply_two_mode_mixer(s, mode(1, "H"), mode(2, "V"), 0.3, 0.2), 0.25),
+    (lambda s: mixer_dark_branch(s, mode(1, "H"), mode(1, "V"), -math.pi / 4.0), 0.25),
+    (lambda s: add(s, fock.scale(s, 0.5)), 0.25 + 0.0625),
+    (lambda s: controlled_pol_gates(s, 3, flips=[(1, 2.0)], phases=[(2, math.pi)]), 0.25),
+], ids=["single-mode", "mixer", "dark-branch", "add", "controlled-gates"])
+def test_ops_on_an_empty_state_keep_its_deficit(op, deficit):
+    """Each op returns an empty state that carries the deficit of its input
+    (for add, of both terms)."""
+    out = op(EMPTY)
+    assert len(out) == 0 and out.register == EMPTY.register
+    assert out.norm_deficit == deficit
 
 
 @SETTINGS
@@ -252,12 +286,12 @@ def test_dark_branch_norm_counts_a_fitting_block_whole():
 
 
 @st.composite
-def sliced_tag_path_states(draw):
+def spread_tag_path_states(draw):
     """A state on a spectator mode and path 1, with 1H's cutoff below 1V's,
     holding blocks of total t in (cutoff 1H, cutoff 1V] and blocks whose
     dark column lies past cutoff 1V on every spectator value, of a total
-    drawn for each value, so a later slice may hold a larger total than the
-    first; plus an input deficit."""
+    drawn for each value, so a later spectator value may hold a larger
+    total than the first; plus an input deficit."""
     cut_h = draw(st.integers(1, 2))
     cuts = (draw(st.integers(1, 3)), cut_h, draw(st.integers(cut_h + 1, 4)))
     reg = ModeRegister((mode(2), mode(1, "H"), mode(1, "V")), cuts)
@@ -272,17 +306,15 @@ def sliced_tag_path_states(draw):
 
 
 @SETTINGS
-@given(psi=sliced_tag_path_states(), chunk=st.sampled_from([1, 2, 3, 5, 8, 64]))
-def test_dark_branch_is_one_bincount_pass_at_any_slice_size(psi, chunk):
-    """With slices of a few amplitudes, or one slice holding the whole state
-    (64 amplitudes hold it), no block is mixed densely, and the output
-    matches the rotation followed by the dark port.  The deficit is the
-    input's plus the mass of the dark column past the cutoff of 1V."""
+@given(psi=spread_tag_path_states())
+def test_dark_branch_is_one_bincount_pass(psi):
+    """No block is mixed densely, and the output matches the rotation
+    followed by the dark port.  The deficit is the input's plus the mass of
+    the dark column past the cutoff of 1V."""
     def dense(*args):
         raise AssertionError("the dark branch mixed a block densely")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fock, "_CHUNK", chunk)
         patch.setattr(fock, "_mixed", dense)
         dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
     rotated = rotate_45(psi, 1)
