@@ -358,10 +358,12 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     block whose pairs, in the kernel's row order (:func:`_shell_pairs`),
     meet its first s**2 rows.  The kernel is freed before the gates.
     The guards and the deficit are those of the staged ops: the top-level
-    mass of 3H, then of 4V, then the ambiguous control mass (n, m > 0) in
-    Gram form, sum c* (g c g^T) with g = D[1:]^H D[1:]; the input deficit,
-    the tag mass past the cutoff, the dark mass past the cutoff of 3V, the
-    pruned dust and what the gates lose.
+    mass of 3H, then of 4V, then the ambiguous control mass (n, m > 0); the
+    input deficit, the tag mass past the cutoff, the dark mass past the
+    cutoff of 3V, the pruned dust and what the gates lose.  The truncated D
+    is exactly unitary, so displacing a tag keeps its mass: the top mass of
+    4V is that of c D[-1]^T, and the ambiguous mass is |c|^2 less the n = 0
+    and m = 0 masses, |D[0] c|^2 and |c D[0]^T|^2, plus their overlap.
     """
     reg = psi.register
     h1, v2, h3, v3, v4 = mode(1, "H"), mode(2, "V"), mode(3, "H"), mode(3, "V"), mode(4, "V")
@@ -374,7 +376,6 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     kmag = np.abs(k3)  # that of k4 too
     pairs = _shell_pairs(min(dim, size))
     kernel = _erasure_kernel(d, w, *pairs)
-    gram = d[1:].conj().T @ d[1:] if imp.on_ambiguous == "error" else None
     held_row = d.T * w[0]  # d[m, b] U_m[0, 0]
     n, span = np.arange(dim), 2 * dim - 1
     s1, s2, s3 = (int(reg.strides[reg.index(m)]) for m in (h1, v2, v3))
@@ -406,12 +407,14 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
                 c, s = c[:, :dim, :dim], dim
             dr = d[:, :s]
             top_h += _mass(dr[-1] @ c)  # 3H displaced
-            top_v += _mass((c @ dr[-1]) @ dr.T)  # and 4V, moved to 3V
-            if gram is not None:
-                ambiguous += float(np.vdot(c, gram[:s, :s] @ c @ gram[:s, :s].T).real)
+            top_v += _mass(c @ dr[-1])  # and 4V, moved to 3V
+            row = dr[0] @ c  # n = 0
+            if imp.on_ambiguous == "error":
+                col = c @ dr[0]  # m = 0
+                ambiguous += _mass(c) - _mass(row) - _mass(col) + _mass(col @ dr[0])
             rest = spectator + s1 * r1 + s2 * r2
             held.append(_finish(reg, (rest[:, None] + s3 * n[1:]).ravel(),
-                                ((dr[0] @ c) @ held_row[:s, 1:]).ravel(), 0.0))
+                                (row @ held_row[:s, 1:]).ravel(), 0.0))
             a, b = pairs[0][:s * s], pairs[1][:s * s]
             port = c[:, a, b] @ kernel[:s * s]
             dark.append(_finish(reg, (rest[:, None] + s3 * n).ravel(), port[:, :dim].ravel(),

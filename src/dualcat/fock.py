@@ -18,14 +18,14 @@ control selects and joins its output to the rest of the state as one more
 run, and :func:`add` joins the new keys of its second term the same way;
 it is the only place where amplitudes of one pattern meet.
 
-Each op makes one pass over the whole state.  Only the erasure contraction
+Each op makes one pass over the whole state; the two-mode mixer takes one
+dense block and one product per photon total.  Only the erasure contraction
 of the polarization access and the Bell seed search meet arrays big enough
 to cut into slices of about ``_CHUNK`` entries.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -534,69 +534,37 @@ def _mixer_table(theta: float, phase: float, dim: int) -> np.ndarray:
 
 
 @_one_blas_thread
-def _mixed(state: PureState, ia: int, ib: int, unitary) -> tuple[np.ndarray, np.ndarray, float]:
-    """Keys and amplitudes of ``state`` mixed in full, unsorted and unpruned,
-    and the mass of the columns beyond a cutoff, which are dropped.
-
-    Each (total t, rest) component that occurs is a row over n_a = 0..t of
-    one packed array, whose rows of one total are mixed in one product; the
-    keys of the kept columns are built once, after the products.
-    """
-    reg = state.register
-    if not len(state):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=complex), 0.0
-    rest, group, occ = group_by(state, [reg.modes[ia], reg.modes[ib]])
-    # one block per (total, rest) component that occurs, numbered by total
-    # and then rest in a presence table, packed end to end
-    at = occ.sum(axis=1)
-    at *= len(rest)
-    at += group  # total * len(rest) + group
-    present = np.zeros((int(at.max()) // len(rest) + 1) * len(rest), dtype=bool)
-    present[at] = True
-    rank = np.cumsum(present)
-    rank -= 1
-    total, comp_rest = np.divmod(np.flatnonzero(present), len(rest))
-    start = np.cumsum(total + 1) - (total + 1)
-    packed = np.zeros(int(np.sum(total + 1)), dtype=complex)
-    np.take(rank, at, out=at)
-    np.take(start, at, out=at)
-    at += occ[:, 0]  # each amplitude's place: its block's start plus n_a
-    packed[at] = state.coeffs
-    keep = np.zeros(len(packed), dtype=bool)
-    dropped = 0.0
-    cuts = np.flatnonzero(np.diff(total, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        t = int(total[lo])
-        rows = slice(start[lo], start[lo] + (hi - lo) * (t + 1))
-        out = packed[rows].reshape(hi - lo, t + 1) @ unitary(t).T
-        na = np.arange(t + 1)
-        fits = (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib])
-        dropped += _mass(out[:, ~fits])
-        packed[rows] = out.ravel()
-        keep[rows].reshape(hi - lo, t + 1)[:] = fits
-    slots = np.flatnonzero(keep)
-    block = np.searchsorted(start, slots, side="right") - 1
-    na = slots - start[block]
-    keys = rest[comp_rest[block]] + na * reg.strides[ia] + (total[block] - na) * reg.strides[ib]
-    return keys, packed[slots], dropped
-
-
-@_one_blas_thread
 def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
                          theta: float, phase: float = 0.0) -> PureState:
     """Beam-splitter-type mixing of two modes.
 
     Applies exp[theta(e^{i phase} a†b - e^{-i phase} a b†)].  At theta=pi/4,
     phase=0 a coherent state splits as |g>|0> -> |g/sqrt2>|-g/sqrt2>.  The
-    block unitary is exact on each total-photon-number subspace; components
-    pushed beyond a per-mode cutoff are dropped into the norm deficit.
+    block unitary U_t (first index n_a) is exact on each total-photon-number
+    subspace.  The amplitudes of each total t that occurs form one dense
+    (rest x (t+1)) block and take one product with U_t; the columns pushed
+    beyond a per-mode cutoff are dropped into the norm deficit.
     """
-    ia, ib = state.register.index(mode_a), state.register.index(mode_b)
+    reg = state.register
+    ia, ib = reg.index(mode_a), reg.index(mode_b)
     if ia == ib:
         raise ValueError("mixer needs two distinct modes")
-    unitary = functools.cache(lambda t: _gaussian_unitary("mix", t + 1, theta, phase))
-    keys, coeffs, dropped = _mixed(state, ia, ib, unitary)
-    return _finish(state.register, keys, coeffs, state.norm_deficit + dropped)
+    rest, group, occ = group_by(state, [mode_a, mode_b])
+    total = occ.sum(axis=1)
+    keys, coeffs, dropped = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)], 0.0
+    for t in np.flatnonzero(np.bincount(total)).tolist():  # the totals that occur
+        on = total == t
+        rows, row = np.unique(group[on], return_inverse=True)
+        block = np.zeros((len(rows), t + 1), dtype=complex)
+        block[row, occ[on, 0]] = state.coeffs[on]
+        out = block @ _gaussian_unitary("mix", t + 1, theta, phase).T
+        na = np.arange(t + 1)
+        fits = (na <= reg.cutoffs[ia]) & (t - na <= reg.cutoffs[ib])
+        dropped += _mass(out[:, ~fits])
+        na = na[fits]
+        keys.append((rest[rows, None] + na * reg.strides[ia] + (t - na) * reg.strides[ib]).ravel())
+        coeffs.append(out[:, fits].ravel())
+    return _finish(reg, np.concatenate(keys), np.concatenate(coeffs), state.norm_deficit + dropped)
 
 
 @_one_blas_thread

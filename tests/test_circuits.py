@@ -536,11 +536,11 @@ def test_erasure_kernel_is_the_sum_over_each_antidiagonal(monkeypatch, size, chu
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_gram_form_ambiguous_mass_is_the_direct_sum(monkeypatch, seed):
+def test_ambiguous_mass_from_unitarity_is_the_direct_sum(monkeypatch, seed):
     """On random rails the tag blocks hold O(1) ambiguous control light.
-    The contraction's Gram form, sum c* (g c g^T) with g = D[1:]^H D[1:],
-    equals the direct sum of |phi|^2 over n, m > 0 that the staged gates
-    take, to 1e-13 relative."""
+    The contraction's mass from unitarity, |c|^2 less the n = 0 and m = 0
+    masses plus their overlap, equals the direct sum of |phi|^2 over
+    n, m > 0 that the staged gates take, to 1e-13 relative."""
     rng = np.random.default_rng(seed)
     reg = polarized_register([1], 22)
     state = normalized(PureState(reg, {(h, v): complex(*rng.normal(size=2))

@@ -118,6 +118,43 @@ def test_mixer_matches_dense_exponential_in_both_mode_orders(psi, theta, phase, 
     assert np.max(np.abs(oracles.dense_vector(out) - ref)) <= TOL
 
 
+@st.composite
+def past_cutoff_states(draw):
+    """A state on a spectator mode and two mixed modes of unequal cutoffs,
+    with light at the full pattern of both cutoffs, whose total lies past
+    the smaller one, and an input deficit."""
+    small = draw(st.integers(1, 2))
+    mixed = draw(st.permutations((small, draw(st.integers(small + 1, 4)))))
+    reg = ModeRegister((mode(2), mode(1, "H"), mode(1, "V")), (draw(st.integers(1, 2)), *mixed))
+    psi = random_state(reg, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 20)))
+    amps = dict(psi.amps)
+    amps.setdefault((0, *mixed), 0.5 + 0.25j)
+    return PureState(reg, amps, draw(st.sampled_from([0.125, 0.25])))
+
+
+@SETTINGS
+@given(psi=past_cutoff_states(), theta=st.floats(0.1, 3.0), phase=st.floats(-3.2, 3.2))
+def test_mixer_drops_exactly_the_dense_mass_past_the_cutoffs(psi, theta, phase):
+    """On a register wide enough for every total, the dense mixer holds the
+    kept amplitudes within the cutoffs; the deficit is the input's plus the
+    dense mass past either cutoff.  Theta stays off 0 and pi, where the
+    mixer keeps every photon number and drops nothing."""
+    h, v = mode(1, "H"), mode(1, "V")
+    out = apply_two_mode_mixer(psi, h, v, theta, phase)
+    cuts = psi.register.cutoffs
+    wide = ModeRegister(psi.register.modes, (cuts[0],) + (cuts[1] + cuts[2],) * 2)
+    exact = (oracles.dense_mixer(wide, 1, 2, theta, phase)
+             @ oracles.dense_vector(embed(psi, wide))).reshape(oracles.dims(wide))
+    kept = exact[:, :cuts[1] + 1, :cuts[2] + 1]
+    got = oracles.dense_vector(out).reshape(oracles.dims(psi.register))
+    assert np.max(np.abs(got - kept)) <= TOL
+    occurs = {tuple(occ) for occ in np.argwhere(np.abs(kept) > TOL).tolist()}
+    assert occurs <= set(out.amps)
+    dropped = np.sum(np.abs(exact) ** 2) - np.sum(np.abs(kept) ** 2)
+    assert dropped > 0.0
+    assert abs(out.norm_deficit - (psi.norm_deficit + dropped)) <= TOL
+
+
 @SETTINGS
 @given(psi=plain_states(), which=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
 def test_single_mode_matrix_matches_kronecker_lift(psi, which, seed):
@@ -308,14 +345,14 @@ def spread_tag_path_states(draw):
 @SETTINGS
 @given(psi=spread_tag_path_states())
 def test_dark_branch_is_one_bincount_pass(psi):
-    """No block is mixed densely, and the output matches the rotation
+    """No block unitary is built, and the output matches the rotation
     followed by the dark port.  The deficit is the input's plus the mass of
     the dark column past the cutoff of 1V."""
     def dense(*args):
-        raise AssertionError("the dark branch mixed a block densely")
+        raise AssertionError("the dark branch built a block unitary")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fock, "_mixed", dense)
+        patch.setattr(fock, "_gaussian_unitary", dense)
         dark = mixer_dark_branch(psi, mode(1, "H"), mode(1, "V"), -math.pi / 4.0)
     rotated = rotate_45(psi, 1)
     _, composed = onoff_detect(rotated, mode(1, "H"))
