@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -415,7 +416,10 @@ def _is_converged(result: ExperimentResult) -> bool:
     return float(result.convergence.get("norm_deficit", 0.0)) < NONCONVERGED_DEFICIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built at the first call and shared by every later one:
+    ``parse_args`` only reads it, and parses each argv into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dualcat",
         description="Reproducible runs of the entangled-cat toolkit experiments.")
@@ -463,6 +467,9 @@ def main(argv: list | None = None) -> int:
     except ValueError as err:  # a non-finite number in the result
         print(f"non-converged: {err}", file=sys.stderr)
         return EXIT_NONCONVERGED
+    except OSError as err:  # a directory, a path under a regular file, no permission
+        print(f"config error: cannot write {config.output_path}: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {config.output_path}" if config.output_path else text)
     if not _is_converged(result):
         print(f"non-converged: norm deficit exceeds {NONCONVERGED_DEFICIT}", file=sys.stderr)

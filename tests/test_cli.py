@@ -440,6 +440,75 @@ def test_nonfinite_result_is_never_written(tmp_path, capsys, monkeypatch):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("target", ["directory", "under-a-file"])
+def test_unwritable_output_exits_with_config_code(tmp_path, capsys, target):
+    (tmp_path / "file").touch()
+    out = tmp_path if target == "directory" else tmp_path / "file" / "x.json"
+    code, _, err = run_main(["--output", str(out), "ifm"], capsys)
+    assert code == EXIT_CONFIG
+    assert f"config error: cannot write {out}: " in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built, init = [], cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    assert run_main(["ifm"], capsys)[0] == 0
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    for argv in (["ifm"], ["ifm", "--bomb"], ["--cutoff-epsilon", "1e-11", "generate"]):
+        assert run_main(argv, capsys)[0] == 0
+    assert built == []
+
+
+FRESH_RUN = """
+import sys
+from dualcat import cli
+assert cli.build_parser.cache_info().currsize == 0, "import built the parser"
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _fresh_result(out_file, argv) -> dict:
+    """The JSON that ``argv`` writes in a new interpreter, without its timestamp."""
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, "--output", str(out_file)] + argv,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = load_result(out_file)
+    result.pop("timestamp")
+    return result
+
+
+@pytest.mark.parametrize("first, first_code, argv, check", [
+    (["ifm", "--bomb"], 0, ["ifm"], lambda r: r["config"]["parameters"]["bomb"] is False),
+    (["--cutoff-epsilon", "1e-11", "generate"], 0, ["generate"],
+     lambda r: r["config"]["cutoff_epsilon"] == 1e-12),
+    (["generate", "--alpha", "abc"], 2, ["generate"], lambda r: r["converged"]),
+], ids=["bool-flag", "cutoff-epsilon", "refused-flag"])
+def test_no_flag_carries_into_the_next_call(tmp_path, capsys, first, first_code, argv, check):
+    try:
+        code = main(first)
+    except SystemExit as exc:  # argparse refuses a flag
+        code = exc.code
+    capsys.readouterr()
+    assert code == first_code
+    out_file = tmp_path / "shared.json"
+    assert run_main(["--output", str(out_file)] + argv, capsys)[0] == 0
+    result = load_result(out_file)
+    result.pop("timestamp")
+    assert check(result)
+    assert result == _fresh_result(tmp_path / "fresh.json", argv)
+
+
 # ---------------------------------------------------------------------------
 # reported norm deficits, register budget, worker count
 
