@@ -226,8 +226,9 @@ def _infer_cat_amplitude(state: PureState) -> float:
 
 
 def tag_cutoff(envelope: float, imperfection: Imperfection, tail_eps: float) -> int:
-    """Cutoff of the tag modes of :func:`access_polarization` for the
-    envelope amplitude alpha/sqrt2."""
+    """Cutoff of the tags of :func:`access_polarization` for the envelope
+    amplitude alpha/sqrt2: the dimension of its erasure contraction, and the
+    cutoff of 3V, the one tag mode its register holds light in."""
     tag_amp = abs(envelope) + abs(envelope + imperfection.displacement_offset) + 0.5
     return coherent_cutoff(tag_amp, tail_eps)
 
@@ -256,6 +257,13 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     deficit, so the dark port's probability is its norm² over that of the
     PBS output.
 
+    The register holds only the fields light can reach: paths 1 and 2 at
+    the input's largest cutoff, 3V at :func:`tag_cutoff`, and 3H at cutoff
+    1, empty, which the gates read as their control.  The tag light of 3H
+    and path 4 lives only inside the contraction, so path 4 is not in the
+    register: a 160-level pair at tag cutoff 162 takes 41 key bits, where
+    eight equal fields would take 64 of the 63 an int64 key holds.
+
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
     leaves nothing to condition on and raises :class:`DegenerateInputError`.
@@ -269,9 +277,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     B = A + imp.displacement_offset
 
     cut_path = max(reg.cutoffs)
-    cut_tag = tag_cutoff(A, imp, tail_eps)
-    big = ModeRegister.of({mode(p, pol): cut_path if p < 3 else cut_tag
-                           for p in (1, 2, 3, 4) for pol in ("H", "V")})
+    big = ModeRegister.of({**{mode(p, pol): cut_path for p in (1, 2) for pol in ("H", "V")},
+                           mode(3, "H"): 1, mode(3, "V"): tag_cutoff(A, imp, tail_eps)})
     psi = embed(state, big)
 
     psi = elements.pbs(psi, 1, 2)  # H stays on 1, V moves to 2
@@ -339,7 +346,9 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     """The dark port of :func:`access_polarization` from its PBS output.
 
     ``psi`` holds rails R1 in 1H and R2 in 2V (phase e^{i pi R2} applied),
-    the other rail modes as spectators, and empty tags.  Each tag mixer
+    the other rail modes as spectators, and an empty path 3; its 3V cutoff
+    is the tag cutoff, dim - 1, shared by both tags, and 4V is a label
+    only, of the guard below, not a mode of the register.  Each tag mixer
     meets an empty port, so it leaves c[r, a, b] = psi(r1 + a, r2 + b)
     K3[a, r1] K4[b, r2]: rails r, tags a in 3H and b in 4V, with K3 and K4
     from :func:`fock._mixer_table` (phase pi, and 0 for 4V, which meets the
@@ -367,7 +376,7 @@ def _erased_tags(psi: PureState, beta: complex, imp: Imperfection) -> PureState:
     """
     reg = psi.register
     h1, v2, h3, v3, v4 = mode(1, "H"), mode(2, "V"), mode(3, "H"), mode(3, "V"), mode(4, "V")
-    dim = reg.cutoff_of(h3) + 1  # both tags share it
+    dim = reg.cutoff_of(v3) + 1  # the tag cutoff, which both tags share
     d = displacement_matrix(complex(beta), dim)
     w = _mixer_table(-math.pi / 4.0, 0.0, dim)  # w[n, m] = U_{n+m}[0, n]
     spectators, group, occ = group_by(psi, [h1, v2])

@@ -265,7 +265,7 @@ def _sv_access(p: dict, eps: float) -> ExperimentResult:
     acc = circuits.sv_access_polarization(circuits.sv_generate(r, 0.5, eps).output_state)
     out = acc.output_state
     fidelity = _paths_fidelity(out, circuits.analytic_subtracted_bell, r, tail_eps=eps)
-    return _result({"conditional_fidelity": fidelity, "branch_product": acc.postselect_probability,
+    return _result({"conditional_fidelity": fidelity,
                     "postselect_probability": acc.postselect_probability}, out)
 
 
@@ -339,7 +339,8 @@ EXPERIMENTS: dict = {
 def resolve_config(experiment: str, file_params: dict, flag_params: dict,
                    cutoff_epsilon: float, jobs: int,
                    output_path: str | None) -> RunConfig:
-    """Defaults, then the config file, then the flags, each value checked by its Param."""
+    """Defaults, then the config file, then the flags, each value checked by its
+    Param; an output path that is a directory or lies under a file is refused."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     spec = EXPERIMENTS[experiment].params
@@ -355,6 +356,9 @@ def resolve_config(experiment: str, file_params: dict, flag_params: dict,
     for key, value in params.items():
         spec[key].check(key, value)
     jobs = min(max(int(jobs), 1), os.cpu_count() or 1)
+    out = Path(output_path) if output_path else None  # refused before any run
+    if out and (out.is_dir() or not next(p for p in out.parents if p.exists()).is_dir()):
+        raise ConfigError(f"cannot write {out}: it is a directory or lies under a file")
     return RunConfig(experiment, params, cutoff_epsilon, jobs, output_path)
 
 
@@ -405,10 +409,18 @@ def write_output(config: RunConfig, result: ExperimentResult) -> str:
     if config.output_path:
         out = Path(config.output_path)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        for name, table in result.tables.items():
-            with out.with_name(f"{out.stem}.{name}.csv").open("w", newline="") as fh:
-                csv.writer(fh).writerows([table.columns, *table.rows])
+        paths = [out.with_name(f"{out.stem}.{name}.csv") for name in result.tables] + [out]
+        temporary = [p.with_name(f".{p.name}.{os.getpid()}.tmp") for p in paths]
+        try:
+            for tmp, table in zip(temporary, result.tables.values()):
+                with tmp.open("w", newline="") as fh:
+                    csv.writer(fh).writerows([table.columns, *table.rows])
+            temporary[-1].write_text(text + "\n")
+            for tmp, path in zip(temporary, paths):  # the JSON last: it claims a whole run
+                os.replace(tmp, path)
+        finally:
+            for tmp in temporary:
+                tmp.unlink(missing_ok=True)
     return text
 
 

@@ -151,7 +151,8 @@ def polarizer(state: PureState, path: int, kind: str) -> tuple[PureState, PureSt
 
 def rotate_45(state: PureState, path: int) -> PureState:
     """The 45-degree polarization rotation of one path.  Its dark-H branch
-    alone, without the rotated state, is ``fock.mixer_dark_branch``."""
+    alone, without the rotated state, is ``mixer_dark_branch`` in
+    ``tests/staged.py``, the tests' reference for the polarization access."""
     return apply_two_mode_mixer(state, mode(path, "H"), mode(path, "V"),
                                 theta=-math.pi / 4.0, phase=0.0)
 

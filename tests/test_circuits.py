@@ -38,7 +38,6 @@ from dualcat.fock import (
     apply_two_mode_mixer,
     basis_state,
     embed,
-    mixer_dark_branch,
     mode,
     normalized,
     plain_register,
@@ -47,6 +46,7 @@ from dualcat.fock import (
     scale,
 )
 from dualcat.states import SqueezeParams, coherent
+from staged import mixer_dark_branch
 
 PATH12_RAILS = [mode(1, "H"), mode(1, "V"), mode(2, "H"), mode(2, "V")]
 
@@ -403,6 +403,22 @@ def test_polarization_access_accepts_single_path_registers():
     assert subsystem_fidelity(acc.output_state, target, PATH12_RAILS) >= 1.0 - 1e-6
 
 
+def test_polarization_access_register_keeps_only_the_fields_light_reaches():
+    """Path 3's H is the empty control, with cutoff 1, and path 4 holds no
+    photon in the output, so it is not in the register.  A 160-level pair at
+    a tail budget of 1e-200 (tag cutoff 162) then needs 41 key bits, where
+    eight equal fields would need 64 of the 63 an int64 key holds."""
+    pair = analytic_dual_rail_pair(polarized_register([1], 160), 1.0, "-", tail_eps=1e-200)
+    out = access_polarization(pair, tail_eps=1e-200).output_state
+    reg = out.register
+    assert reg.modes == (*PATH12_RAILS, mode(3, "H"), mode(3, "V"))
+    assert reg.cutoffs[:5] == (160, 160, 160, 160, 1)
+    assert reg.cutoffs[5] == circuits.tag_cutoff(1.0 / math.sqrt(2.0), Imperfection(), 1e-200)
+    target = analytic_coherent_bell(polarized_register([1, 2], max(reg.cutoffs)),
+                                    1.0 / math.sqrt(2.0), tail_eps=1e-200)
+    assert subsystem_fidelity(out, target, PATH12_RAILS) >= 1.0 - 1e-9
+
+
 def test_polarization_access_refuses_a_register_with_tag_paths():
     reg = polarized_register([1, 2, 3], 22)
     with pytest.raises(ValueError, match="paths 3 and 4"):
@@ -445,7 +461,9 @@ def staged_access(state, imp=Imperfection(), tail_eps=DEFAULT_TAIL_EPS):
 
 
 def max_gap(a, b) -> float:
-    return float(np.max(np.abs(add(a, scale(b, -1.0)).coeffs), initial=0.0))
+    """The largest amplitude of a - b, with ``a`` carried into the register
+    of ``b``: the staged register holds every tag mode the access drops."""
+    return float(np.max(np.abs(add(embed(a, b.register), scale(b, -1.0)).coeffs), initial=0.0))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.19, 2.0])

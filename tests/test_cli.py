@@ -308,6 +308,7 @@ def test_reruns_are_byte_identical_except_timestamp(tmp_path, capsys, experiment
         result = load_result(tmp_path / name / "out.json")
         result.pop("timestamp")
         tables = {f.name: f.read_bytes() for f in (tmp_path / name).glob("*.csv")}
+        assert {f.name for f in (tmp_path / name).iterdir()} == {"out.json", *tables}
         runs.append((json.dumps(result, sort_keys=True), tables))
     assert runs[0] == runs[1]
 
@@ -447,6 +448,29 @@ def test_unwritable_output_exits_with_config_code(tmp_path, capsys, target):
     code, _, err = run_main(["--output", str(out), "ifm"], capsys)
     assert code == EXIT_CONFIG
     assert f"config error: cannot write {out}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["directory", "under-a-file", "under-a-file-deeper"])
+def test_unwritable_output_is_refused_before_the_run(tmp_path, capsys, monkeypatch, target):
+    (tmp_path / "file").touch()
+    out = {"directory": tmp_path, "under-a-file": tmp_path / "file" / "x.json",
+           "under-a-file-deeper": tmp_path / "file" / "d" / "x.json"}[target]
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda config: ran.append(config))
+    code, _, err = run_main(["--output", str(out), "ifm"], capsys)
+    assert code == EXIT_CONFIG and ran == []
+    assert f"config error: cannot write {out}: " in err and "Traceback" not in err
+
+
+def test_a_table_that_cannot_be_written_leaves_no_json(tmp_path, capsys):
+    """A CSV path that is a directory fails the write: the run exits 2 and
+    leaves neither its JSON nor a temporary file behind."""
+    out = tmp_path / "d" / "r.json"
+    (tmp_path / "d" / "r.schmidt_spectrum.csv").mkdir(parents=True)
+    code, _, err = run_main(["--output", str(out), "generate"], capsys)
+    assert code == EXIT_CONFIG
+    assert f"config error: cannot write {out}: " in err and "Traceback" not in err
+    assert sorted(p.name for p in out.parent.iterdir()) == ["r.schmidt_spectrum.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,11 @@ from dualcat.fock import (
     embed,
     mode,
     group_by,
-    mixer_dark_branch,
     normalized,
     partial_trace,
     polarized_register,
 )
+from staged import mixer_dark_branch
 
 TOL = 1e-12
 SETTINGS = settings(max_examples=60, deadline=None)
