@@ -90,7 +90,7 @@ def entanglement(state: PureState, partition: Sequence[ModeLabel]) -> Entangleme
 
     Returns the entanglement entropy in bits, the logarithmic negativity
     (log2 of the squared sum of Schmidt coefficients) and the Schmidt
-    spectrum itself.
+    spectrum itself, from an SVD of the tall side of :func:`amplitude_matrix`.
     """
     n = state.norm()
     if abs(n - 1.0) > 1e-8:
@@ -99,7 +99,8 @@ def entanglement(state: PureState, partition: Sequence[ModeLabel]) -> Entangleme
     keep_idx = [reg.index(m) for m in partition]
     if not keep_idx or len(set(keep_idx)) == reg.n_modes:
         raise ValueError("partition must be a nonempty proper subset")
-    s = np.linalg.svd(amplitude_matrix(state, partition)[0], compute_uv=False)
+    m = amplitude_matrix(state, partition)[0]
+    s = np.linalg.svd(m.T if len(m) < m.shape[1] else m, compute_uv=False)
     s = s[s > 1e-12]
     lam = s**2
     lam = lam / lam.sum()
@@ -153,27 +154,38 @@ class QubitExtraction:
     captured_weight: float
 
 
-_PATTERNS = (("H", "H"), ("H", "V"), ("V", "H"), ("V", "V"))
-
-
 @_one_blas_thread
 def polarization_qubit_state(state: PureState, path_a: int, path_b: int) -> QubitExtraction:
-    rest, group, occ = group_by(state, [mode(path, s) for path in (path_a, path_b)
-                                        for s in ("H", "V")])
+    """Two-qubit state of paths ``path_a`` and ``path_b``: rho[p, q] pairs each
+    amplitude of rail pattern p with the :func:`_lookup` of its key moved by
+    env * (stride_to - stride_from) on each path whose rail changes (no
+    partner if env exceeds that rail's cutoff)."""
+    if path_a == path_b:
+        raise ValueError(f"the two paths must differ, got {path_a} twice")
+    reg = state.register
+    rails = [reg.index(mode(path, s)) for path in (path_a, path_b) for s in ("H", "V")]
+    occ = reg.digits(state.keys, rails)
     on = occ > 0
     # one occupied rail per path, else outside the logical subspace
     logical = (on[:, 0] != on[:, 1]) & (on[:, 2] != on[:, 3])
-    occ, on = occ[logical], on[logical]
-    # a component: the other modes' occupations and each path's rail-agnostic
-    # envelope; each column of ``table`` holds one rail pattern of _PATTERNS
-    env_a, env_b = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
-    span = int(occ.max(initial=0)) + 1
-    comps, row = np.unique((group[logical] * span + env_a) * span + env_b, return_inverse=True)
-    table = np.zeros((len(comps), len(_PATTERNS)), dtype=complex)
-    table[row, 2 * on[:, 1] + on[:, 3]] = state.coeffs[logical]
-    total = state.norm_sq()
-    captured = _mass(table)
-    rho = table.T @ table.conj()
+    pattern = np.where(logical, 2 * on[:, 1] + on[:, 3], -1)
+    envelope = occ[:, ::2] + occ[:, 1::2]
+    held = [(rails[p >> 1], rails[2 + (p & 1)]) for p in range(4)]  # the rail on each path
+    rho = np.zeros((4, 4), dtype=complex)
+    for p in range(4):
+        at = np.flatnonzero(pattern == p)
+        rho[p, p] = _mass(state.coeffs[at])
+        for q in range(p + 1, 4):
+            moved, fits = state.keys[at], np.ones(len(at), dtype=bool)
+            for path, (src, dst) in enumerate(zip(held[p], held[q])):
+                if src != dst:
+                    env = envelope[at, path]
+                    moved = moved + env * (reg.strides[dst] - reg.strides[src])
+                    fits &= env <= reg.cutoffs[dst]
+            pos, hit = _lookup(state, moved[fits])
+            rho[p, q] = np.vdot(state.coeffs[pos[hit]], state.coeffs[at[fits][hit]])
+            rho[q, p] = rho[p, q].conjugate()
+    total, captured = state.norm_sq(), float(rho.trace().real)
     if captured > 0.0:
         rho = rho / captured
     return QubitExtraction(rho, captured / total if total > 0 else 0.0)

@@ -344,8 +344,12 @@ def group_by(state: PureState, modes: Sequence[ModeLabel]
     """
     reg = state.register
     idx = [reg.index(m) for m in modes]
-    occ = reg.digits(state.keys, idx)
-    emptied = state.keys & ~sum(int(reg.masks[i]) << int(reg.shifts[i]) for i in idx)
+    bits = sum(int(reg.masks[i]) << int(reg.shifts[i]) for i in idx)
+    return (*_runs(state.keys & ~bits), reg.digits(state.keys, idx))
+
+
+def _runs(emptied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``emptied`` and each one's index; spends it."""
     # the emptied keys are runs of sorted keys, so the stable sort is cheap;
     # with the grouped modes last they are sorted already
     order = None
@@ -361,7 +365,7 @@ def group_by(state: PureState, modes: Sequence[ModeLabel]
     if order is not None:
         group = np.empty_like(group)
         group[order] = emptied
-    return rest, group, occ
+    return rest, group
 
 
 #: entries per slice of the erasure contraction and of the seed search
@@ -639,15 +643,19 @@ def occupation_moments(state: PureState, m: ModeLabel) -> tuple[float, float]:
 def amplitude_matrix(state: PureState, keep: Sequence[ModeLabel]) -> tuple[np.ndarray, tuple]:
     """Amplitudes as a matrix with one row per occupation pattern of ``keep``
     that occurs (sorted, over ``keep`` in the given order) and one column per
-    pattern of the other modes that occurs; also returns the row patterns."""
+    pattern of the other modes that occurs; also returns the row patterns.
+    Rows and columns are the :func:`_runs` of the kept and the other fields of
+    the keys; a ``lexsort`` of the few row patterns orders the rows."""
     reg = state.register
-    rest, col, occ = group_by(state, keep)
-    dims = [reg.cutoff_of(m) + 1 for m in keep]
-    patterns, row = np.unique(np.ravel_multi_index(occ.T, dims), return_inverse=True)
-    matrix = np.zeros((len(patterns), len(rest)), dtype=complex)
-    matrix[row, col] = state.coeffs
-    basis = np.transpose(np.unravel_index(patterns, dims)).tolist()
-    return matrix, tuple(map(tuple, basis))
+    idx = [reg.index(m) for m in keep]
+    bits = sum(int(reg.masks[i]) << int(reg.shifts[i]) for i in idx)
+    rest, col = _runs(state.keys & ~bits)
+    kept, row = _runs(state.keys & bits)
+    occ = reg.digits(kept, idx)
+    order = np.lexsort(occ.T[::-1])
+    matrix = np.zeros((len(kept), len(rest)), dtype=complex)
+    matrix[np.argsort(order)[row], col] = state.coeffs
+    return matrix, tuple(map(tuple, occ[order].tolist()))
 
 
 @_one_blas_thread

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dualcat import analysis
@@ -21,7 +23,9 @@ from dualcat.analysis import (
     total_mean_photons,
 )
 from dualcat.circuits import (
+    Imperfection,
     _infer_cat_amplitude,
+    access_polarization,
     analytic_dual_rail_pair,
     generate_entangled_cat,
     noon_from_cat_pair,
@@ -34,8 +38,10 @@ from dualcat.elements import (
 )
 from dualcat.fock import (
     CutoffError,
+    ModeRegister,
     PureState,
     add,
+    amplitude_matrix,
     apply_two_mode_mixer,
     basis_state,
     coherent_cutoff,
@@ -113,6 +119,47 @@ def test_entanglement_invariant_under_local_unitaries(rng):
     assert after == pytest.approx(base, abs=1e-8)
 
 
+@st.composite
+def plain_states(draw):
+    """A normalized random state on 2-4 plain modes with cutoffs 1-5."""
+    n = draw(st.integers(2, 4))
+    reg = ModeRegister(tuple(mode(p) for p in range(1, n + 1)),
+                       tuple(draw(st.integers(1, 5)) for _ in range(n)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = {tuple(int(gen.integers(0, c + 1)) for c in reg.cutoffs): complex(*gen.normal(size=2))
+            for _ in range(draw(st.integers(1, 16)))}
+    return normalized(PureState(reg, amps, 0.0))
+
+
+def assert_same_schmidt_data(state, partition):
+    """The Schmidt data across ``partition`` and across its complement agree,
+    one side's amplitude matrix wide and the other's tall (or both square)."""
+    complement = [m for m in state.register.modes if m not in partition]
+    shape = amplitude_matrix(state, partition)[0].shape
+    assert amplitude_matrix(state, complement)[0].shape == shape[::-1]
+    a, b = entanglement(state, partition), entanglement(state, complement)
+    assert abs(a.entropy_bits - b.entropy_bits) <= 1e-12
+    assert len(a.schmidt_spectrum) == len(b.schmidt_spectrum)
+    assert np.max(np.abs(np.subtract(a.schmidt_spectrum, b.schmidt_spectrum)),
+                  initial=0.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi=plain_states(), order=st.permutations(range(4)), n_keep=st.integers(1, 3))
+def test_schmidt_data_match_across_a_partition_and_its_complement(psi, order, n_keep):
+    modes = psi.register.modes
+    keep = [modes[i] for i in order if i < len(modes)][:min(n_keep, len(modes) - 1)]
+    assert_same_schmidt_data(psi, keep)
+
+
+def test_schmidt_data_of_the_access_output_match_across_path_1_and_its_complement():
+    gen = generate_entangled_cat(1.19, "-").output_state
+    out = access_polarization(gen, Imperfection(displacement_offset=0.4)).output_state
+    rows, cols = amplitude_matrix(out, [mode(1, "H"), mode(1, "V")])[0].shape
+    assert rows < cols  # path 1's side is wide, its complement's tall
+    assert_same_schmidt_data(out, [mode(1, "H"), mode(1, "V")])
+
+
 def test_entanglement_requires_normalized_input():
     reg = plain_register([1, 2], 4)
     s = scale(basis_state(reg, {}), 0.5)
@@ -167,6 +214,14 @@ def test_qubit_extraction_of_coherent_bell_state():
     assert 0.0 < q.captured_weight <= 1.0
 
 
+def test_qubit_extraction_refuses_one_path_twice():
+    from dualcat.circuits import analytic_coherent_bell
+
+    bell = analytic_coherent_bell(polarized_register([1, 2], 16), 1.0)
+    with pytest.raises(ValueError, match="paths must differ"):
+        polarization_qubit_state(bell, 1, 1)
+
+
 def test_qubit_extraction_of_product_pattern():
     reg = polarized_register([1, 2], 16)
     psi = product(coherent(reg, mode(1, "H"), 1.0),
@@ -175,6 +230,64 @@ def test_qubit_extraction_of_product_pattern():
     neg, logneg = negativity_two_qubit(q.rho)
     assert neg == pytest.approx(0.0, abs=1e-12)
     assert logneg == pytest.approx(0.0, abs=1e-12)
+
+
+def reference_qubit_state(state, path_a, path_b):
+    """rho and captured weight from ``state.amps`` in a dict loop: each
+    component (other occupations, envelope of path a, envelope of path b)
+    collects its amplitudes on the four rail patterns HH, HV, VH, VV."""
+    modes = state.register.modes
+    rails = [modes.index(mode(p, s)) for p in (path_a, path_b) for s in "HV"]
+    comps = {}
+    for occ, c in state.amps.items():
+        n = [occ[i] for i in rails]
+        if (n[0] > 0) == (n[1] > 0) or (n[2] > 0) == (n[3] > 0):
+            continue  # both rails or neither occupied on a path
+        rest = tuple(v for i, v in enumerate(occ) if i not in rails)
+        vec = comps.setdefault((rest, n[0] + n[1], n[2] + n[3]), np.zeros(4, dtype=complex))
+        vec[2 * (n[1] > 0) + (n[3] > 0)] = c
+    rho = sum((np.outer(v, v.conj()) for v in comps.values()), np.zeros((4, 4), dtype=complex))
+    captured = rho.trace().real
+    total = sum(abs(c) ** 2 for c in state.amps.values())
+    return (rho / captured if captured > 0 else rho), (captured / total if total > 0 else 0.0)
+
+
+@st.composite
+def rail_states(draw):
+    """A random state on paths 1, 2 and a spectator path 3 (H and V each),
+    modes in a drawn order with unequal cutoffs 1-4.  It holds components
+    that fill some of their four rail patterns of paths 1 and 2, where the
+    envelopes fit: an envelope above one rail's cutoff has no partner on
+    that rail.  A few arbitrary patterns, most outside the logical
+    subspace, join them."""
+    labels = [mode(p, s) for p in (1, 2, 3) for s in "HV"]
+    reg = ModeRegister(tuple(draw(st.permutations(labels))),
+                       tuple(draw(st.integers(1, 4)) for _ in labels))
+    cut = dict(zip(reg.modes, reg.cutoffs))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = {}
+
+    def put(occ):
+        amps[tuple(occ.get(m, 0) for m in reg.modes)] = complex(*gen.normal(size=2))
+
+    for _ in range(draw(st.integers(0, 8))):
+        spectator = {m: int(gen.integers(0, cut[m] + 1)) for m in labels[4:]}
+        env = [int(gen.integers(1, max(cut[mode(p, "H")], cut[mode(p, "V")]) + 1)) for p in (1, 2)]
+        for ra, rb in itertools.product("HV", repeat=2):
+            if env[0] <= cut[mode(1, ra)] and env[1] <= cut[mode(2, rb)] and gen.random() < 0.8:
+                put({**spectator, mode(1, ra): env[0], mode(2, rb): env[1]})
+    for _ in range(draw(st.integers(0, 4))):
+        put({m: int(gen.integers(0, cut[m] + 1)) for m in reg.modes})
+    return PureState(reg, amps, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(psi=rail_states(), paths=st.sampled_from([(1, 2), (2, 1)]))
+def test_qubit_extraction_matches_a_dict_loop_reference(psi, paths):
+    q = polarization_qubit_state(psi, *paths)
+    rho, weight = reference_qubit_state(psi, *paths)
+    assert np.max(np.abs(q.rho - rho)) <= 1e-12
+    assert abs(q.captured_weight - weight) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
