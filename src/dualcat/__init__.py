@@ -43,7 +43,6 @@ from .elements import (
     parity_controlled_flip,
     pbs,
     phase_shift,
-    polarizer,
     rotate_45,
     squeeze,
 )

@@ -71,7 +71,7 @@ class CircuitReport:
 
 
 # ---------------------------------------------------------------------------
-# generation: odd cat -> 50:50 splitter -> polarizers -> PBS
+# generation: odd cat -> 50:50 splitter -> PBS
 
 
 def generate_entangled_cat(alpha: float, sign: str = "-",
@@ -118,14 +118,9 @@ def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitR
     shift = reg.strides[reg.index(v2)] - reg.strides[reg.index(h1)]
     split = _finish(reg, src.keys[row] + moved * shift, src.coeffs[row] * table[moved, n],
                     src.norm_deficit)
-    log = []
-    out = split
-    for path, kind in ((1, "H"), (2, "V")):
-        passed, _ = elements.polarizer(out, path, kind)
-        log.append((f"path{path}_{kind}_polarizer_pass", passed.norm_sq() / out.norm_sq()))
-        out = passed
-    out = elements.pbs(out, 1, 2)
-    return CircuitReport(out, tuple(log))
+    # the arms' polarizations are their mode labels, 1H and 2V, so the PBS
+    # alone folds them onto path 1
+    return CircuitReport(elements.pbs(split, 1, 2), ())
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +182,8 @@ def analytic_balanced_sv_pair(register: ModeRegister, r: float,
 
 def access_parity(state: PureState) -> CircuitReport:
     """Send H and V rails of path 1 to separate paths with a common
-    polarization: the parity-entangled two-path form."""
-    reg = state.register
-    if not (reg.has(mode(2, "H")) and reg.has(mode(2, "V"))):
-        spec = {m: c for m, c in zip(reg.modes, reg.cutoffs)}
-        for pol in ("H", "V"):
-            spec.setdefault(mode(2, pol), max(reg.cutoffs))
-        state = embed(state, ModeRegister.of(spec))
+    polarization: the parity-entangled two-path form.  The register must
+    hold the H and V modes of paths 1 and 2."""
     out = elements.pbs(state, 1, 2)
     out = elements.hwp(out, 2)
     return CircuitReport(out, ())
@@ -586,7 +576,7 @@ def sv_antisqueeze_to_single_photon(r: float, tail_eps: float = DEFAULT_TAIL_EPS
 
 
 @_one_blas_thread
-def sv_access_polarization(state: PureState, skip_cswap: bool = False) -> CircuitReport:
+def sv_access_polarization(state: PureState) -> CircuitReport:
     """Nondestructive parity sorting of the squeezed pair into a heralded
     polarization Bell state on identical photon-subtracted envelopes.
 
@@ -595,8 +585,7 @@ def sv_access_polarization(state: PureState, skip_cswap: bool = False) -> Circui
     mode (2,V); apply two polarization flips on paths 1 and 2 controlled by
     path 3; exchange the path contents under the same control; subtract one
     photon from path 2; rotate path 3 to the diagonal basis and condition
-    on its vertical detector.  ``skip_cswap`` ablates the exchange stage
-    (the envelopes then no longer match).
+    on its vertical detector.
     """
     reg = state.register
     cut = max(reg.cutoffs)
@@ -608,8 +597,7 @@ def sv_access_polarization(state: PureState, skip_cswap: bool = False) -> Circui
     psi = apply_creation(psi, mode(3, "H"))             # attach |H>_3
     psi = elements.parity_controlled_flip(psi, mode(2, "V"), 3)
     psi = elements.controlled_pol_gates(psi, 3, flips=[(1, math.pi), (2, math.pi)])
-    if not skip_cswap:
-        psi = elements.cswap_pol(psi, 3, 1, 2)
+    psi = elements.cswap_pol(psi, 3, 1, 2)
     psi = normalized(add(apply_annihilation(psi, mode(2, "H")),
                          apply_annihilation(psi, mode(2, "V"))))
     psi = elements.rotate_45(psi, 3)

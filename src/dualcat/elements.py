@@ -137,18 +137,6 @@ def phase_shift(state: PureState, m: ModeLabel, phi: float) -> PureState:
                  state.norm_deficit)
 
 
-def polarizer(state: PureState, path: int, kind: str) -> tuple[PureState, PureState]:
-    """Polarizer on one path: ``(passed, blocked)``.
-
-    ``kind`` "H" or "V" keeps the components with no photon of the
-    orthogonal polarization; ``blocked`` holds the others.
-    """
-    ih, iv = _pol_pair(state, path)
-    if kind not in ("H", "V"):
-        raise ValueError(f"unknown polarizer kind {kind!r}")
-    return _split(state, state.register.digit(state.keys, iv if kind == "H" else ih) == 0)
-
-
 def rotate_45(state: PureState, path: int) -> PureState:
     """The 45-degree polarization rotation of one path.  Its dark-H branch
     alone, without the rotated state, is ``mixer_dark_branch`` in
@@ -161,24 +149,23 @@ def rotate_45(state: PureState, path: int) -> PureState:
 TOP_LEVEL_TOL = 1e-10
 
 
-def displace(state: PureState, m: ModeLabel, beta: complex,
-             tail_eps: float = TOP_LEVEL_TOL) -> PureState:
+def displace(state: PureState, m: ModeLabel, beta: complex) -> PureState:
     """Displacement D(beta) on one mode, exactly unitary on the truncated space.
 
     Raises a cutoff error when the displaced state piles more than
-    ``tail_eps`` probability onto the top retained Fock level.
+    ``TOP_LEVEL_TOL`` probability onto the top retained Fock level.
     """
     dim = state.register.cutoff_of(m) + 1
     return apply_single_mode_matrix(state, m, displacement_matrix(complex(beta), dim),
-                                    tail_eps=tail_eps)
+                                    tail_eps=TOP_LEVEL_TOL)
 
 
-def squeeze(state: PureState, m: ModeLabel, r: float,
-            tail_eps: float = TOP_LEVEL_TOL) -> PureState:
-    """Squeezing S(r) on one mode; negative r anti-squeezes."""
+def squeeze(state: PureState, m: ModeLabel, r: float) -> PureState:
+    """Squeezing S(r) on one mode; negative r anti-squeezes.  The top-level
+    rule is that of :func:`displace`."""
     dim = state.register.cutoff_of(m) + 1
     return apply_single_mode_matrix(state, m, squeeze_matrix(float(r), dim),
-                                    tail_eps=tail_eps)
+                                    tail_eps=TOP_LEVEL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +208,10 @@ def _controlled(state: PureState, where: np.ndarray, *gates) -> PureState:
     state whose deficit is the mass that gate loses (it does not read the
     deficit of its input); these join the output's deficit gate by gate.  A
     gate must leave the control occupations as they are, so that its output
-    keys stay apart from the rest of the state.  An empty selection returns
-    the state itself, and a selection of all of it is mapped with no merge.
+    keys stay apart from the rest of the state.  A selection of all of it is
+    mapped with no merge.
     """
     sel = np.flatnonzero(where)
-    if not len(sel):
-        return state
     reg, whole = state.register, len(sel) == len(state.keys)
     part = state if whole else _wrap(reg, state.keys[sel], state.coeffs[sel], 0.0)
     deficit = state.norm_deficit
@@ -415,35 +400,35 @@ class ParityCorrelator:
     @staticmethod
     @_one_blas_thread
     def _pi(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
-            vh: np.ndarray, derivatives: bool) -> np.ndarray:
-        """Pi[k, 0] = D(2 beta) P at each setting (rho[k], phi[k]), and with
-        ``derivatives`` its jets [Pi, Pi_rho, Pi_phi, Pi_rr, Pi_rp, Pi_pp]."""
+            vh: np.ndarray) -> np.ndarray:
+        """The jets [Pi, Pi_rho, Pi_phi, Pi_rr, Pi_rp, Pi_pp] of Pi = D(2 beta) P
+        at each setting (rho[k], phi[k])."""
         n = np.arange(len(lam))
-        kappa = (-2j * lam) ** np.arange(3 if derivatives else 1)[:, None]
+        kappa = (-2j * lam) ** np.arange(3)[:, None]
         q = (v * (kappa * np.exp(-2j * rho[:, None, None] * lam))[:, :, None, :]) @ vh
         q = q * (-1.0) ** n
         dn = 1j * (n[:, None] - n)
         ph = np.exp(phi[:, None, None] * dn)[:, None]
-        return ph * (np.stack([q[:, 0], q[:, 1], dn * q[:, 0], q[:, 2], dn * q[:, 1],
-                               dn * dn * q[:, 0]], axis=1) if derivatives else q)
+        return ph * np.stack([q[:, 0], q[:, 1], dn * q[:, 0], q[:, 2], dn * q[:, 1],
+                              dn * dn * q[:, 0]], axis=1)
 
     @_one_blas_thread
-    def _jets(self, s1: tuple, s2: tuple, derivatives: bool) -> np.ndarray:
+    def _jets(self, s1: tuple, s2: tuple) -> np.ndarray:
         self._check(s1, s2)
-        pi1, pi2 = (self._pi(*s, *spectrum, derivatives)
-                    for s, spectrum in zip((s1, s2), self.spectra))
+        pi1, pi2 = (self._pi(*s, *spectrum) for s, spectrum in zip((s1, s2), self.spectra))
         z = self.m.conj() @ pi2 @ self.m.T  # sum conj(M) ∘ (Pi1 M Pi2^T) = sum Pi1 ∘ z
         return np.einsum("ikab,jlab->ikjl", pi1, z).real
 
     def __call__(self, b1, b2) -> np.ndarray:
-        """E[i, j] = E(b1[i], b2[j]) at any complex settings, in [-1, 1]."""
-        return self._jets(_polar(b1), _polar(b2), False)[:, 0, :, 0]
+        """E[i, j] = E(b1[i], b2[j]) at any complex settings, in [-1, 1]: the
+        value entry of their jets."""
+        return self._jets(_polar(b1), _polar(b2))[:, 0, :, 0]
 
     def jets(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         """J[i, k, j, l] = the derivative of E(s1[i], s2[j]) that entry k of the
         setting s1[i] = (rho, phi) of mode 1 and entry l of s2[j] name, in the
         order value, d/drho, d/dphi, d2/drho2, d2/drho dphi, d2/dphi2."""
-        return self._jets(np.asarray(s1, dtype=float).T, np.asarray(s2, dtype=float).T, True)
+        return self._jets(np.asarray(s1, dtype=float).T, np.asarray(s2, dtype=float).T)
 
     def line(self, unit: complex) -> ParityLine:
         """The correlator on the line of settings beta = t * unit."""

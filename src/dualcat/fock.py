@@ -157,23 +157,15 @@ class ModeRegister:
         return out
 
 
-def polarized_register(paths: Iterable[int], cutoff: int | Mapping[ModeLabel, int]) -> ModeRegister:
-    """Register with H and V modes on each path, ``cutoff`` an int or per-mode map."""
-    spec: dict[ModeLabel, int] = {}
-    for p in paths:
-        for pol in ("H", "V"):
-            m = mode(p, pol)
-            spec[m] = cutoff[m] if isinstance(cutoff, Mapping) else int(cutoff)
-    return ModeRegister.of(spec)
+def polarized_register(paths: Iterable[int], cutoff: int) -> ModeRegister:
+    """Register with H and V modes on each path, each of cutoff ``cutoff``."""
+    return ModeRegister.of({mode(p, pol): cutoff for p in paths for pol in ("H", "V")})
 
 
-def plain_register(paths: Iterable[int], cutoff: int | Mapping[ModeLabel, int]) -> ModeRegister:
-    """Register of plain (polarization-less) modes, one per path."""
-    spec = {}
-    for p in paths:
-        m = mode(p)
-        spec[m] = cutoff[m] if isinstance(cutoff, Mapping) else int(cutoff)
-    return ModeRegister.of(spec)
+def plain_register(paths: Iterable[int], cutoff: int) -> ModeRegister:
+    """Register of plain (polarization-less) modes, one per path, each of
+    cutoff ``cutoff``."""
+    return ModeRegister.of({mode(p): cutoff for p in paths})
 
 
 class PureState:
@@ -381,8 +373,6 @@ def _joined(register: ModeRegister, parts: list, deficit: float) -> PureState:
     keys before the amplitudes are joined.
     """
     deficit += sum(p.norm_deficit for p in parts)
-    if len(parts) == 1:
-        return _wrap(register, parts[0].keys, parts[0].coeffs, deficit)
     keys = np.concatenate([p.keys for p in parts] or [np.empty(0, dtype=np.int64)])
     coeffs = [p.coeffs for p in parts] or [np.empty(0, dtype=complex)]
     parts.clear()
@@ -546,8 +536,9 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     phase=0 a coherent state splits as |g>|0> -> |g/sqrt2>|-g/sqrt2>.  The
     block unitary U_t (first index n_a) is exact on each total-photon-number
     subspace.  The amplitudes of each total t that occurs form one dense
-    (rest x (t+1)) block and take one product with U_t; the columns pushed
-    beyond a per-mode cutoff are dropped into the norm deficit.
+    (rest x (t+1)) block, whose rows are the :func:`_runs` of their rests,
+    and take one product with U_t; the columns pushed beyond a per-mode
+    cutoff are dropped into the norm deficit.
     """
     reg = state.register
     ia, ib = reg.index(mode_a), reg.index(mode_b)
@@ -558,7 +549,7 @@ def apply_two_mode_mixer(state: PureState, mode_a: ModeLabel, mode_b: ModeLabel,
     keys, coeffs, dropped = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=complex)], 0.0
     for t in np.flatnonzero(np.bincount(total)).tolist():  # the totals that occur
         on = total == t
-        rows, row = np.unique(group[on], return_inverse=True)
+        rows, row = _runs(group[on])
         block = np.zeros((len(rows), t + 1), dtype=complex)
         block[row, occ[on, 0]] = state.coeffs[on]
         out = block @ _gaussian_unitary("mix", t + 1, theta, phase).T

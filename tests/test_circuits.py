@@ -34,6 +34,7 @@ from dualcat.fock import (
     DegenerateInputError,
     ModeRegister,
     PureState,
+    RegisterMismatchError,
     add,
     apply_two_mode_mixer,
     basis_state,
@@ -82,13 +83,16 @@ def test_generation_postselection_is_lossless():
         math.prod(p for _, p in rep.branch_log), abs=1e-12)
 
 
-def test_generation_logs_conditional_polarizer_probabilities():
-    # both polarizers pass every amplitude, so each passes all of the mass
-    # that reaches it, however much the cutoff dropped before
+def test_generation_folds_both_arms_onto_path_1():
+    # the split writes the arms as 1H and 2V, so no step blocks any mass and
+    # the PBS alone brings every photon onto path 1
     for make in (generate_entangled_cat, generate_even_cat_control):
         rep = make(1.2, "-", 1e-6)
-        assert [p for _, p in rep.branch_log] == [1.0, 1.0]
+        assert rep.branch_log == ()
         assert rep.postselect_probability == 1.0
+        out, reg = rep.output_state, rep.output_state.register
+        for pol in ("H", "V"):
+            assert not reg.digit(out.keys, reg.index(mode(2, pol))).any()
 
 
 def test_generation_rejects_zero_alpha():
@@ -144,12 +148,19 @@ def test_parity_access_preserves_entropy():
 
 
 def test_parity_access_maps_products_to_products():
-    reg = polarized_register([1], 16)
+    reg = polarized_register([1, 2], 16)
     psi = product(coherent(reg, mode(1, "H"), 0.8),
                   coherent(reg, mode(1, "V"), 0.8))
     out = access_parity(psi).output_state
     s = entanglement(out, [mode(1, "H"), mode(1, "V")])
     assert s.entropy_bits == pytest.approx(0.0, abs=1e-9)
+
+
+def test_parity_access_needs_paths_1_and_2():
+    # the PBS needs the H and V modes of both paths
+    psi = basis_state(polarized_register([1], 2), {mode(1, "H"): 1, mode(1, "V"): 2})
+    with pytest.raises(RegisterMismatchError):
+        access_parity(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +356,10 @@ def test_sv_access_heralds_the_subtracted_bell_state():
         math.prod(p for _, p in acc.branch_log), abs=1e-10)
 
 
-def test_sv_access_without_the_exchange_stage_mismatches_envelopes():
+def test_sv_access_without_the_exchange_stage_mismatches_envelopes(monkeypatch):
     rep = sv_generate(0.7, 0.5)
-    acc = sv_access_polarization(rep.output_state, skip_cswap=True)
+    monkeypatch.setattr(circuits.elements, "cswap_pol", lambda psi, *args, **kwargs: psi)
+    acc = sv_access_polarization(rep.output_state)
     target = analytic_subtracted_bell(
         polarized_register([1, 2], max(acc.output_state.register.cutoffs)), 0.7)
     assert subsystem_fidelity(acc.output_state, target, PATH12_RAILS) < 0.9

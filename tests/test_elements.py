@@ -17,7 +17,6 @@ from dualcat.elements import (
     parity_controlled_flip,
     pbs,
     phase_shift,
-    polarizer,
     rotate_45,
     squeeze,
 )
@@ -102,7 +101,7 @@ def test_hwp_swaps_rails_and_is_involution():
 
 
 # ---------------------------------------------------------------------------
-# polarizer
+# 45-degree rotation
 
 
 def test_rotate_45_is_a_rotation():
@@ -117,29 +116,6 @@ def test_rotate_45_is_a_rotation():
     for k in range(2):
         out = rotate_45(out, 1)
     assert fid(out, s) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_h_polarizer_passes_h_light():
-    reg = polarized_register([1], 6)
-    s = basis_state(reg, {mode(1, "H"): 1})
-    passed, blocked = polarizer(s, 1, "H")
-    assert passed.norm_sq() == pytest.approx(1.0)
-    assert blocked.norm_sq() == pytest.approx(0.0)
-
-
-def test_polarizer_blocks_orthogonal_photons():
-    reg = polarized_register([1], 14)
-    s = coherent(reg, mode(1, "V"), 1.0, tail_eps=1e-6)
-    passed, blocked = polarizer(s, 1, "H")
-    # only the vacuum component of the V rail survives an H polarizer
-    assert passed.norm_sq() == pytest.approx(math.exp(-1.0), abs=1e-6)
-    assert passed.norm_sq() + blocked.norm_sq() == pytest.approx(s.norm_sq(), abs=1e-12)
-
-
-def test_polarizer_rejects_unknown_kind():
-    reg = polarized_register([1], 3)
-    with pytest.raises(ValueError):
-        polarizer(basis_state(reg, {}), 1, "circular")
 
 
 def test_rotate_45_matches_caption_map_on_single_photons():
@@ -265,6 +241,20 @@ def test_controlled_flip_passes_on_h_control():
     s, reg = _control_target_state("H", 1.0)
     out = controlled_pol_gates(s, 3, flips=[(1, math.pi)])
     assert fid(out, s) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_controlled_gates_without_a_control_photon_return_the_input():
+    # no component has a V photon on the control path, so each gate maps an
+    # empty selection: the keys, amplitudes and deficit come back as they were
+    reg = polarized_register([1, 2, 3], 8)
+    s = product(coherent(reg, mode(1, "H"), 1.0, tail_eps=1e-3),
+                coherent(reg, mode(3, "H"), 1.5, tail_eps=1e-3))
+    assert s.norm_deficit > 0.0
+    for out in (controlled_pol_gates(s, 3, flips=[(1, math.pi)], phases=[(2, 0.5)]),
+                cswap_pol(s, 3, 1, 2)):
+        assert np.array_equal(out.keys, s.keys)
+        assert np.array_equal(out.coeffs, s.coeffs)
+        assert out.norm_deficit == s.norm_deficit
 
 
 def test_controlled_flip_flips_on_v_control():
@@ -618,8 +608,7 @@ def test_measurement_branches_partition_the_input():
     psi = add(coherent(reg, mode(1, "H"), 1.0, tail_eps=1e-3),
               coherent(reg, mode(1, "V"), -0.5, tail_eps=1e-3))
     assert psi.norm_deficit > 0.0
-    channels = (polarizer(psi, 1, "H"), polarizer(psi, 1, "V"),
-                onoff_detect(psi, mode(1, "V")), onoff_detect(psi, (mode(1, "H"), mode(1, "V"))))
+    channels = (onoff_detect(psi, mode(1, "V")), onoff_detect(psi, (mode(1, "H"), mode(1, "V"))))
     for first, second in channels:
         assert len(first) and len(second)
         assert not set(first.keys.tolist()) & set(second.keys.tolist())

@@ -17,6 +17,7 @@ from dualcat.fock import (
     _gaussian_unitary,
     _mass,
     _mixer_table,
+    _runs,
     add,
     apply_annihilation,
     apply_creation,
@@ -319,6 +320,17 @@ def test_mixer_preserves_inner_products(theta, phase, seed):
     after = inner_product(apply_two_mode_mixer(a, mode(1), mode(2), theta, phase),
                           apply_two_mode_mixer(b, mode(1), mode(2), theta, phase))
     assert abs(before - after) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(0, 40), max_size=30), presorted=st.booleans())
+def test_runs_numbers_distinct_values_as_unique_does(values, presorted):
+    # the mixer groups each total's rows with _runs in place of np.unique
+    keys = np.array(sorted(values) if presorted else values, dtype=np.int64)
+    rest, group = _runs(keys.copy())
+    want, inverse = np.unique(keys, return_inverse=True)
+    assert np.array_equal(rest, want)
+    assert np.array_equal(group, inverse)
 
 
 # ---------------------------------------------------------------------------
