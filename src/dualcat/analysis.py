@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .blas import _one_blas_thread
 from .elements import ParityCorrelator, _polar
 from .fock import (
     _CHUNK,
@@ -20,7 +21,6 @@ from .fock import (
     PureState,
     _lookup,
     _mass,
-    _one_blas_thread,
     amplitude_matrix,
     group_by,
     inner_product,

@@ -4,6 +4,9 @@ The engine's products are small or tall and narrow (gate blocks, norms,
 42x42 correlator forms); a second OpenBLAS thread only spins on them and
 doubles the CPU time.  So every function that calls BLAS or LAPACK runs in
 a process-wide scope that sets one thread and gives the caller's count back.
+This module is the one home of that scope, :func:`_one_blas_thread`, and of
+the OpenBLAS lookup, :func:`openblas`: the engine's modules import them from
+here.
 """
 
 from __future__ import annotations
@@ -58,63 +61,48 @@ def openblas() -> OpenBlas | None:
     return None
 
 
-class _OneBlasThread:
-    """Process-wide scope in which numpy's OpenBLAS runs on one thread.
-
-    The depth counts the threads inside the scope.  The first to enter saves
-    the caller's thread count and sets 1; the last to leave restores the
-    saved count, also when it leaves by an exception.  The others only move
-    the depth, under a lock.  Without an OpenBLAS the scope changes nothing.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._restore = None  # (OpenBlas, caller's count) while the depth is > 0
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0:
-                blas = openblas()
-                if blas is not None:
-                    self._restore = blas, blas.get_num_threads()
-                    blas.set_num_threads(1)
-            self._depth += 1
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and self._restore is not None:
-                blas, count = self._restore
-                self._restore = None
-                blas.set_num_threads(count)
-
-
 class _ThreadInside(threading.local):
     inside = False  # this thread runs a decorated call, so holds the scope
 
 
-_ONE_BLAS_THREAD = _OneBlasThread()
 _THREAD = _ThreadInside()
+_LOCK = threading.Lock()
+_depth = 0  # threads inside the scope
+_restore = None  # (OpenBlas, caller's count) while the depth is > 0
 
 
 def _one_blas_thread(fn):
     """Decorator: run ``fn`` inside the process-wide one-OpenBLAS-thread scope.
 
-    A call nested in another decorated call of the same thread is already
-    inside and goes straight through: the engine makes thousands of them per
-    run, and a lock round trip would cost more than many of their kernels.
+    The first thread to enter saves the caller's thread count and sets 1;
+    the last to leave restores the saved count, also when it leaves by an
+    exception.  The others only move the depth, under the lock.  Without an
+    OpenBLAS the scope changes nothing.  A call nested in another decorated
+    call of the same thread is already inside and goes straight through:
+    the engine makes thousands of them per run, and a lock round trip would
+    cost more than many of their kernels.
     """
 
     @functools.wraps(fn)
     def scoped(*args, **kwargs):
+        global _depth, _restore
         if _THREAD.inside:
             return fn(*args, **kwargs)
+        with _LOCK:
+            if _depth == 0 and (blas := openblas()) is not None:
+                _restore = blas, blas.get_num_threads()
+                blas.set_num_threads(1)
+            _depth += 1
         _THREAD.inside = True
         try:
-            with _ONE_BLAS_THREAD:
-                return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
             _THREAD.inside = False
+            with _LOCK:
+                _depth -= 1
+                if _depth == 0 and _restore is not None:
+                    blas, count = _restore
+                    _restore = None
+                    blas.set_num_threads(count)
 
     return scoped

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import elements, states
+from .blas import _one_blas_thread
 from .elements import PERFECT, Imperfection
 from .fock import (
     _CHUNK,
@@ -32,7 +33,6 @@ from .fock import (
     _joined,
     _mass,
     _mixer_table,
-    _one_blas_thread,
     _refuse_top_mass,
     add,
     apply_annihilation,
@@ -215,12 +215,16 @@ def _infer_cat_amplitude(state: PureState) -> float:
     return float(lo)
 
 
-def tag_cutoff(envelope: float, imperfection: Imperfection, tail_eps: float) -> int:
-    """Cutoff of the tags of :func:`access_polarization` for the envelope
-    amplitude alpha/sqrt2: the dimension of its erasure contraction, and the
-    cutoff of 3V, the one tag mode its register holds light in."""
+def access_register(path_cutoff: int, envelope: float, imperfection: Imperfection,
+                    tail_eps: float) -> ModeRegister:
+    """The register of :func:`access_polarization` for a pair at
+    ``path_cutoff`` and the envelope amplitude alpha/sqrt2.  It holds only the
+    fields light can reach: paths 1 and 2 at the path cutoff, 3V at the tag
+    cutoff, which is also the dimension of the erasure contraction, and 3H at
+    cutoff 1, empty, which the gates read as their control."""
     tag_amp = abs(envelope) + abs(envelope + imperfection.displacement_offset) + 0.5
-    return coherent_cutoff(tag_amp, tail_eps)
+    return ModeRegister.of({**{mode(p, pol): path_cutoff for p in (1, 2) for pol in ("H", "V")},
+                            mode(3, "H"): 1, mode(3, "V"): coherent_cutoff(tag_amp, tail_eps)})
 
 
 @_one_blas_thread
@@ -247,12 +251,11 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     deficit, so the dark port's probability is its norm² over that of the
     PBS output.
 
-    The register holds only the fields light can reach: paths 1 and 2 at
-    the input's largest cutoff, 3V at :func:`tag_cutoff`, and 3H at cutoff
-    1, empty, which the gates read as their control.  The tag light of 3H
-    and path 4 lives only inside the contraction, so path 4 is not in the
-    register: a 160-level pair at tag cutoff 162 takes 41 key bits, where
-    eight equal fields would take 64 of the 63 an int64 key holds.
+    The register is :func:`access_register` at the input's largest cutoff.
+    The tag light of 3H and path 4 lives only inside the contraction, so
+    path 4 is not in the register: a 160-level pair at tag cutoff 162 takes
+    41 key bits, where eight equal fields would take 64 of the 63 an int64
+    key holds.
 
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
@@ -262,15 +265,9 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     reg = state.register
     if any(m.path > 2 for m in reg.modes):
         raise ValueError("the cat pair must live on paths 1 and 2; paths 3 and 4 carry the tags")
-    alpha_est = _infer_cat_amplitude(state)
-    A = alpha_est / SQRT2
+    A = _infer_cat_amplitude(state) / SQRT2
     B = A + imp.displacement_offset
-
-    cut_path = max(reg.cutoffs)
-    big = ModeRegister.of({**{mode(p, pol): cut_path for p in (1, 2) for pol in ("H", "V")},
-                           mode(3, "H"): 1, mode(3, "V"): tag_cutoff(A, imp, tail_eps)})
-    psi = embed(state, big)
-
+    psi = embed(state, access_register(max(reg.cutoffs), A, imp, tail_eps))
     psi = elements.pbs(psi, 1, 2)  # H stays on 1, V moves to 2
     # e^{i pi n} on 2V, which the staged ops apply after the 4V tag mixer:
     # ahead of it, the mixer's phase pi turns into 0

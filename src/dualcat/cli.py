@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, circuits
+from .blas import openblas
 from .elements import Imperfection
 from .fock import (
     DEFAULT_TAIL_EPS,
@@ -38,7 +39,6 @@ from .fock import (
     coherent_cutoff,
     mode,
     normalized,
-    openblas,
     plain_register,
     polarized_register,
     squeezed_cutoff,
@@ -157,8 +157,9 @@ class Experiment:
     registers take at parameters ``p`` by the circuits' own rules;
     ``single(p, eps)``, a one-shot result; and the top-level ``point(q, eps)``,
     a table row and its state's norm deficit at each point ``q`` of the
-    product of the ``sweep`` grids.  A sweep with a ``summary`` (rows ->
-    scalars) is the whole result; one without adds a table to the single one.
+    product of its grid parameters, in table order.  A sweep with a
+    ``summary`` (rows -> scalars) is the whole result; one without adds a
+    table to the single one.
     """
 
     help: str
@@ -166,7 +167,6 @@ class Experiment:
     cutoff: object
     single: object = None
     point: object = None
-    sweep: tuple = ()
     table: str = ""
     columns: tuple = ()
     summary: object = None
@@ -216,10 +216,10 @@ def _duality(p: dict, eps: float) -> ExperimentResult:
     }, pol.output_state)
 
 
-def _access_cutoff(q: dict, eps: float) -> int:  # generation, then access at the tag offset
+def _access_cutoff(q: dict, eps: float) -> int:  # the register the access builds on the pair
     imp = Imperfection(displacement_offset=q.get("b_offsets", 0.0))
-    return max(circuits.generation_cutoff(q["alpha"], eps),
-               circuits.tag_cutoff(abs(q["alpha"]) / math.sqrt(2.0), imp, eps))
+    return max(circuits.access_register(circuits.generation_cutoff(q["alpha"], eps),
+                                        abs(q["alpha"]) / math.sqrt(2.0), imp, eps).cutoffs)
 
 
 def _bell_cutoff(q: dict, eps: float) -> int:
@@ -296,7 +296,7 @@ EXPERIMENTS: dict = {
          "refine_iters": Param(600, "int", low=0,
                                help="cap on Newton steps of each refinement (0: grid only)"),
          "axis": Param("imag", "choice", ("imag", "real", "complex"))},
-        _bell_cutoff, point=_bell_point, sweep=("alpha_grid",), table="bell",
+        _bell_cutoff, point=_bell_point, table="bell",
         columns=("alpha", "chsh", "beta1_re", "beta1_im", "beta1p_re", "beta1p_im",
                  "beta2_re", "beta2_im", "beta2p_re", "beta2p_im"),
         summary=lambda rows: {"chsh_max": max(r[1] for r in rows),
@@ -311,7 +311,7 @@ EXPERIMENTS: dict = {
         "phase-estimation Fisher information sweep",
         {"alpha_grid": Param("1.0:2.5:0.5", "grid")},
         lambda q, eps: circuits.noon_cutoff(q["alpha_grid"], eps),
-        point=_fisher_point, sweep=("alpha_grid",), table="fisher",
+        point=_fisher_point, table="fisher",
         columns=("alpha", "qfi", "nbar", "qfi_over_nbar_sq", "shot_noise", "qfi_decay_oracle"),
         summary=lambda rows: {"qfi_at_max_alpha": rows[-1][1]}),
     "sv-generate": Experiment(
@@ -319,7 +319,7 @@ EXPERIMENTS: dict = {
         {"r": Param(0.8), "transmittance": Param(0.5, low=0.0, high=1.0),
          "t_grid": Param("", "grid", low=0.0, high=1.0, empty=[])},
         lambda q, eps: squeezed_cutoff(q["r"], eps), single=_sv_generate,
-        point=_sv_t_point, sweep=("t_grid",), table="transmittance_sweep",
+        point=_sv_t_point, table="transmittance_sweep",
         columns=("transmittance", "entropy_bits")),
     "sv-access": Experiment(
         "squeezed-vacuum polarization access",
@@ -328,8 +328,7 @@ EXPERIMENTS: dict = {
         "negativity vs hardware error",
         {"alpha": Param(1.2), "b_offsets": Param("0.0:0.6:0.1", "grid", empty=[0.0]),
          "flip_angles": Param("", "grid", low=0.0, high=math.pi, empty=[math.pi])},
-        _access_cutoff, point=_imperfection_point, sweep=("b_offsets", "flip_angles"),
-        table="imperfection",
+        _access_cutoff, point=_imperfection_point, table="imperfection",
         columns=("b_offset", "flip_angle", "negativity", "log_negativity",
                  "postselect_probability"),
         summary=lambda rows: {"max_negativity": max(r[2] for r in rows)}),
@@ -355,7 +354,9 @@ def resolve_config(experiment: str, file_params: dict, flag_params: dict,
         raise ConfigError(f"cutoff epsilon must lie in (0, 1), got {cutoff_epsilon!r}")
     for key, value in params.items():
         spec[key].check(key, value)
-    jobs = min(max(int(jobs), 1), os.cpu_count() or 1)
+    # the processors this process may run on, where the platform says
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(max(int(jobs), 1), usable or 1)
     out = Path(output_path) if output_path else None  # refused before any run
     if out and (out.is_dir() or not next(p for p in out.parents if p.exists()).is_dir()):
         raise ConfigError(f"cannot write {out}: it is a directory or lies under a file")
@@ -366,11 +367,11 @@ def run(config: RunConfig) -> ExperimentResult:
     """Check the budget, then run the single part and map the sweep over the jobs."""
     spec = EXPERIMENTS[config.experiment]
     p, eps = config.parameters, config.cutoff_epsilon
-    axes = [spec.params[key].points(p[key]) for key in spec.sweep]
-    if math.prod(map(len, axes)) > MAX_GRID_POINTS:
+    axes = {key: par.points(p[key]) for key, par in spec.params.items() if par.kind == "grid"}
+    if math.prod(map(len, axes.values())) > MAX_GRID_POINTS:
         raise ConfigError(f"the sweep has more than {MAX_GRID_POINTS} points")
-    points = ([dict(p, **dict(zip(spec.sweep, v))) for v in itertools.product(*axes)]
-              if spec.sweep else [])
+    points = ([dict(p, **dict(zip(axes, v))) for v in itertools.product(*axes.values())]
+              if axes else [])
     cutoff = max(spec.cutoff(q, eps) for q in points + ([p] if spec.single else []))
     if cutoff > MAX_CUTOFF:
         raise CutoffError(f"{config.experiment} needs a per-mode cutoff of {cutoff} "
@@ -387,7 +388,9 @@ def run(config: RunConfig) -> ExperimentResult:
         result.tables[spec.table] = Table(list(spec.columns), rows)
         if spec.summary:
             result.scalars = spec.summary(rows)
-            result.convergence = {"norm_deficit": max(deficits)}
+        # the single state's deficit, if there is one, and every row's
+        result.convergence["norm_deficit"] = max(result.convergence.get("norm_deficit", 0.0),
+                                                 *deficits)
     result.convergence.setdefault("cutoff_epsilon", eps)
     return result
 

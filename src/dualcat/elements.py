@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import _one_blas_thread
 from .fock import (
     DEFAULT_PRUNE_EPS,
     ContractViolationError,
@@ -41,7 +42,6 @@ from .fock import (
     RegisterMismatchError,
     _finish,
     _mass,
-    _one_blas_thread,
     _wrap,
     add,
     apply_single_mode_matrix,

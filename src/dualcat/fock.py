@@ -33,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .blas import OpenBlas, _one_blas_thread, openblas  # noqa: F401  (part of this module's API)
+from .blas import _one_blas_thread
 
 DEFAULT_PRUNE_EPS = 1e-16
 DEFAULT_TAIL_EPS = 1e-12

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from dualcat.blas import _one_blas_thread
 from dualcat.fock import (
     ModeLabel,
     PureState,
     _finish,
     _mass,
     _mixer_table,
-    _one_blas_thread,
     group_by,
 )
 

@@ -69,7 +69,7 @@ def test_count_is_restored_after_an_error_in_a_kernel(fake):
 def test_count_is_restored_after_concurrent_engine_calls(fake):
     state = circuits.generate_entangled_cat(1.0).output_state
     # reads the count after an engine call, inside a scope of its own
-    probe = fock._one_blas_thread(lambda: (fock.inner_product(state, state), fake.count)[1])
+    probe = blas._one_blas_thread(lambda: (fock.inner_product(state, state), fake.count)[1])
     inside, errors = [], []
 
     def work():
@@ -101,19 +101,19 @@ def test_count_is_restored_after_concurrent_engine_calls(fake):
 
 SUBPROCESS_RUN = """
 import dualcat
-from dualcat import circuits, fock
-assert fock.openblas.cache_info().currsize == 0  # nothing looked up at import
-blas = fock.openblas()
-assert blas is not None
-before = blas.get_num_threads()
+from dualcat import blas, circuits
+assert blas.openblas.cache_info().currsize == 0  # nothing looked up at import
+lib = blas.openblas()
+assert lib is not None
+before = lib.get_num_threads()
 circuits.generate_entangled_cat(1.2)
-after = blas.get_num_threads()
-inside = fock._one_blas_thread(blas.get_num_threads)()
+after = lib.get_num_threads()
+inside = blas._one_blas_thread(lib.get_num_threads)()
 print(before, after, inside)
 """
 
 
-@pytest.mark.skipif(fock.openblas() is None, reason="numpy is not linked to OpenBLAS")
+@pytest.mark.skipif(blas.openblas() is None, reason="numpy is not linked to OpenBLAS")
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="OpenBLAS caps its threads at the processors it may use")
 def test_real_openblas_count_is_the_callers_outside_and_one_inside():

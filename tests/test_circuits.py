@@ -425,7 +425,7 @@ def test_polarization_access_register_keeps_only_the_fields_light_reaches():
     reg = out.register
     assert reg.modes == (*PATH12_RAILS, mode(3, "H"), mode(3, "V"))
     assert reg.cutoffs[:5] == (160, 160, 160, 160, 1)
-    assert reg.cutoffs[5] == circuits.tag_cutoff(1.0 / math.sqrt(2.0), Imperfection(), 1e-200)
+    assert reg == circuits.access_register(160, 1.0 / math.sqrt(2.0), Imperfection(), 1e-200)
     target = analytic_coherent_bell(polarized_register([1, 2], max(reg.cutoffs)),
                                     1.0 / math.sqrt(2.0), tail_eps=1e-200)
     assert subsystem_fidelity(out, target, PATH12_RAILS) >= 1.0 - 1e-9
@@ -456,8 +456,9 @@ def staged_access(state, imp=Imperfection(), tail_eps=DEFAULT_TAIL_EPS):
     meets it."""
     A = circuits._infer_cat_amplitude(state) / math.sqrt(2.0)
     B = A + imp.displacement_offset
-    cut_tag = circuits.tag_cutoff(A, imp, tail_eps)
-    big = ModeRegister.of({mode(p, pol): max(state.register.cutoffs) if p < 3 else cut_tag
+    cut_path = max(state.register.cutoffs)
+    cut_tag = circuits.access_register(cut_path, A, imp, tail_eps).cutoff_of(mode(3, "V"))
+    big = ModeRegister.of({mode(p, pol): cut_path if p < 3 else cut_tag
                            for p in (1, 2, 3, 4) for pol in ("H", "V")})
     psi = elements.pbs(embed(state, big), 1, 2)
     psi = apply_two_mode_mixer(psi, mode(1, "H"), mode(3, "H"), math.pi / 4.0, math.pi)

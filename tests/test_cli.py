@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 
@@ -282,6 +284,42 @@ def test_zero_flip_sweep_is_flagged_non_converged(tmp_path, capsys):
     assert load_result(out_file)["converged"] is False
 
 
+#: (argv, circuit, the call whose state gets a deficit of 1e-6): a --t-grid
+#: row beside a single result, a row of a summary sweep, and a single result
+HIDDEN_DEFICITS = [
+    (["sv-generate", "--t-grid", "0.2,0.5"], "sv_generate", lambda r, t, eps: t == 0.2),
+    (["fisher"], "noon_from_cat_pair", lambda alpha, eps: alpha == 2.0),
+    (["generate"], "generate_entangled_cat", lambda alpha, sign, eps: True),
+]
+
+
+@pytest.mark.parametrize("argv, circuit, hit", HIDDEN_DEFICITS,
+                         ids=[args[0] for args, _, _ in HIDDEN_DEFICITS])
+def test_every_state_of_a_run_reaches_the_converged_flag(tmp_path, capsys, monkeypatch,
+                                                         argv, circuit, hit):
+    from dualcat import circuits
+
+    build = getattr(circuits, circuit)
+
+    def lossy(*args):
+        out = build(*args)
+        if not hit(*args):
+            return out
+        report = out if isinstance(out, circuits.CircuitReport) else None
+        state = copy.copy(report.output_state if report else out)
+        state.norm_deficit = 1e-6
+        return dataclasses.replace(report, output_state=state) if report else state
+
+    monkeypatch.setattr(circuits, circuit, lossy)
+    out_file = tmp_path / "out.json"
+    code, _, err = run_main(["--output", str(out_file)] + argv, capsys)
+    assert code == cli.EXIT_NONCONVERGED
+    assert "non-converged" in err
+    result = load_result(out_file)
+    assert result["converged"] is False
+    assert result["result"]["convergence"]["norm_deficit"] == 1e-6
+
+
 def test_imperfection_sweep_is_monotone(tmp_path, capsys):
     out_file = tmp_path / "imp.json"
     code, _, _ = run_main(["--output", str(out_file), "imperfection-sweep",
@@ -318,7 +356,7 @@ def test_output_records_versions_and_blas_threads(capsys, monkeypatch):
 
     import numpy as np
 
-    from dualcat.fock import openblas
+    from dualcat.blas import openblas
 
     code, out, _ = run_main(["ifm"], capsys)
     assert code == 0
@@ -631,7 +669,14 @@ def test_huge_inputs_are_refused_fast(tmp_path, capsys):
 
 
 def test_jobs_are_clamped_to_the_processor_count(monkeypatch):
+    # to the processors the process may run on (a CPU set, taskset), which
+    # can be fewer than the host has; to the host's count where the
+    # platform gives no affinity set
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+    for asked, granted in ((-2, 1), (0, 1), (1, 1), (2, 2), (3, 2), (10**6, 2)):
+        assert resolve_config("fisher", {}, {}, 1e-12, asked, None).jobs == granted
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
     for asked, granted in ((-2, 1), (0, 1), (1, 1), (3, 3), (10**6, 3)):
         assert resolve_config("fisher", {}, {}, 1e-12, asked, None).jobs == granted
 
@@ -689,6 +734,34 @@ def test_the_budget_checks_the_cutoff_the_run_builds(experiment, cutoff):
     cfg = resolve_config(experiment, {}, {}, 1e-12, 1, None)
     assert cli.EXPERIMENTS[experiment].cutoff(cfg.parameters, 1e-12) == cutoff
     assert max(run(cfg).convergence["cutoffs"].values()) == cutoff
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-10])
+def test_the_access_budget_reads_the_register_the_access_builds(monkeypatch, eps):
+    """The budget builds the access register from the given |alpha|, the
+    access from the amplitude it infers by bisection: the two must land on
+    one register.  Where the ambiguous-light guard refuses the access (offset
+    0 at 1e-10), the register it embedded into is compared."""
+    from dualcat import circuits
+    from dualcat.elements import Imperfection
+
+    built = []
+    embed = circuits.embed
+    monkeypatch.setattr(circuits, "embed", lambda state, reg: built.append(reg) or embed(state, reg))
+    for alpha in [sign * round(0.6 + 0.1 * k, 10) for k in range(19) for sign in (1, -1)]:
+        gen = circuits.generate_entangled_cat(alpha, "-", eps).output_state
+        for offset in (0.0, 0.3, -0.3, 0.6):
+            imp = Imperfection(displacement_offset=offset)
+            budget = circuits.access_register(circuits.generation_cutoff(alpha, eps),
+                                              abs(alpha) / math.sqrt(2.0), imp, eps)
+            try:
+                out = circuits.access_polarization(gen, imp, eps).output_state
+            except cli.ContractViolationError:
+                out = None
+            assert built.pop() == budget, (alpha, offset)
+            assert out is None or out.register == budget, (alpha, offset)
+            q = {"alpha": alpha, "b_offsets": offset}
+            assert cli._access_cutoff(q, eps) == max(budget.cutoffs)
 
 
 def test_bell_and_fisher_budgets_match_the_registers_of_their_points(monkeypatch):

@@ -5,9 +5,6 @@ from pathlib import Path
 
 import dualcat
 
-#: (module, name) imported for other modules to import from there, not used in it
-RE_EXPORTS = {("fock", "OpenBlas"), ("fock", "openblas")}
-
 PACKAGE = Path(dualcat.__file__).parent
 #: exported names that no module, demo or benchmark file reaches, and why they stay
 KEPT = {
@@ -36,7 +33,25 @@ def test_every_imported_name_is_used():
             continue
         imported, used = _imported_and_used(ast.parse(path.read_text()))
         unused |= {(path.stem, name) for name in imported - used}
-    assert unused == RE_EXPORTS  # nothing else unused, and the list is not stale
+    assert not unused
+
+
+def test_blas_names_are_taken_from_blas():
+    """The one-thread scope and the OpenBLAS lookup have one home: every file
+    of the package and of its tests imports them from ``blas``, and reads
+    them on no other module."""
+    names = {node.name for node in ast.parse((PACKAGE / "blas.py").read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"openblas", "_one_blas_thread"} <= names
+    through = []
+    for path in [*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module not in ("blas", "dualcat.blas"):
+                through += [(path.name, a.name) for a in node.names if a.name in names]
+            elif (isinstance(node, ast.Attribute) and node.attr in names
+                  and not (isinstance(node.value, ast.Name) and node.value.id == "blas")):
+                through.append((path.name, node.attr))
+    assert not through
 
 
 def _reached(tree: ast.Module) -> set:
