@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .blas import _one_blas_thread
-from .elements import ParityCorrelator, _polar
+from .elements import ParityCorrelator
 from .fock import (
     _CHUNK,
     CutoffError,
@@ -47,9 +47,6 @@ class BellSettings:
     beta2: complex
     beta2p: complex
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.beta1, self.beta1p, self.beta2, self.beta2p])
-
 
 @dataclass(frozen=True)
 class BellSearch:
@@ -59,9 +56,11 @@ class BellSearch:
     pairs produced here have their phase-space interference fringes along
     the imaginary displacement axis, so that is the default and gives their
     largest |B|; a purely real search falls well short of it (its |B| tends
-    to 2 as alpha grows), and "complex" opens the full 8-parameter refinement for
-    states with no such symmetry, seeded from the better of the imaginary
-    and real line searches.
+    to 2 as alpha grows), and "complex" runs both line searches and keeps
+    the better.  For a state with real amplitudes and odd joint parity, as
+    every cat pair built here, E(b1*, b2*) = E(-b1, -b2) = E(b1, b2), so a
+    line optimum is a stationary point of |B| over all 8 real parameters,
+    from which no gradient ascent off the line can start.
 
     ``grid_density`` is a floor on the points of each line grid: the search
     uses more where the state needs them, so that the grid spacing stays at
@@ -215,26 +214,18 @@ def chsh_displaced_parity(state: PureState, settings: BellSettings) -> float:
     return float((_SIGNS * e).sum())
 
 
-def _chsh_derivatives(jets: np.ndarray, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """B, its gradient and its Hessian over the settings (a, a', b, b'), each
-    with ``k`` real parameters.
+def _chsh_derivatives(jets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """B, its gradient and its Hessian over the line parameters (a, a', b, b').
 
-    ``jets[p, i, q, j]`` is the i-th jet entry of side-1 setting p (a, a')
-    times the j-th of side-2 setting q (b, b'); a jet holds the value, the k
-    first derivatives and the upper triangle of the second ones, row by row.
+    ``jets[p, i, q, j]`` is d^i/dt^i d^j/dt^j E of side-1 setting p (a, a')
+    and side-2 setting q (b, b'), for i, j in 0, 1, 2: the
+    :meth:`~dualcat.elements.ParityLine.jets` of the four settings.
     """
     j = jets * _SIGNS[:, None, :, None]
-    first, second = slice(1, 1 + k), slice(1 + k, None)
-    rows, cols = np.triu_indices(k)
-    grad = np.concatenate([j[:, first, :, 0].sum(axis=2).ravel(),
-                           j[:, 0, :, first].sum(axis=0).ravel()])
-    hess = np.zeros((4 * k, 4 * k))
-    for p in range(2):
-        for block, own in ((p, j[p, second, :, 0].sum(axis=1)),
-                           (2 + p, j[:, 0, p, second].sum(axis=0))):
-            hess[block * k + rows, block * k + cols] = hess[block * k + cols, block * k + rows] = own
-    hess[:2 * k, 2 * k:] = j[:, first, :, first].reshape(2 * k, 2 * k)
-    hess[2 * k:, :2 * k] = hess[:2 * k, 2 * k:].T
+    grad = np.concatenate([j[:, 1, :, 0].sum(axis=1), j[:, 0, :, 1].sum(axis=0)])
+    hess = np.diag(np.concatenate([j[:, 2, :, 0].sum(axis=1), j[:, 0, :, 2].sum(axis=0)]))
+    hess[:2, 2:] = j[:, 1, :, 1]
+    hess[2:, :2] = j[:, 1, :, 1].T
     return float(j[:, 0, :, 0].sum()), grad, hess
 
 
@@ -337,7 +328,7 @@ def _line_search(corr: ParityCorrelator, unit: complex, axis: np.ndarray, iters:
     E = line(axis, axis)
 
     def evaluate(x):
-        return _chsh_derivatives(line.jets(x[:2], x[2:]), 1)
+        return _chsh_derivatives(line.jets(x[:2], x[2:]))
 
     found = []
     for sign in (1.0, -1.0):
@@ -360,12 +351,12 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     Deterministic, on one ``ParityCorrelator``: a grid along the search line
     (one matrix product of its line form) followed by a damped Newton ascent
     on exact derivatives from the best grid point of each sign of B, capped
-    at ``refine_iters`` Newton steps.  The "complex" search runs both the
-    imaginary and the real line search and refines all 8 real parameters,
-    the polar (rho, phi) of each setting, from the better of the two (its
-    polar jets), so it never returns less than either line search.  Raises a
-    cutoff error if the search radius would push the state off the
-    register's cutoffs, by the edge rule every evaluation keeps.
+    at ``refine_iters`` Newton steps.  The "complex" search runs the
+    imaginary and the real line search and returns the better, the first on
+    a tie (see :class:`BellSearch` for why no off-line step gains on the cat
+    pairs).  Raises a cutoff error if the search radius would push the
+    state off the register's cutoffs, by the edge rule every evaluation
+    keeps.
     """
     r = float(search.radius)
     corr = ParityCorrelator(state)
@@ -380,21 +371,9 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     # spacing 2r / (n - 1) <= pi / (16 sqrt(nbar)), 1/8 of the fringe period
     n = max(search.grid_density, 1 + math.ceil(32.0 * r * math.sqrt(nbar) / math.pi))
     axis = np.linspace(-r, r, n)
-    if search.axis != "complex":
-        return _line_search(corr, 1j if search.axis == "imag" else 1.0, axis, search.refine_iters)
-
-    seed, seed_val = max((_line_search(corr, unit, axis, search.refine_iters)
-                          for unit in (1j, 1.0)), key=lambda found: found[1])
-    x0 = np.column_stack(_polar(seed.as_array())).ravel()
-
-    def evaluate(x):
-        x = x.reshape(4, 2)
-        return _chsh_derivatives(corr.jets(x[:2], x[2:]), 2)
-
-    x, val = _ascend(evaluate, x0, seed_val, search.refine_iters)
-    if x is x0:
-        return seed, val
-    return BellSettings(*(complex(rho * np.exp(1j * phi)) for rho, phi in x.reshape(4, 2))), val
+    units = {"imag": (1j,), "real": (1.0,), "complex": (1j, 1.0)}[search.axis]
+    return max((_line_search(corr, unit, axis, search.refine_iters) for unit in units),
+               key=lambda found: found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -197,19 +197,22 @@ def _infer_cat_amplitude(state: PureState) -> float:
     """Cat amplitude of an H/V entangled cat pair on path 1.
 
     The total path photon number of (|e>|o> ± |o>|e>)/sqrt2 with cat
-    amplitude a is 2 a^2 coth(2 a^2), which rises with a; invert it by
-    bisection down to adjacent floats.
+    amplitude a is 2 a^2 coth(2 a^2), which rises with a from 1 at a = 0;
+    invert it by bisection down to adjacent floats.  A photon number within
+    8 ulps of 1 (a pair whose odd cat is |1> alone, at a generation cutoff
+    of 2) gives no amplitude and raises :class:`DegenerateInputError`.
     """
     n_tot = (occupation_moments(state, mode(1, "H"))[0]
              + occupation_moments(state, mode(1, "V"))[0]) / state.norm_sq()
+    if n_tot - 1.0 <= 8.0 * math.ulp(1.0):
+        raise DegenerateInputError(f"the pair holds {n_tot!r} photons, as the one-photon pair "
+                                   "does: it carries no amplitude information")
 
     def gap(a: float) -> float:
         x = 2.0 * a * a
         return a * a / math.tanh(x) * 2.0 - n_tot
 
     lo, hi = 1e-4, max(4.0 * math.sqrt(n_tot), 1.0)
-    if gap(lo) > 0:  # below any resolvable amplitude
-        return math.sqrt(max(n_tot / 2.0, 1e-12))
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if gap(mid) > 0 else (mid, hi)
     return float(lo)
@@ -259,7 +262,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
 
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
-    leaves nothing to condition on and raises :class:`DegenerateInputError`.
+    leaves nothing to condition on and raises :class:`DegenerateInputError`,
+    as does a pair whose photon number gives no amplitude.
     """
     imp = imperfection or PERFECT
     reg = state.register

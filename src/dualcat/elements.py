@@ -19,8 +19,8 @@ Conventions (fixed once, used everywhere):
   actuate on ambiguous control light, which is how miscalibrated
   displacements degrade the protocol).
 * Every displaced-parity correlator of a two-mode state comes from one
-  ``ParityCorrelator``, at any settings, on a line or with derivatives,
-  under the one cutoff-edge rule of its ``check``.
+  ``ParityCorrelator``, at any settings or, with derivatives, on a line of
+  them, under the one cutoff-edge rule of its ``check``.
 """
 
 from __future__ import annotations
@@ -348,13 +348,13 @@ def _polar(betas) -> tuple[np.ndarray, np.ndarray]:
 
 class ParityCorrelator:
     """E(b1, b2) = < D(b1)D(b2) (-1)^{n1+n2} D†(b2)D†(b1) > of one two-mode
-    state with amplitude matrix M, at any settings, with exact derivatives.
+    state with amplitude matrix M, at any settings, and on any line of them
+    with exact derivatives (:meth:`line`).
 
     Parity anticommutes with the truncated a† - a, so D(b) P D†(b) = D(2b) P
     exactly.  With i(a† - a) = V diag(lam) V† (the cached spectrum), entry
     [m, n] of Pi = D(2 beta) P at beta = rho e^{i phi} is e^{i phi (m - n)}
     Q[m, n], Q = V diag(e^{-2i rho lam}) V† P, and E = sum conj(M) ∘ (Pi1 M Pi2^T).
-    d/drho multiplies e^{-2i rho lam} by -2i lam, d/dphi entry [m, n] by i(m - n).
 
     Every evaluation, ``line`` forms included, keeps the edge rule of
     ``check``: with x the last row of D(-beta), the displaced state holds
@@ -401,34 +401,19 @@ class ParityCorrelator:
     @_one_blas_thread
     def _pi(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
             vh: np.ndarray) -> np.ndarray:
-        """The jets [Pi, Pi_rho, Pi_phi, Pi_rr, Pi_rp, Pi_pp] of Pi = D(2 beta) P
-        at each setting (rho[k], phi[k])."""
+        """Pi = D(2 beta) P at each setting (rho[k], phi[k])."""
         n = np.arange(len(lam))
-        kappa = (-2j * lam) ** np.arange(3)[:, None]
-        q = (v * (kappa * np.exp(-2j * rho[:, None, None] * lam))[:, :, None, :]) @ vh
-        q = q * (-1.0) ** n
-        dn = 1j * (n[:, None] - n)
-        ph = np.exp(phi[:, None, None] * dn)[:, None]
-        return ph * np.stack([q[:, 0], q[:, 1], dn * q[:, 0], q[:, 2], dn * q[:, 1],
-                              dn * dn * q[:, 0]], axis=1)
+        q = (v * np.exp(-2j * rho[:, None, None] * lam)) @ vh * (-1.0) ** n
+        return np.exp(phi[:, None, None] * (1j * (n[:, None] - n))) * q
 
     @_one_blas_thread
-    def _jets(self, s1: tuple, s2: tuple) -> np.ndarray:
+    def __call__(self, b1, b2) -> np.ndarray:
+        """E[i, j] = E(b1[i], b2[j]) at any complex settings, in [-1, 1]."""
+        s1, s2 = _polar(b1), _polar(b2)
         self._check(s1, s2)
         pi1, pi2 = (self._pi(*s, *spectrum) for s, spectrum in zip((s1, s2), self.spectra))
         z = self.m.conj() @ pi2 @ self.m.T  # sum conj(M) ∘ (Pi1 M Pi2^T) = sum Pi1 ∘ z
-        return np.einsum("ikab,jlab->ikjl", pi1, z).real
-
-    def __call__(self, b1, b2) -> np.ndarray:
-        """E[i, j] = E(b1[i], b2[j]) at any complex settings, in [-1, 1]: the
-        value entry of their jets."""
-        return self._jets(_polar(b1), _polar(b2))[:, 0, :, 0]
-
-    def jets(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        """J[i, k, j, l] = the derivative of E(s1[i], s2[j]) that entry k of the
-        setting s1[i] = (rho, phi) of mode 1 and entry l of s2[j] name, in the
-        order value, d/drho, d/dphi, d2/drho2, d2/drho dphi, d2/dphi2."""
-        return self._jets(np.asarray(s1, dtype=float).T, np.asarray(s2, dtype=float).T)
+        return np.einsum("iab,jab->ij", pi1, z).real
 
     def line(self, unit: complex) -> ParityLine:
         """The correlator on the line of settings beta = t * unit."""

@@ -32,7 +32,6 @@ from dualcat.circuits import (
 )
 from dualcat.elements import (
     ParityCorrelator,
-    _polar,
     displace,
     displaced_parity_expect,
 )
@@ -422,7 +421,7 @@ def test_chsh_optimize_matches_closed_form_optimum():
 
 
 def test_chsh_complex_search_contains_imaginary_line_search():
-    # the 8-parameter search must never fall below the line search it contains
+    # the complex search must never fall below the line search it contains
     alpha, radius = 1.0, 1.0
     reg = plain_register([1, 2], coherent_cutoff(alpha + radius + 0.3))
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
@@ -483,13 +482,14 @@ def _cat_pair(alpha: float, cutoff: int | None = None, tail_eps: float = 1e-12):
 
 
 @pytest.mark.parametrize("alpha, axis", [(0.5, "imag"), (1.0, "imag"), (2.0, "imag"),
-                                         (3.0, "imag"), (1.0, "real"), (0.5, "complex")])
+                                         (3.0, "imag"), (1.0, "real"), (0.5, "complex"),
+                                         (2.0, "complex")])
 def test_chsh_optimum_is_a_local_maximum_of_abs_b(alpha, axis):
     # finite differences of chsh_displaced_parity only: along the search line
     # for a line search, over all 8 real parameters for the complex search
     pair = _cat_pair(alpha)
     settings, val = chsh_optimize(pair, BellSearch(axis=axis))
-    betas = settings.as_array()
+    betas = np.array([settings.beta1, settings.beta1p, settings.beta2, settings.beta2p])
     if axis == "complex":
         x0 = np.concatenate([betas.real, betas.imag])
 
@@ -514,8 +514,8 @@ def test_chsh_optimum_is_a_local_maximum_of_abs_b(alpha, axis):
 
 
 def test_chsh_derivatives_match_central_differences(rng):
-    # B, gradient and Hessian of the Newton ascent, on a line and in polar
-    # form, against central differences of the plain correlators
+    # B, gradient and Hessian of the Newton ascent on a line, against central
+    # differences of the plain correlators
     from dualcat.analysis import _chsh_derivatives
 
     pair = _cat_pair(1.0)
@@ -527,28 +527,22 @@ def test_chsh_derivatives_match_central_differences(rng):
             return e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
 
         x = rng.uniform(-0.6, 0.6, 4)
-        val, grad, hess = _chsh_derivatives(corr.jets(x[:2], x[2:]), 1)
+        val, grad, hess = _chsh_derivatives(corr.jets(x[:2], x[2:]))
         fd_grad, fd_hess = _central_differences(line_b, x)
         assert val == pytest.approx(line_b(x), abs=1e-13)
         assert np.abs(grad - fd_grad).max() <= 1e-7
         assert np.abs(hess - fd_hess).max() <= 1e-5
         assert np.array_equal(hess, hess.T)
 
-    polar = ParityCorrelator(pair)
 
-    def polar_b(x):
-        x = x.reshape(4, 2)
-        return chsh_displaced_parity(pair, BellSettings(*(x[:, 0] * np.exp(1j * x[:, 1]))))
-
-    for _ in range(2):
-        settings = np.column_stack([rng.uniform(-0.6, 0.6, 4), rng.uniform(-math.pi, math.pi, 4)])
-        val, grad, hess = _chsh_derivatives(polar.jets(settings[:2], settings[2:]), 2)
-        x = settings.ravel()
-        fd_grad, fd_hess = _central_differences(polar_b, x)
-        assert val == pytest.approx(polar_b(x), abs=1e-13)
-        assert np.abs(grad - fd_grad).max() <= 1e-7
-        assert np.abs(hess - fd_hess).max() <= 1e-5
-        assert np.array_equal(hess, hess.T)
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_complex_search_is_the_better_line_search(alpha):
+    # on a cat pair no off-line step gains, so the complex search returns the
+    # better line search's settings and |B| as they are
+    pair = _cat_pair(alpha)
+    found = chsh_optimize(pair, BellSearch(axis="complex"))
+    lines = [chsh_optimize(pair, BellSearch(axis=axis)) for axis in ("imag", "real")]
+    assert found == max(lines, key=lambda line: line[1])
 
 
 def _safe_radius_limit(pair) -> float:
@@ -583,7 +577,8 @@ def test_chsh_refinement_stays_inside_the_cutoff_edge(axis):
         grid = np.linspace(-radius, radius, BellSearch().grid_density)
         unit = 1j if axis == "imag" else 1.0
         assert all(np.any((b / unit).real == grid) and (b / unit).imag == 0.0
-                   for b in seed_settings.as_array())
+                   for b in (seed_settings.beta1, seed_settings.beta1p,
+                             seed_settings.beta2, seed_settings.beta2p))
     assert abs(chsh_displaced_parity(pair, seed_settings)) == pytest.approx(seed_val, abs=1e-12)
 
 
@@ -611,8 +606,6 @@ def test_every_evaluator_keeps_one_edge_rule(monkeypatch, unit):
             "call": lambda: corr(b1, b2),
             "line grid": lambda: line(grid1, grid2),
             "line jets": lambda: line.jets(t1, t2),
-            "polar jets": lambda: corr.jets(np.column_stack(_polar(b1)),
-                                            np.column_stack(_polar(b2))),
             "displaced_parity_expect": lambda: displaced_parity_expect(pair, b1[0], b2[0],
                                                                         tail_eps),
             "chsh_displaced_parity": lambda: chsh_displaced_parity(

@@ -806,6 +806,22 @@ def test_extreme_amplitudes_exit_cleanly(tmp_path, capsys, argv, code):
     assert got == code and "Traceback" not in err
 
 
+@pytest.mark.parametrize("experiment", ["duality", "imperfection-sweep"])
+@pytest.mark.parametrize("alpha, code", [("0.005", EXIT_CONFIG), ("0.007", EXIT_CONFIG),
+                                         ("0.01", 0)])
+def test_an_access_of_the_one_photon_pair_is_refused(tmp_path, capsys, experiment, alpha, code):
+    # at alpha <= 9e-3 the generation cutoff is 2 and the pair is the
+    # one-photon pair, whose photon number gives no amplitude to access with
+    out_file = tmp_path / "o.json"
+    got, _, err = run_main(["--output", str(out_file), experiment, "--alpha", alpha], capsys)
+    assert got == code and "Traceback" not in err
+    if code:
+        assert "no amplitude information" in err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert load_result(out_file)["converged"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["bell", "--alpha-grid", "0:2e4:1"],
     ["imperfection-sweep", "--b-offsets", "0:0.5:0.0001", "--flip-angles", "0:3:0.001"],
