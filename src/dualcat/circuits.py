@@ -25,12 +25,14 @@ from .fock import (
     _CHUNK,
     DEFAULT_PRUNE_EPS,
     DEFAULT_TAIL_EPS,
+    CutoffError,
     DegenerateInputError,
     ModeLabel,
     ModeRegister,
     PureState,
     _finish,
     _joined,
+    _lookup,
     _mass,
     _mixer_table,
     _refuse_top_mass,
@@ -45,7 +47,6 @@ from .fock import (
     group_by,
     mode,
     normalized,
-    occupation_moments,
     polarized_register,
     plain_register,
     product,
@@ -194,28 +195,23 @@ def access_parity(state: PureState) -> CircuitReport:
 
 
 def _infer_cat_amplitude(state: PureState) -> float:
-    """Cat amplitude of an H/V entangled cat pair on path 1.
-
-    The total path photon number of (|e>|o> ± |o>|e>)/sqrt2 with cat
-    amplitude a is 2 a^2 coth(2 a^2), which rises with a from 1 at a = 0;
-    invert it by bisection down to adjacent floats.  A photon number within
-    8 ulps of 1 (a pair whose odd cat is |1> alone, at a generation cutoff
-    of 2) gives no amplitude and raises :class:`DegenerateInputError`.
-    """
-    n_tot = (occupation_moments(state, mode(1, "H"))[0]
-             + occupation_moments(state, mode(1, "V"))[0]) / state.norm_sq()
-    if n_tot - 1.0 <= 8.0 * math.ulp(1.0):
-        raise DegenerateInputError(f"the pair holds {n_tot!r} photons, as the one-photon pair "
-                                   "does: it carries no amplitude information")
-
-    def gap(a: float) -> float:
-        x = 2.0 * a * a
-        return a * a / math.tanh(x) * 2.0 - n_tot
-
-    lo, hi = 1e-4, max(4.0 * math.sqrt(n_tot), 1.0)
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (lo, mid) if gap(mid) > 0 else (mid, hi)
-    return float(lo)
+    """Cat amplitude |a| of an H/V entangled cat pair on path 1: in
+    (|e>|o> ∓ |o>|e>)/sqrt2 on (1H, 1V), for either sign of the pair and of
+    a, c(2, 1)/c(0, 1) = e_2/e_0 = a^2/sqrt2.  A pair that lacks either
+    amplitude (the one-photon pair of a generation cutoff of 2, or a
+    register with no level 2 in 1H) raises :class:`DegenerateInputError`."""
+    reg = state.register
+    h, v = reg.index(mode(1, "H")), reg.index(mode(1, "V"))
+    try:
+        keys = [reg.encode([{h: n, v: 1}.get(i, 0) for i in range(reg.n_modes)]) for n in (0, 2)]
+    except CutoffError as err:
+        raise DegenerateInputError(f"{err}: the pair carries no amplitude information") from err
+    pos, hit = _lookup(state, np.array(keys))
+    if not hit.all():
+        raise DegenerateInputError("the pair lacks c(0, 1) or c(2, 1) on (1H, 1V), as the "
+                                   "one-photon pair does: it carries no amplitude information")
+    c0, c2 = state.coeffs[pos]
+    return math.sqrt(SQRT2 * abs(c2 / c0))
 
 
 def access_register(path_cutoff: int, envelope: float, imperfection: Imperfection,
@@ -234,7 +230,8 @@ def access_register(path_cutoff: int, envelope: float, imperfection: Imperfectio
 def access_polarization(state: PureState, imperfection: Imperfection | None = None,
                         tail_eps: float = DEFAULT_TAIL_EPS) -> CircuitReport:
     """Sort the polarization entanglement of the H/V cat pair onto a common
-    coherent envelope of amplitude A = alpha/sqrt2.
+    coherent envelope of amplitude A = alpha/sqrt2, with |alpha| read off
+    two amplitudes of the pair (:func:`_infer_cat_amplitude`).
 
     Pipeline: split the rails onto paths 1 (H) and 2 (V); mix each with a
     vacuum tag mode (paths 3, 4); displace the tags by A so one branch's tag
@@ -263,7 +260,8 @@ def access_polarization(state: PureState, imperfection: Imperfection | None = No
     With perfect settings the conditioned output is exactly
     (|H>_A,1 |V>_A,2 - |V>_A,1 |H>_A,2)/sqrt2.  A branch that holds nothing
     leaves nothing to condition on and raises :class:`DegenerateInputError`,
-    as does a pair whose photon number gives no amplitude.
+    as does a pair without the amplitudes :func:`_infer_cat_amplitude`
+    reads alpha from.
     """
     imp = imperfection or PERFECT
     reg = state.register

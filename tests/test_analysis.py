@@ -37,6 +37,7 @@ from dualcat.elements import (
 )
 from dualcat.fock import (
     CutoffError,
+    DegenerateInputError,
     ModeRegister,
     PureState,
     add,
@@ -46,7 +47,6 @@ from dualcat.fock import (
     coherent_cutoff,
     mode,
     normalized,
-    occupation_moments,
     plain_register,
     polarized_register,
     product,
@@ -464,6 +464,19 @@ def test_chsh_optimize_rejects_unsafe_radius():
         chsh_optimize(pair, BellSearch(radius=2.5))
 
 
+def test_chsh_search_checks_the_cutoff_edge_only_on_its_lines():
+    # this pair stays on the cutoff to radius 1.405 on the imaginary line
+    # but only to 0.756 on the real one
+    reg = plain_register([1, 2], coherent_cutoff(1.5))
+    pair = entangled_cat_pair(reg, mode(1), mode(2), 1.0, "-", tail_eps=1e-6)
+    settings, value = chsh_optimize(pair, BellSearch(axis="imag", radius=1.0))
+    assert value > 2.0
+    with pytest.raises(CutoffError, match=r"^search radius 1\.5 is not cutoff-safe: "):
+        chsh_optimize(pair, BellSearch(axis="imag", radius=1.5))
+    with pytest.raises(CutoffError, match=r"^search radius 1\.0 is not cutoff-safe: "):
+        chsh_optimize(pair, BellSearch(axis="real", radius=1.0))
+
+
 def _central_differences(f, x: np.ndarray, h_grad: float = 1e-5, h_hess: float = 1e-4):
     """Central-difference gradient and Hessian of a scalar f at x."""
     steps = np.eye(len(x))
@@ -636,16 +649,20 @@ def test_chsh_optimize_builds_no_displacement_matrix(monkeypatch, axis):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.49, 1.0, 1.5, 3.0])
-def test_cat_amplitude_inference_matches_brentq(alpha):
-    from scipy.optimize import brentq
+@pytest.mark.parametrize("alpha", [0.01, 0.02, 0.05, 0.1, 0.3, 0.49, 1.0, 1.5, 3.0, 4.4, -1.2])
+def test_cat_amplitude_readout_is_the_true_amplitude(alpha):
+    reg = polarized_register([1], coherent_cutoff(alpha))
+    for pair in (generate_entangled_cat(alpha).output_state,
+                 analytic_dual_rail_pair(reg, alpha, "-"), analytic_dual_rail_pair(reg, alpha, "+")):
+        assert abs(_infer_cat_amplitude(pair) - abs(alpha)) <= 2e-15 * abs(alpha)
 
-    state = generate_entangled_cat(alpha).output_state
-    n_tot = (occupation_moments(state, mode(1, "H"))[0]
-             + occupation_moments(state, mode(1, "V"))[0]) / state.norm_sq()
-    root = brentq(lambda a: 2.0 * a * a / math.tanh(2.0 * a * a) - n_tot,
-                  1e-4, max(4.0 * math.sqrt(n_tot), 1.0), xtol=1e-14)
-    assert abs(_infer_cat_amplitude(state) - root) <= 1e-13
+
+def test_cat_amplitude_readout_refuses_a_register_without_two_photons_in_1h():
+    reg = ModeRegister.of({mode(1, "H"): 1, mode(1, "V"): 3})
+    pair = normalized(add(basis_state(reg, {mode(1, "H"): 1}),
+                          scale(basis_state(reg, {mode(1, "V"): 1}), -1.0)))
+    with pytest.raises(DegenerateInputError, match="no amplitude information"):
+        _infer_cat_amplitude(pair)
 
 
 # ---------------------------------------------------------------------------

@@ -445,6 +445,17 @@ def test_polarization_access_refuses_an_empty_dark_port(monkeypatch):
         access_polarization(generate_entangled_cat(1.2).output_state)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+def test_polarization_access_reads_the_true_amplitude(monkeypatch, alpha):
+    """The post-selection probability is that of an access given |alpha|:
+    the amplitude the access reads off the pair moves nothing."""
+    pair = generate_entangled_cat(alpha).output_state
+    read = access_polarization(pair).postselect_probability
+    monkeypatch.setattr(circuits, "_infer_cat_amplitude", lambda state: abs(alpha))
+    true = access_polarization(pair).postselect_probability
+    assert abs(read - true) <= 1e-14 * true
+
+
 # ---------------------------------------------------------------------------
 # the erasure step against the staged ops it contracts
 
