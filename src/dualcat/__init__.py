@@ -75,8 +75,6 @@ from .fock import (
 )
 from .results import ExperimentResult, Table
 from .states import (
-    CatParams,
-    SqueezeParams,
     cat,
     coherent,
     entangled_cat_pair,

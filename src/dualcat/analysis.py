@@ -89,15 +89,12 @@ def entanglement(state: PureState, partition: Sequence[ModeLabel]) -> Entangleme
 
     Returns the entanglement entropy in bits, the logarithmic negativity
     (log2 of the squared sum of Schmidt coefficients) and the Schmidt
-    spectrum itself, from an SVD of the tall side of :func:`amplitude_matrix`.
+    spectrum itself, from an SVD of the tall side of :func:`amplitude_matrix`,
+    which refuses a ``partition`` that is not a nonempty proper subset.
     """
     n = state.norm()
     if abs(n - 1.0) > 1e-8:
         raise ValueError(f"entanglement needs a normalized state (norm {n:.6g})")
-    reg = state.register
-    keep_idx = [reg.index(m) for m in partition]
-    if not keep_idx or len(set(keep_idx)) == reg.n_modes:
-        raise ValueError("partition must be a nonempty proper subset")
     m = amplitude_matrix(state, partition)[0]
     s = np.linalg.svd(m.T if len(m) < m.shape[1] else m, compute_uv=False)
     s = s[s > 1e-12]

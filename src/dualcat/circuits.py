@@ -104,11 +104,9 @@ def generation_cutoff(alpha: float, tail_eps: float) -> int:
 
 @_one_blas_thread
 def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitReport:
-    if alpha == 0 and parity == "odd":
-        raise DegenerateInputError("odd cat input is undefined at alpha = 0")
     reg = polarized_register([1, 2], generation_cutoff(alpha, tail_eps))
     h1, v2 = mode(1, "H"), mode(2, "V")
-    src = states.cat(reg, h1, states.CatParams(SQRT2 * alpha, parity), tail_eps)
+    src = states.cat(reg, h1, SQRT2 * alpha, parity, tail_eps)
     # the 50:50 splitter meets an empty 2V port: it sends t photons in 1H to
     # (n, t - n) on (1H, 2V) with amplitude U_t[n, t] = K[t - n, n]
     # (:func:`fock._mixer_table`); phase 0 gives the "-" pair, pi the "+" pair
@@ -140,8 +138,7 @@ def _hv_pair(f, g, sign: str, paths: tuple = (1, 2)) -> PureState:
 def _subtracted_pair(register: ModeRegister, m1: ModeLabel, m2: ModeLabel, r: float,
                      weights: tuple, tail_eps: float) -> PureState:
     """(w1 a_m1 + w2 a_m2) |S(r)>_m1 |S(r)>_m2, unnormalized."""
-    prod = product(*(states.squeezed_vacuum(register, m, states.SqueezeParams(r), tail_eps)
-                     for m in (m1, m2)))
+    prod = product(*(states.squeezed_vacuum(register, m, r, tail_eps) for m in (m1, m2)))
     return add(scale(apply_annihilation(prod, m1), weights[0]),
                scale(apply_annihilation(prod, m2), weights[1]))
 
@@ -149,7 +146,7 @@ def _subtracted_pair(register: ModeRegister, m1: ModeLabel, m2: ModeLabel, r: fl
 def analytic_dual_rail_pair(register: ModeRegister, alpha: float, sign: str = "-",
                             tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """(|even>_H |odd>_V -+ |odd>_H |even>_V)/sqrt2 on path 1."""
-    even, odd = (functools.partial(states.cat, register, params=states.CatParams(alpha, parity),
+    even, odd = (functools.partial(states.cat, register, alpha=alpha, parity=parity,
                                    tail_eps=tail_eps) for parity in ("even", "odd"))
     return _hv_pair(even, odd, sign, (1, 1))
 
@@ -164,8 +161,7 @@ def analytic_coherent_bell(register: ModeRegister, amplitude: complex,
 def analytic_subtracted_bell(register: ModeRegister, r: float,
                              tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """(|H>1|V>2 + |V>1|H>2)/sqrt2 on identical subtracted-squeezed envelopes."""
-    envelope = functools.partial(states.subtracted_sv, register, params=states.SqueezeParams(r),
-                                 tail_eps=tail_eps)
+    envelope = functools.partial(states.subtracted_sv, register, r=r, tail_eps=tail_eps)
     return _hv_pair(envelope, envelope, "+")
 
 

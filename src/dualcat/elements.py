@@ -328,12 +328,11 @@ def cswap_pol(state: PureState, control_path: int, path_a: int, path_b: int,
 # measurement channels
 
 
-def onoff_detect(state: PureState, modes: ModeLabel | tuple) -> tuple[PureState, PureState]:
-    """On/off detector: ``(click, no_click)``, the projections onto >= 1
-    photon in the watched mode(s) and onto vacuum there."""
-    watch = (modes,) if isinstance(modes, ModeLabel) else tuple(modes)
-    idx = [state.register.index(m) for m in watch]
-    return _split(state, state.register.digits(state.keys, idx).any(axis=1))
+def onoff_detect(state: PureState, m: ModeLabel) -> tuple[PureState, PureState]:
+    """On/off detector watching mode ``m``: ``(click, no_click)``, the
+    projections onto >= 1 photon in ``m`` and onto vacuum there."""
+    reg = state.register
+    return _split(state, reg.digit(state.keys, reg.index(m)) > 0)
 
 
 # ---------------------------------------------------------------------------

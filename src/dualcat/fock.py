@@ -636,9 +636,12 @@ def amplitude_matrix(state: PureState, keep: Sequence[ModeLabel]) -> tuple[np.nd
     that occurs (sorted, over ``keep`` in the given order) and one column per
     pattern of the other modes that occurs; also returns the row patterns.
     Rows and columns are the :func:`_runs` of the kept and the other fields of
-    the keys; a ``lexsort`` of the few row patterns orders the rows."""
+    the keys; a ``lexsort`` of the few row patterns orders the rows.  ``keep``
+    must be a nonempty proper subset of the register's modes (``ValueError``)."""
     reg = state.register
     idx = [reg.index(m) for m in keep]
+    if not idx or len(set(idx)) == reg.n_modes:
+        raise ValueError("the kept modes must be a nonempty proper subset of the register")
     bits = sum(int(reg.masks[i]) << int(reg.shifts[i]) for i in idx)
     rest, col = _runs(state.keys & ~bits)
     kept, row = _runs(state.keys & bits)
@@ -652,12 +655,7 @@ def amplitude_matrix(state: PureState, keep: Sequence[ModeLabel]) -> tuple[np.nd
 @_one_blas_thread
 def partial_trace(state: PureState, keep: Sequence[ModeLabel]) -> DensityView:
     """Reduced density matrix over ``keep`` (positive semidefinite, trace =
-    squared norm of the input)."""
-    reg = state.register
-    if not keep:
-        raise ValueError("keep must be a nonempty mode subset")
-    if len({reg.index(m) for m in keep}) == reg.n_modes:
-        raise ValueError("keep must be a proper subset of the register")
+    squared norm of the input); ``keep`` as in :func:`amplitude_matrix`."""
     matrix, basis = amplitude_matrix(state, keep)
     return DensityView(matrix @ matrix.conj().T, basis, tuple(keep))
 

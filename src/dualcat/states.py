@@ -1,15 +1,14 @@
 """State factories: coherent states, even/odd cats, squeezed vacuum.
 
-Every factory refuses cutoffs that leave more than ``tail_eps``
-probability beyond the truncation, reads its amplitudes from the mass
-series its cutoff rule sums, and seeds ``norm_deficit`` with that series'
-tail past the register's cutoff.  Multi-mode states are ``fock.product``s.
+Every factory takes plain numbers and checks them itself, refuses cutoffs
+that leave more than ``tail_eps`` probability beyond the truncation, reads
+its amplitudes from the mass series its cutoff rule sums, and seeds
+``norm_deficit`` with that series' tail past the register's cutoff.  Multi-mode states are ``fock.product``s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,31 +29,6 @@ from .fock import (
     product,
     scale,
 )
-
-
-@dataclass(frozen=True)
-class CatParams:
-    """Amplitude and parity of a coherent-state superposition |a> ± |-a>."""
-
-    alpha: complex
-    parity: str = "even"
-
-    def __post_init__(self) -> None:
-        if self.parity not in ("even", "odd"):
-            raise ValueError("parity must be 'even' or 'odd'")
-        if self.parity == "odd" and self.alpha == 0:
-            raise DegenerateInputError("odd cat is undefined at alpha = 0")
-
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Single-axis squeezing strength (dimensionless)."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("generation requires r >= 0; anti-squeezing is an operation")
 
 
 def _levels(register: ModeRegister, m: ModeLabel, count: int) -> np.ndarray:
@@ -91,56 +65,61 @@ def coherent(register: ModeRegister, m: ModeLabel, alpha: complex,
                    float(_tails(masses)[len(coeffs)]))
 
 
-def cat(register: ModeRegister, m: ModeLabel, params: CatParams,
+def cat(register: ModeRegister, m: ModeLabel, alpha: complex, parity: str = "even",
         tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """Even or odd coherent-state superposition N(|a> ± |-a>).
 
     Even cats occupy only even Fock levels, odd cats only odd ones; the
     wrong-parity amplitudes are exactly zero by construction; the deficit
-    is the tail of that parity.
+    is the tail of that parity times (2N)^2.  ``parity`` is "even" or "odd"
+    (``ValueError`` otherwise); an odd cat whose (2N)^2 = 2/(1 - <a|-a>) is
+    not a finite float, a = 0 included, raises ``DegenerateInputError``.
     """
-    alpha = params.alpha
-    coeffs, masses = _coherent_series(register, m, alpha, tail_eps)
-    overlap = math.exp(-2.0 * abs(alpha) ** 2)  # <a|-a> for any phase of a
-    if params.parity == "even":
-        weight = 2.0 / (1.0 + overlap)  # (2N)^2
-        keep = 0
-    elif overlap == 1.0:
+    if parity not in ("even", "odd"):
+        raise ValueError("parity must be 'even' or 'odd'")
+    keep = int(parity == "odd")
+    # (2N)^2 = 2/(1 ± <a|-a>), <a|-a> = exp(-2|a|^2) for any phase of a; the
+    # odd 1 - <a|-a> by expm1, since the difference cancels at small |a|
+    x = -2.0 * abs(alpha) ** 2
+    denom = -math.expm1(x) if keep else 1.0 + math.exp(x)
+    weight = 2.0 / denom if denom else math.inf
+    if math.isinf(weight):
         raise DegenerateInputError(f"odd cat amplitude {alpha!r} is too small to normalize")
-    else:
-        # 1 - <a|-a> by expm1: the difference itself cancels at small |a|
-        weight = 2.0 / -math.expm1(-2.0 * abs(alpha) ** 2)
-        keep = 1
+    coeffs, masses = _coherent_series(register, m, alpha, tail_eps)
     amps = math.sqrt(weight) * coeffs[keep::2]
     keys = _levels(register, m, len(coeffs))[keep::2]
     return _finish(register, keys, amps, weight * float(_tails(masses[keep::2])[len(amps)]))
 
 
-def squeezed_vacuum(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
+def squeezed_vacuum(register: ModeRegister, m: ModeLabel, r: float,
                     tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
-    """Squeezed vacuum S(r)|0> with S(r) = exp[(r/2)(a†² - a²)].
+    """Squeezed vacuum S(r)|0> with S(r) = exp[(r/2)(a†² - a²)], r >= 0
+    (``ValueError`` otherwise).
 
     Amplitudes c_{2m} = (tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r));
     support is on even Fock levels only and <n> = sinh² r.
     """
+    if r < 0:
+        raise ValueError("generation requires r >= 0; anti-squeezing is an operation")
     cutoff = register.cutoff_of(m)
-    needed, masses = _squeezed_rule(params.r, tail_eps, cutoff)
+    needed, masses = _squeezed_rule(r, tail_eps, cutoff)
     _require_cutoff(register, m, needed)
     amps = np.sqrt(masses[:cutoff // 2 + 1]).astype(complex)
     keys = _levels(register, m, cutoff + 1)[::2]
     return _finish(register, keys, amps, float(_tails(masses)[len(amps)]))
 
 
-def subtracted_sv(register: ModeRegister, m: ModeLabel, params: SqueezeParams,
+def subtracted_sv(register: ModeRegister, m: ModeLabel, r: float,
                   tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
     """Normalized single-photon-subtracted squeezed vacuum a S(r)|0> / sinh r.
 
     Support is on odd Fock levels; for r -> 0+ the state approaches |1>.
+    r = 0 raises ``DegenerateInputError``; :func:`squeezed_vacuum` refuses r < 0.
     """
-    if params.r == 0:
+    if r == 0:
         raise DegenerateInputError("photon subtraction of r = 0 squeezed vacuum is the zero state")
-    sv = squeezed_vacuum(register, m, params, tail_eps)
-    return scale(apply_annihilation(sv, m), 1.0 / math.sinh(params.r))
+    sv = squeezed_vacuum(register, m, r, tail_eps)
+    return scale(apply_annihilation(sv, m), 1.0 / math.sinh(r))
 
 
 def entangled_cat_pair(register: ModeRegister, mode_a: ModeLabel, mode_b: ModeLabel,

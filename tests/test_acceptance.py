@@ -54,7 +54,7 @@ from dualcat.fock import (
     product,
     scale,
 )
-from dualcat.states import CatParams, cat, coherent, entangled_cat_pair
+from dualcat.states import cat, coherent, entangled_cat_pair
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 PATH12_RAILS = [mode(1, "H"), mode(1, "V"), mode(2, "H"), mode(2, "V")]
@@ -70,15 +70,15 @@ def test_criterion_1_split_exactness():
     for alpha in (0.8, 1.5):
         cutoff = coherent_cutoff(math.sqrt(2.0) * alpha)
         reg = plain_register([1, 2], cutoff)
-        src = cat(reg, mode(1), CatParams(math.sqrt(2.0) * alpha, "odd"))
+        src = cat(reg, mode(1), math.sqrt(2.0) * alpha, "odd")
         out = apply_two_mode_mixer(src, mode(1), mode(2), math.pi / 4.0)
         coh_target = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
         worst_coh = min(worst_coh, fidelity(out, coh_target))
         # and the same output expressed in the orthogonal cat basis
-        eo = product(cat(reg, mode(1), CatParams(alpha, "even")),
-                     cat(reg, mode(2), CatParams(alpha, "odd")))
-        oe = product(cat(reg, mode(1), CatParams(alpha, "odd")),
-                     cat(reg, mode(2), CatParams(alpha, "even")))
+        eo = product(cat(reg, mode(1), alpha, "even"),
+                     cat(reg, mode(2), alpha, "odd"))
+        oe = product(cat(reg, mode(1), alpha, "odd"),
+                     cat(reg, mode(2), alpha, "even"))
         cat_target = normalized(add(eo, scale(oe, -1.0)))
         worst_cat = min(worst_cat, fidelity(out, cat_target))
     elapsed = time.time() - t0
@@ -269,10 +269,10 @@ def test_criterion_8_squeezed_vacuum_variant():
     rep = sv_generate(0.8, 0.5)
     reg = rep.output_state.register
     from dualcat.fock import apply_annihilation
-    from dualcat.states import SqueezeParams, squeezed_vacuum
+    from dualcat.states import squeezed_vacuum
 
-    prod = product(squeezed_vacuum(reg, mode(1, "H"), SqueezeParams(0.8)),
-                   squeezed_vacuum(reg, mode(1, "V"), SqueezeParams(0.8)))
+    prod = product(squeezed_vacuum(reg, mode(1, "H"), 0.8),
+                   squeezed_vacuum(reg, mode(1, "V"), 0.8))
     target = scale(add(apply_annihilation(prod, mode(1, "H")),
                        apply_annihilation(prod, mode(1, "V"))),
                    1.0 / (math.sqrt(2.0) * math.sinh(0.8)))

@@ -47,12 +47,13 @@ from dualcat.fock import (
     coherent_cutoff,
     mode,
     normalized,
+    partial_trace,
     plain_register,
     polarized_register,
     product,
     scale,
 )
-from dualcat.states import CatParams, cat, coherent, entangled_cat_pair
+from dualcat.states import cat, coherent, entangled_cat_pair
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -166,6 +167,18 @@ def test_entanglement_requires_normalized_input():
         entanglement(s, [mode(1)])
 
 
+@pytest.mark.parametrize("whole", [False, True])
+def test_the_partition_rule_has_one_home(whole):
+    # amplitude_matrix checks the kept modes, and entanglement and
+    # partial_trace leave the check to it: the same error from all three
+    state = generate_entangled_cat(1.0).output_state
+    keep = list(state.register.modes) if whole else []
+    for f in (amplitude_matrix, entanglement, partial_trace):
+        with pytest.raises(ValueError) as err:
+            f(state, keep)
+        assert str(err.value) == "the kept modes must be a nonempty proper subset of the register"
+
+
 # ---------------------------------------------------------------------------
 # fidelity
 
@@ -178,8 +191,8 @@ def test_fidelity_of_identical_states_is_one():
 
 def test_fidelity_of_orthogonal_cats_is_zero():
     reg = plain_register([1], 25)
-    even = cat(reg, mode(1), CatParams(1.1, "even"))
-    odd = cat(reg, mode(1), CatParams(1.1, "odd"))
+    even = cat(reg, mode(1), 1.1, "even")
+    odd = cat(reg, mode(1), 1.1, "odd")
     assert fidelity(even, odd) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -46,7 +46,7 @@ from dualcat.fock import (
     product,
     scale,
 )
-from dualcat.states import SqueezeParams, coherent
+from dualcat.states import coherent
 from staged import mixer_dark_branch
 
 PATH12_RAILS = [mode(1, "H"), mode(1, "V"), mode(2, "H"), mode(2, "V")]
@@ -129,12 +129,12 @@ def test_parity_access_reproduces_two_path_form():
     out = access_parity(rep.output_state).output_state
     # (|even>|odd> - |odd>|even>)/sqrt2 on the H rails of paths 1 and 2
     reg = out.register
-    from dualcat.states import CatParams, cat
+    from dualcat.states import cat
 
-    e1 = cat(reg, mode(1, "H"), CatParams(alpha, "even"))
-    o2 = cat(reg, mode(2, "H"), CatParams(alpha, "odd"))
-    o1 = cat(reg, mode(1, "H"), CatParams(alpha, "odd"))
-    e2 = cat(reg, mode(2, "H"), CatParams(alpha, "even"))
+    e1 = cat(reg, mode(1, "H"), alpha, "even")
+    o2 = cat(reg, mode(2, "H"), alpha, "odd")
+    o1 = cat(reg, mode(1, "H"), alpha, "odd")
+    e2 = cat(reg, mode(2, "H"), alpha, "even")
     target = normalized(add(product(e1, o2), scale(product(o1, e2), -1.0)))
     assert fidelity(out, target) >= 1.0 - 1e-9
 
@@ -314,8 +314,8 @@ def test_sv_generate_balanced_matches_closed_form():
     from dualcat.fock import apply_annihilation, scale
     from dualcat.states import squeezed_vacuum
 
-    prod = product(squeezed_vacuum(reg, mode(1, "H"), SqueezeParams(r)),
-                   squeezed_vacuum(reg, mode(1, "V"), SqueezeParams(r)))
+    prod = product(squeezed_vacuum(reg, mode(1, "H"), r),
+                   squeezed_vacuum(reg, mode(1, "V"), r))
     target = scale(add(apply_annihilation(prod, mode(1, "H")),
                        apply_annihilation(prod, mode(1, "V"))),
                    1.0 / (math.sqrt(2.0) * math.sinh(r)))
@@ -381,8 +381,8 @@ def test_antisqueezing_preserves_entropy():
     from dualcat.fock import apply_annihilation
     from dualcat.states import squeezed_vacuum
 
-    prod = product(squeezed_vacuum(gen_reg, mode(1), SqueezeParams(r)),
-                   squeezed_vacuum(gen_reg, mode(2), SqueezeParams(r)))
+    prod = product(squeezed_vacuum(gen_reg, mode(1), r),
+                   squeezed_vacuum(gen_reg, mode(2), r))
     before = normalized(add(apply_annihilation(prod, mode(1)),
                             apply_annihilation(prod, mode(2))))
     e_before = entanglement(before, [mode(1)]).entropy_bits

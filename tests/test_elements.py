@@ -37,7 +37,7 @@ from dualcat.fock import (
     product,
     scale,
 )
-from dualcat.states import CatParams, SqueezeParams, cat, coherent, squeezed_vacuum
+from dualcat.states import cat, coherent, squeezed_vacuum
 from dualcat.circuits import analytic_dual_rail_pair
 
 
@@ -68,10 +68,10 @@ def test_pbs_folds_two_path_state_onto_one_path():
     # |even>_{H,1} |odd>_{V,2} - |odd>_{H,1} |even>_{V,2}  ->  dual-rail pair
     alpha = 1.0
     reg = polarized_register([1, 2], coherent_cutoff(alpha))
-    eH1 = cat(reg, mode(1, "H"), CatParams(alpha, "even"))
-    oV2 = cat(reg, mode(2, "V"), CatParams(alpha, "odd"))
-    oH1 = cat(reg, mode(1, "H"), CatParams(alpha, "odd"))
-    eV2 = cat(reg, mode(2, "V"), CatParams(alpha, "even"))
+    eH1 = cat(reg, mode(1, "H"), alpha, "even")
+    oV2 = cat(reg, mode(2, "V"), alpha, "odd")
+    oH1 = cat(reg, mode(1, "H"), alpha, "odd")
+    eV2 = cat(reg, mode(2, "V"), alpha, "even")
     two_path = normalized(add(product(eH1, oV2),
                               scale(product(oH1, eV2), -1.0)))
     folded = pbs(two_path, 1, 2)
@@ -210,7 +210,7 @@ def test_phase_shift_pi_flips_coherent_sign():
 
 def test_phase_shift_zero_is_identity_and_preserves_parity():
     reg = plain_register([1], 20)
-    s = cat(reg, mode(1), CatParams(0.9, "odd"))
+    s = cat(reg, mode(1), 0.9, "odd")
     assert phase_shift(s, mode(1), 0.0).amps == s.amps
     shifted = phase_shift(s, mode(1), math.pi)
     parity = inner_product(shifted, phase_shift(shifted, mode(1), math.pi)).real
@@ -219,7 +219,7 @@ def test_phase_shift_zero_is_identity_and_preserves_parity():
 
 def test_squeeze_inverts_squeezed_vacuum():
     reg = plain_register([1], 80)
-    s = squeezed_vacuum(reg, mode(1), SqueezeParams(0.7))
+    s = squeezed_vacuum(reg, mode(1), 0.7)
     out = squeeze(s, mode(1), -0.7)
     assert abs(out.amps[(0,)]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
@@ -329,7 +329,7 @@ def test_parity_controlled_flip_on_squeezed_controls():
 
     spec = {mode(2): 80, mode(3, "H"): 2, mode(3, "V"): 2}
     reg = ModeRegister.of(spec)
-    sv = squeezed_vacuum(reg, mode(2), SqueezeParams(0.7))
+    sv = squeezed_vacuum(reg, mode(2), 0.7)
     sv = apply_creation(sv, mode(3, "H"))
     never = parity_controlled_flip(sv, mode(2), 3)
     assert fid(never, sv) == pytest.approx(1.0, abs=1e-12)
@@ -608,7 +608,7 @@ def test_measurement_branches_partition_the_input():
     psi = add(coherent(reg, mode(1, "H"), 1.0, tail_eps=1e-3),
               coherent(reg, mode(1, "V"), -0.5, tail_eps=1e-3))
     assert psi.norm_deficit > 0.0
-    channels = (onoff_detect(psi, mode(1, "V")), onoff_detect(psi, (mode(1, "H"), mode(1, "V"))))
+    channels = (onoff_detect(psi, mode(1, "V")), onoff_detect(psi, mode(1, "H")))
     for first, second in channels:
         assert len(first) and len(second)
         assert not set(first.keys.tolist()) & set(second.keys.tolist())

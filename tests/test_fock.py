@@ -38,8 +38,6 @@ from dualcat.fock import (
     squeezed_cutoff,
 )
 from dualcat.states import (
-    CatParams,
-    SqueezeParams,
     cat,
     coherent,
     entangled_cat_pair,
@@ -158,9 +156,9 @@ def test_annihilation_maps_even_cat_to_odd_cat():
     # lowering an even cat leaves support only on odd levels, proportional
     # to the odd cat; compare against the explicit coefficient recursion
     reg = plain_register([1], 40)
-    even = cat(reg, mode(1), CatParams(1.1, "even"))
+    even = cat(reg, mode(1), 1.1, "even")
     lowered = apply_annihilation(even, mode(1))
-    odd = cat(reg, mode(1), CatParams(1.1, "odd"))
+    odd = cat(reg, mode(1), 1.1, "odd")
     overlap = abs(inner_product(normalized(lowered), odd))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -196,7 +194,7 @@ def test_creation_at_cutoff_feeds_deficit():
 def test_mixer_splits_odd_cat_into_entangled_pair(alpha):
     cutoff = coherent_cutoff(math.sqrt(2.0) * alpha)
     reg = plain_register([1, 2], cutoff)
-    src = cat(reg, mode(1), CatParams(math.sqrt(2.0) * alpha, "odd"))
+    src = cat(reg, mode(1), math.sqrt(2.0) * alpha, "odd")
     out = apply_two_mode_mixer(src, mode(1), mode(2), math.pi / 4.0)
     target = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
     fid = abs(inner_product(normalized(out), target)) ** 2
@@ -250,7 +248,7 @@ def test_mixer_with_phase_matches_dense_oracle_on_larger_register(rng):
 
 def test_mixer_preserves_norm_on_cat_split():
     reg = plain_register([1, 2], coherent_cutoff(2.0))
-    src = cat(reg, mode(1), CatParams(1.4, "odd"))
+    src = cat(reg, mode(1), 1.4, "odd")
     out = apply_two_mode_mixer(src, mode(1), mode(2), math.pi / 4.0)
     assert abs(out.norm() - 1.0) < 1e-9
     assert out.norm_deficit < 1e-12
@@ -289,7 +287,7 @@ def test_cutoff_monotonicity_of_split_fidelity():
                    coherent_cutoff(math.sqrt(2.0), 1e-9),
                    coherent_cutoff(math.sqrt(2.0), 1e-12)):
         reg = plain_register([1, 2], cutoff)
-        src = cat(reg, mode(1), CatParams(math.sqrt(2.0) * alpha, "odd"),
+        src = cat(reg, mode(1), math.sqrt(2.0) * alpha, "odd",
                   tail_eps=1e-5)
         out = apply_two_mode_mixer(src, mode(1), mode(2), math.pi / 4.0)
         target = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-",
@@ -339,8 +337,8 @@ def test_runs_numbers_distinct_values_as_unique_does(values, presorted):
 
 def test_even_odd_cats_are_orthogonal():
     reg = plain_register([1], 30)
-    even = cat(reg, mode(1), CatParams(1.0, "even"))
-    odd = cat(reg, mode(1), CatParams(1.0, "odd"))
+    even = cat(reg, mode(1), 1.0, "even")
+    odd = cat(reg, mode(1), 1.0, "odd")
     assert abs(inner_product(even, odd)) < 1e-12
 
 
@@ -356,7 +354,7 @@ def test_opposite_coherent_overlap_matches_series():
 
 def test_factory_states_are_normalized():
     reg = plain_register([1], 35)
-    for s in (coherent(reg, mode(1), 1.3), cat(reg, mode(1), CatParams(1.3, "odd"))):
+    for s in (coherent(reg, mode(1), 1.3), cat(reg, mode(1), 1.3, "odd")):
         assert abs(s.norm() - 1.0) < 1e-10
 
 
@@ -466,7 +464,7 @@ def test_product_deficit_is_the_mass_the_product_misses():
     # loose tails leave each factor a deficit; one factor is off unit norm
     reg = ModeRegister.of({mode(1): squeezed_cutoff(0.8, 1e-2),
                            mode(2): coherent_cutoff(0.9, 1e-2)})
-    a = squeezed_vacuum(reg, mode(1), SqueezeParams(0.8), tail_eps=1e-2)
+    a = squeezed_vacuum(reg, mode(1), 0.8, tail_eps=1e-2)
     b = scale(coherent(reg, mode(2), 0.9, tail_eps=1e-2), 0.7)
     na, nb, da, db = a.norm_sq(), b.norm_sq(), a.norm_deficit, b.norm_deficit
     assert da > 1e-4 and db > 1e-4
@@ -581,7 +579,7 @@ def test_factory_seeds_its_deficit_with_the_tail_past_the_cutoff(kind, x, eps):
     # 1 - (kept mass) reads low and, below about 1e-15, rounds to 0
     if kind == "squeezed":
         cutoff = squeezed_cutoff(x, eps)
-        state = squeezed_vacuum(plain_register([1], cutoff), mode(1), SqueezeParams(x), eps)
+        state = squeezed_vacuum(plain_register([1], cutoff), mode(1), x, eps)
         levels, exact = range(0, cutoff + 1, 2), _squeezed_tail(x, cutoff // 2)
     elif kind == "coherent":
         cutoff = coherent_cutoff(x, eps)
@@ -589,7 +587,7 @@ def test_factory_seeds_its_deficit_with_the_tail_past_the_cutoff(kind, x, eps):
         levels, exact = range(cutoff + 1), _poisson_tail(abs(x) ** 2, cutoff)
     else:
         cutoff, keep, overlap = coherent_cutoff(x, eps), int(kind == "odd"), math.exp(-2.0 * x * x)
-        state = cat(plain_register([1], cutoff), mode(1), CatParams(x, kind), eps)
+        state = cat(plain_register([1], cutoff), mode(1), x, kind, eps)
         weight = 2.0 / (1.0 - overlap if keep else 1.0 + overlap)  # (2N)^2
         levels, exact = range(keep, cutoff + 1, 2), weight * _poisson_tail(x * x, cutoff, keep)
     assert len(state) == len(levels)  # nothing pruned: the deficit is the seed alone
@@ -598,8 +596,8 @@ def test_factory_seeds_its_deficit_with_the_tail_past_the_cutoff(kind, x, eps):
 
 @pytest.mark.parametrize("build", [
     lambda reg: coherent(reg, mode(1), 1.2 + 0.5j),
-    lambda reg: cat(reg, mode(1), CatParams(1.2, "odd")),
-    lambda reg: squeezed_vacuum(reg, mode(1), SqueezeParams(0.8)),
+    lambda reg: cat(reg, mode(1), 1.2, "odd"),
+    lambda reg: squeezed_vacuum(reg, mode(1), 0.8),
 ])
 def test_factory_sums_its_mass_series_once(monkeypatch, build):
     """The cutoff check and the amplitudes of a factory read one pass of
