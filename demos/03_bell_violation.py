@@ -14,6 +14,7 @@ import math
 
 from dualcat import (
     BellSearch,
+    chsh_displaced_parity,
     chsh_optimize,
     coherent_cutoff,
     entangled_cat_pair,
@@ -21,7 +22,7 @@ from dualcat import (
     plain_register,
 )
 
-print(f"{'alpha':>6} {'|CHSH|':>10} {'settings (imaginary parts)':>42}")
+print(f"{'alpha':>6} {'|CHSH|':>10} {'CHSH':>10} {'settings (imaginary parts)':>42}")
 for alpha in (0.5, 1.0, 1.5, 2.0, 2.5):
     search = BellSearch()
     reg = plain_register([1, 2], coherent_cutoff(alpha + search.radius + 0.3))
@@ -29,6 +30,7 @@ for alpha in (0.5, 1.0, 1.5, 2.0, 2.5):
     settings, value = chsh_optimize(pair, search)
     ys = [settings.beta1.imag, settings.beta1p.imag,
           settings.beta2.imag, settings.beta2p.imag]
-    print(f"{alpha:>6} {value:>10.6f}   [{', '.join(f'{y:+.4f}' for y in ys)}]")
+    signed = chsh_displaced_parity(pair, settings)
+    print(f"{alpha:>6} {value:>10.6f} {signed:>10.4f}   [{', '.join(f'{y:+.4f}' for y in ys)}]")
 
 print(f"\nclassical bound 2, quantum bound {2 * math.sqrt(2):.6f}")

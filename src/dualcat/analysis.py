@@ -205,9 +205,10 @@ _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def chsh_displaced_parity(state: PureState, settings: BellSettings) -> float:
-    """E(b1,b2) + E(b1,b2') + E(b1',b2) - E(b1',b2') with parity readout."""
-    e = ParityCorrelator(state)([settings.beta1, settings.beta1p],
-                                [settings.beta2, settings.beta2p])
+    """E(b1,b2) + E(b1,b2') + E(b1',b2) - E(b1',b2') with parity readout, each
+    E from the correlator on the rays of its pair of settings at t = 1."""
+    e = [[ParityCorrelator(state, b1, b2)([1.0], [1.0])[0, 0]
+          for b2 in (settings.beta2, settings.beta2p)] for b1 in (settings.beta1, settings.beta1p)]
     return float((_SIGNS * e).sum())
 
 
@@ -216,7 +217,7 @@ def _chsh_derivatives(jets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
     ``jets[p, i, q, j]`` is d^i/dt^i d^j/dt^j E of side-1 setting p (a, a')
     and side-2 setting q (b, b'), for i, j in 0, 1, 2: the
-    :meth:`~dualcat.elements.ParityLine.jets` of the four settings.
+    :meth:`~dualcat.elements.ParityCorrelator.jets` of the four settings.
     """
     j = jets * _SIGNS[:, None, :, None]
     grad = np.concatenate([j[:, 1, :, 0].sum(axis=1), j[:, 0, :, 1].sum(axis=0)])
@@ -308,11 +309,11 @@ def _best_seed(E: np.ndarray) -> tuple[float, tuple]:
     return best, seed
 
 
-def _line_search(corr: ParityCorrelator, unit: complex, axis: np.ndarray, iters: int
+def _line_search(state: PureState, unit: complex, axis: np.ndarray, iters: int
                  ) -> tuple[BellSettings, float]:
     """Grid over the line ``unit * axis``, then refine along that line.
 
-    Every correlator comes from the line form ``corr.line(unit)``: the grid
+    Every correlator comes from the ``ParityCorrelator`` of the line: the grid
     is one matrix product, and each Newton step of a refinement takes B, its
     gradient and its Hessian from one 6x6 block of its jets.  Maximizing B
     and maximizing -B are separate problems, so the best grid point of each
@@ -322,14 +323,14 @@ def _line_search(corr: ParityCorrelator, unit: complex, axis: np.ndarray, iters:
     a = b = 0) and would pick an arbitrary seed.  A grid pair past the edge
     rule raises a cutoff error naming the radius ``axis[-1]``.
     """
-    line = corr.line(unit)
+    corr = ParityCorrelator(state, unit, unit)
     try:
-        E = line(axis, axis)
+        E = corr(axis, axis)
     except CutoffError as err:
         raise CutoffError(f"search radius {axis[-1]} is not cutoff-safe: {err}") from err
 
     def evaluate(x):
-        return _chsh_derivatives(line.jets(x[:2], x[2:]))
+        return _chsh_derivatives(corr.jets(x[:2], x[2:]))
 
     found = []
     for sign in (1.0, -1.0):
@@ -349,8 +350,8 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     B: the search maximizes |B|, returns it, and the returned settings give
     ``chsh_displaced_parity(state, settings) == +value`` or ``-value``.
 
-    Deterministic, on one ``ParityCorrelator``: a grid along the search line
-    (one matrix product of its line form) followed by a damped Newton ascent
+    Deterministic, on one ``ParityCorrelator`` per search line: a grid along
+    the line (one matrix product) followed by a damped Newton ascent
     on exact derivatives from the best grid point of each sign of B, capped
     at ``refine_iters`` Newton steps.  The "complex" search runs the
     imaginary and the real line search and returns the better, the first on
@@ -360,14 +361,13 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     every evaluation keeps; the edge off those lines is not checked.
     """
     r = float(search.radius)
-    corr = ParityCorrelator(state)
     n2 = state.norm_sq()
     nbar = max(occupation_moments(state, m)[0] for m in state.register.modes) / n2 if n2 else 0.0
     # spacing 2r / (n - 1) <= pi / (16 sqrt(nbar)), 1/8 of the fringe period
     n = max(search.grid_density, 1 + math.ceil(32.0 * r * math.sqrt(nbar) / math.pi))
     axis = np.linspace(-r, r, n)
     units = {"imag": (1j,), "real": (1.0,), "complex": (1j, 1.0)}[search.axis]
-    return max((_line_search(corr, unit, axis, search.refine_iters) for unit in units),
+    return max((_line_search(state, unit, axis, search.refine_iters) for unit in units),
                key=lambda found: found[1])
 
 

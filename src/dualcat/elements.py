@@ -19,8 +19,8 @@ Conventions (fixed once, used everywhere):
   actuate on ambiguous control light, which is how miscalibrated
   displacements degrade the protocol).
 * Every displaced-parity correlator of a two-mode state comes from one
-  ``ParityCorrelator``, at any settings or, with derivatives, on a line of
-  them, under the one cutoff-edge rule of its ``check``.
+  ``ParityCorrelator``, on one ray of settings per side, with derivatives
+  along the rays, under the one cutoff-edge rule of its ``check``.
 """
 
 from __future__ import annotations
@@ -339,130 +339,92 @@ def onoff_detect(state: PureState, m: ModeLabel) -> tuple[PureState, PureState]:
 # displaced parity correlation
 
 
-def _polar(betas) -> tuple[np.ndarray, np.ndarray]:
-    """Complex settings as (rho, phi) = (|beta|, arg beta)."""
-    b = np.atleast_1d(np.asarray(betas, dtype=complex))
-    return np.abs(b), np.angle(b)
-
-
 class ParityCorrelator:
     """E(b1, b2) = < D(b1)D(b2) (-1)^{n1+n2} D†(b2)D†(b1) > of one two-mode
-    state with amplitude matrix M, at any settings, and on any line of them
-    with exact derivatives (:meth:`line`).
+    state with amplitude matrix M on one ray of settings b = t u per side,
+    E(t1, t2) = E(t1 u1, t2 u2), with exact derivatives along them (:meth:`jets`).
 
     Parity anticommutes with the truncated a† - a, so D(b) P D†(b) = D(2b) P
-    exactly.  With i(a† - a) = V diag(lam) V† (the cached spectrum), entry
-    [m, n] of Pi = D(2 beta) P at beta = rho e^{i phi} is e^{i phi (m - n)}
-    Q[m, n], Q = V diag(e^{-2i rho lam}) V† P, and E = sum conj(M) ∘ (Pi1 M Pi2^T).
+    exactly.  With i(a† - a) = V diag(lam) V† (the cached spectrum) and
+    Phi = diag(e^{i arg(u) n}) on each side, D(2 t u) = Phi V diag(e) V† Phi†
+    with e = exp(-2i t |u| lam), so E(t1, t2) = Re[e1^T W e2] with W = A ∘ B^T,
+    A = V1† Phi1† P1 M P2 Phi2* V2*, B = V2^T Phi2 M† Phi1 V1.  Each correlator
+    costs O(dim^2) and a grid of them is one matrix product.
 
-    Every evaluation, ``line`` forms included, keeps the edge rule of
-    ``check``: with x the last row of D(-beta), the displaced state holds
-    |x M|^2 on the top level of mode 1 and |x M^T|^2 on that of mode 2, and
-    a pair of settings whose edge masses sum above ``tail_eps`` is refused.
+    Every evaluation first runs the edge rule of ``check`` on (t1 u1, t2 u2):
+    with x the last row of D(-b), the displaced state holds |x M|^2 on the top
+    level of mode 1 and |x M^T|^2 on that of mode 2, and a pair of settings
+    whose edge masses sum above ``tail_eps`` is refused.
     """
 
-    def __init__(self, state: PureState, tail_eps: float = 1e-9):
+    @_one_blas_thread
+    def __init__(self, state: PureState, u1: complex, u2: complex, tail_eps: float = 1e-9):
         reg = state.register
         if reg.n_modes != 2:
             raise ValueError("displaced parity expectation needs a two-mode state")
-        self.m = np.zeros(reg.dims, dtype=complex)
-        self.m[reg.digit(state.keys, 0), reg.digit(state.keys, 1)] = state.coeffs
-        self.tail_eps = tail_eps
-        self.spectra = [generator_spectrum("displace", d) for d in self.m.shape]
-
-    @staticmethod
-    @_one_blas_thread
-    def _edge(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
-              vh: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """|x m|^2 at each setting (rho[k], phi[k]), x the last row of
-        D(-rho e^{i phi}) up to a phase.  Each row is a product of its own, as
-        a k-row product sums in another order for some k: a setting gets one
-        edge mass in every evaluation, whatever the batch."""
-        x = ((v[-1] * np.exp(1j * rho[:, None] * lam))[:, None] @ vh
-             * np.exp(-1j * phi)[:, None, None] ** np.arange(len(lam)))
-        return (np.abs(x @ m) ** 2).sum(axis=(1, 2))
-
-    def _check(self, s1: tuple, s2: tuple) -> np.ndarray:
-        top = (self._edge(*s1, *self.spectra[0], self.m)[:, None]
-               + self._edge(*s2, *self.spectra[1], self.m.T))
-        if np.any(top > self.tail_eps):
-            i, j = np.unravel_index(int(np.argmax(top > self.tail_eps)), top.shape)
-            b1, b2 = s1[0][i] * np.exp(1j * s1[1][i]), s2[0][j] * np.exp(1j * s2[1][j])
-            raise CutoffError(f"displacement ({b1}, {b2}) puts mass {top[i, j]:.3g} on the edge")
-        return top
-
-    def check(self, b1, b2) -> np.ndarray:
-        """The cutoff-edge mass top[i, j] of the state displaced by
-        (-b1[i], -b2[j]); raises a cutoff error when one exceeds ``tail_eps``."""
-        return self._check(_polar(b1), _polar(b2))
-
-    @staticmethod
-    @_one_blas_thread
-    def _pi(rho: np.ndarray, phi: np.ndarray, lam: np.ndarray, v: np.ndarray,
-            vh: np.ndarray) -> np.ndarray:
-        """Pi = D(2 beta) P at each setting (rho[k], phi[k])."""
-        n = np.arange(len(lam))
-        q = (v * np.exp(-2j * rho[:, None, None] * lam)) @ vh * (-1.0) ** n
-        return np.exp(phi[:, None, None] * (1j * (n[:, None] - n))) * q
-
-    @_one_blas_thread
-    def __call__(self, b1, b2) -> np.ndarray:
-        """E[i, j] = E(b1[i], b2[j]) at any complex settings, in [-1, 1]."""
-        s1, s2 = _polar(b1), _polar(b2)
-        self._check(s1, s2)
-        pi1, pi2 = (self._pi(*s, *spectrum) for s, spectrum in zip((s1, s2), self.spectra))
-        z = self.m.conj() @ pi2 @ self.m.T  # sum conj(M) ∘ (Pi1 M Pi2^T) = sum Pi1 ∘ z
-        return np.einsum("iab,jab->ij", pi1, z).real
-
-    def line(self, unit: complex) -> ParityLine:
-        """The correlator on the line of settings beta = t * unit."""
-        return ParityLine(self, unit)
-
-
-class ParityLine:
-    """A :class:`ParityCorrelator` on the line beta = t * unit, as a bilinear
-    form: with Phi = diag(e^{i arg(unit) n}), E(t1, t2) = Re[e1^T W e2] with
-    e = exp(-2i t |unit| lam) and W = A ∘ B^T, A = V1† Phi1† P1 M P2 Phi2* V2*,
-    B = V2^T Phi2 M† Phi1 V1.  Each correlator costs O(dim^2), a grid of them
-    is one matrix product, and each evaluation first runs ``check`` on t * unit.
-    """
-
-    @_one_blas_thread
-    def __init__(self, corr: ParityCorrelator, unit: complex):
-        self.corr, self.unit, m = corr, complex(unit), corr.m
-        pv1, pv2 = (np.exp(1j * np.angle(self.unit) * np.arange(len(lam)))[:, None] * v
-                    for lam, v, _ in corr.spectra)
+        self.m = m = np.zeros(reg.dims, dtype=complex)
+        m[reg.digit(state.keys, 0), reg.digit(state.keys, 1)] = state.coeffs
+        self.units, self.tail_eps = (complex(u1), complex(u2)), tail_eps
+        self.spectra = [generator_spectrum("displace", d) for d in m.shape]
+        pv1, pv2 = (np.exp(1j * np.angle(u) * np.arange(len(lam)))[:, None] * v
+                    for u, (lam, v, _) in zip(self.units, self.spectra))
         p1, p2 = ((-1.0) ** np.arange(d) for d in m.shape)
         a = pv1.conj().T @ (p1[:, None] * m * p2) @ pv2.conj()
         b = pv2.T @ m.conj().T @ pv1
         self.w = a * b.T
 
+    @staticmethod
+    @_one_blas_thread
+    def _edge(b: np.ndarray, lam: np.ndarray, v: np.ndarray, vh: np.ndarray,
+              m: np.ndarray) -> np.ndarray:
+        """|x m|^2 at each setting b[k], x the last row of D(-b[k]) up to a
+        phase.  Each row is a product of its own, as a k-row product sums in
+        another order for some k: a setting gets one edge mass in every
+        evaluation, whatever the batch."""
+        rho, phi = np.abs(b), np.angle(b)
+        x = ((v[-1] * np.exp(1j * rho[:, None] * lam))[:, None] @ vh
+             * np.exp(-1j * phi)[:, None, None] ** np.arange(len(lam)))
+        return (np.abs(x @ m) ** 2).sum(axis=(1, 2))
+
+    def check(self, b1, b2) -> np.ndarray:
+        """The cutoff-edge mass top[i, j] of the state displaced by
+        (-b1[i], -b2[j]); raises a cutoff error, naming the settings as given,
+        when one exceeds ``tail_eps``."""
+        b1, b2 = (np.atleast_1d(np.asarray(b, dtype=complex)) for b in (b1, b2))
+        top = (self._edge(b1, *self.spectra[0], self.m)[:, None]
+               + self._edge(b2, *self.spectra[1], self.m.T))
+        if np.any(top > self.tail_eps):
+            i, j = np.unravel_index(int(np.argmax(top > self.tail_eps)), top.shape)
+            raise CutoffError(f"displacement ({b1[i]}, {b2[j]}) puts mass {top[i, j]:.3g} on the edge")
+        return top
+
     def _phases(self, t1, t2) -> list:
         """The phase vectors e of both sides, once every pair passed the check."""
         t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
-        self.corr.check(t1 * self.unit, t2 * self.unit)
-        return [np.exp(1j * abs(self.unit) * t[:, None] * lam).conj() ** 2
-                for t, (lam, _, _) in zip((t1, t2), self.corr.spectra)]
+        self.check(t1 * self.units[0], t2 * self.units[1])
+        return [np.exp(1j * abs(u) * t[:, None] * lam).conj() ** 2
+                for t, u, (lam, _, _) in zip((t1, t2), self.units, self.spectra)]
 
     @_one_blas_thread
     def __call__(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        """E[i, j] = E(t1[i] * unit, t2[j] * unit)."""
+        """E[i, j] = E(t1[i] u1, t2[j] u2), in [-1, 1]."""
         e1, e2 = self._phases(t1, t2)
         return (e1 @ self.w @ e2.T).real
 
     @_one_blas_thread
     def jets(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
         """J[i, k, j, l] = d^k/dt1^k d^l/dt2^l E(t1[i], t2[j]) for k, l in 0, 1, 2:
-        d/dt multiplies e by kappa = -2i |unit| lam, so one product of the
+        d/dt multiplies e by kappa = -2i |u| lam, so one product of the
         stacked [e, kappa e, kappa^2 e] of each side gives them all."""
         e1, e2 = self._phases(t1, t2)
-        left, right = ((e[:, None, :] * (-2j * abs(self.unit) * lam) ** np.arange(3)[:, None]
+        left, right = ((e[:, None, :] * (-2j * abs(u) * lam) ** np.arange(3)[:, None]
                         ).reshape(-1, e.shape[1])
-                       for e, (lam, _, _) in zip((e1, e2), self.corr.spectra))
+                       for e, u, (lam, _, _) in zip((e1, e2), self.units, self.spectra))
         return (left @ self.w @ right.T).real.reshape(len(e1), 3, len(e2), 3)
 
 
 def displaced_parity_expect(state: PureState, beta1: complex, beta2: complex,
                             tail_eps: float = 1e-9) -> float:
-    """E(beta1, beta2) of a two-mode state, in [-1, 1]: see :class:`ParityCorrelator`."""
-    return float(ParityCorrelator(state, tail_eps)(beta1, beta2)[0, 0])
+    """E(beta1, beta2) of a two-mode state, in [-1, 1]: the
+    :class:`ParityCorrelator` on the rays (beta1, beta2) at t = 1."""
+    return float(ParityCorrelator(state, beta1, beta2, tail_eps)([1.0], [1.0])[0, 0])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -546,7 +547,7 @@ def test_chsh_derivatives_match_central_differences(rng):
 
     pair = _cat_pair(1.0)
     for unit in (1j, 1.0, complex(math.cos(0.4), math.sin(0.4))):
-        corr = ParityCorrelator(pair).line(unit)
+        corr = ParityCorrelator(pair, unit, unit)
 
         def line_b(x):
             e = corr(x[:2], x[2:])
@@ -618,18 +619,17 @@ def test_every_evaluator_keeps_one_edge_rule(monkeypatch, unit):
     pair = _cat_pair(1.0, cutoff=coherent_cutoff(1.5), tail_eps=1e-6)
     t1, t2 = np.array([0.9]), np.array([-0.7])
     b1, b2 = t1 * unit, t2 * unit
-    top = ParityCorrelator(pair, tail_eps=math.inf).check(b1, b2)[0, 0]
+    top = ParityCorrelator(pair, unit, unit, tail_eps=math.inf).check(b1, b2)[0, 0]
     assert top > 0.0
     # the grid around the pair: the pair holds its largest edge mass
     grid1, grid2 = np.array([0.0, t1[0]]), np.array([t2[0], 0.3])
-    assert ParityCorrelator(pair, tail_eps=math.inf).check(grid1 * unit, grid2 * unit).max() == top
+    assert (ParityCorrelator(pair, unit, unit, tail_eps=math.inf)
+            .check(grid1 * unit, grid2 * unit).max() == top)
     for tail_eps, accepted in ((top, True), (np.nextafter(top, 0.0), False)):
-        corr = ParityCorrelator(pair, tail_eps)
-        line = corr.line(unit)
+        line = ParityCorrelator(pair, unit, unit, tail_eps)
         monkeypatch.setattr(analysis, "ParityCorrelator",
-                            lambda state: ParityCorrelator(state, tail_eps))
+                            lambda state, u1, u2: ParityCorrelator(state, u1, u2, tail_eps))
         evaluators = {
-            "call": lambda: corr(b1, b2),
             "line grid": lambda: line(grid1, grid2),
             "line jets": lambda: line.jets(t1, t2),
             "displaced_parity_expect": lambda: displaced_parity_expect(pair, b1[0], b2[0],
@@ -644,6 +644,16 @@ def test_every_evaluator_keeps_one_edge_rule(monkeypatch, unit):
                 with pytest.raises(CutoffError):
                     evaluate()
                     pytest.fail(f"{name} accepted an edge mass above tail_eps")
+
+
+@pytest.mark.parametrize("axis, radius, unit", [("imag", 1.5, 1j), ("real", 1.0, 1.0)])
+def test_a_refused_search_names_the_settings_it_evaluated(axis, radius, unit):
+    # the first refused pair is the grid corner (-radius, -radius) of the
+    # line, named as evaluated, not rebuilt from its polar form
+    pair = _cat_pair(1.0, cutoff=coherent_cutoff(1.5))
+    corner = complex(-radius * unit)
+    with pytest.raises(CutoffError, match=re.escape(f"displacement ({corner}, {corner}) puts")):
+        chsh_optimize(pair, BellSearch(radius=radius, axis=axis))
 
 
 @pytest.mark.parametrize("axis", ["imag", "real", "complex"])

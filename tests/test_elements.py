@@ -505,7 +505,7 @@ def test_line_correlator_raises_exactly_where_displaced_parity_does(alpha, unit)
 
     reg = plain_register([1, 2], coherent_cutoff(alpha + 1.3))
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
-    corr = ParityCorrelator(pair).line(unit)
+    corr = ParityCorrelator(pair, unit, unit)
     ts = np.linspace(-5.0, 5.0, 25)
     refused = np.zeros((len(ts), len(ts)), dtype=bool)
     for i, t1 in enumerate(ts):

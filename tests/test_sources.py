@@ -9,7 +9,6 @@ PACKAGE = Path(dualcat.__file__).parent
 #: exported names that no module, demo or benchmark file reaches, and why they stay
 KEPT = {
     "partial_trace": "tests/test_acceptance.py holds it to the dense reduction",
-    "chsh_displaced_parity": "it gives the value that chsh_optimize's docstring promises",
 }
 
 

@@ -230,25 +230,26 @@ units = st.one_of(st.just(1j), st.just(1.0),
 
 @st.composite
 def line_cases(draw, cutoffs, top, reach):
-    """A normalized two-mode state on unequal cutoffs, a line unit and two
-    short lists of line coordinates in [-reach, reach]."""
+    """A normalized two-mode state on unequal cutoffs, a ray unit per side
+    (drawn apart or equal) and two short lists of ray coordinates in
+    [-reach, reach]."""
     c1 = draw(cutoffs)
     c2 = draw(cutoffs.filter(lambda c: c != c1))
     reg = ModeRegister((mode(1), mode(2)), (c1, c2))
     psi = normalized(random_state(reg, draw(st.integers(0, 2**32 - 1)),
                                   draw(st.integers(1, 12)), top))
     ts = st.lists(st.floats(-reach, reach), min_size=1, max_size=4)
-    return psi, draw(units), np.array(draw(ts)), np.array(draw(ts))
+    u1 = draw(units)
+    return psi, u1, draw(st.one_of(st.just(u1), units)), np.array(draw(ts)), np.array(draw(ts))
 
 
 @SETTINGS
 @given(case=line_cases(st.integers(1, 8), None, 1.5))
 def test_line_correlator_grid_matches_truncated_dense_parity(case):
     # exact on the truncated space, at any occupation and amplitude
-    psi, unit, t1, t2 = case
-    got = ParityCorrelator(psi, tail_eps=math.inf).line(unit)(t1, t2)
-    want = [[oracles.truncated_displaced_parity(psi, a * unit, b * unit) for b in t2]
-            for a in t1]
+    psi, u1, u2, t1, t2 = case
+    got = ParityCorrelator(psi, u1, u2, tail_eps=math.inf)(t1, t2)
+    want = [[oracles.truncated_displaced_parity(psi, a * u1, b * u2) for b in t2] for a in t1]
     assert np.max(np.abs(got - want)) <= TOL
 
 
@@ -257,10 +258,10 @@ def test_line_correlator_grid_matches_truncated_dense_parity(case):
 def test_line_correlator_grid_matches_laguerre_oracle(case):
     # low occupations keep the truncated displacement equal to the
     # infinite-space Laguerre elements far below the tolerance
-    psi, unit, t1, t2 = case
-    got = ParityCorrelator(psi, tail_eps=math.inf).line(unit)(t1, t2)
+    psi, u1, u2, t1, t2 = case
+    got = ParityCorrelator(psi, u1, u2, tail_eps=math.inf)(t1, t2)
     dense = oracles.cached_dense_correlator(psi)
-    want = [[dense(a * unit, b * unit) for b in t2] for a in t1]
+    want = [[dense(a * u1, b * u2) for b in t2] for a in t1]
     assert np.max(np.abs(got - want)) <= TOL
 
 
