@@ -61,24 +61,14 @@ class BellSearch:
     every cat pair built here, E(b1*, b2*) = E(-b1, -b2) = E(b1, b2), so a
     line optimum is a stationary point of |B| over all 8 real parameters,
     from which no gradient ascent off the line can start.
-
-    ``grid_density`` is a floor on the points of each line grid: the search
-    uses more where the state needs them, so that the grid spacing stays at
-    most 1/8 of the fringe period pi / (2 sqrt(nbar)) of its larger per-mode
-    mean photon number nbar.  ``refine_iters`` is a cap on the Newton steps
-    of each refinement; 0 returns the grid seeds as they are.
     """
 
-    grid_density: int = 25
-    refine_iters: int = 600
     radius: float = 1.0
     axis: str = "imag"
 
     def __post_init__(self) -> None:
         if self.axis not in ("imag", "real", "complex"):
             raise ValueError("axis must be 'imag', 'real' or 'complex'")
-        if self.grid_density < 2:
-            raise ValueError("grid_density must be at least 2")
         if not self.radius > 0.0:
             raise ValueError("radius must be positive")
 
@@ -229,10 +219,13 @@ def _chsh_derivatives(jets: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 #: B and its gradient are sums of O(1) terms, so a gain or gradient below is rounding
 _GAIN_TOL, _GRAD_TOL = 1e-14, 1e-12
+#: the fewest points of a line grid (over radius 1, 25 seed the global |B|
+#: basin) and the most Newton steps of one refinement
+_GRID_FLOOR, _NEWTON_CAP = 25, 600
 
 
 @_one_blas_thread
-def _ascend(evaluate, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.ndarray, float]:
+def _ascend(evaluate, x0: np.ndarray, start_val: float) -> tuple[np.ndarray, float]:
     """Damped Newton ascent on sign * B from ``x0``, sign that of B there.
 
     ``evaluate(x)`` returns (B, gradient, Hessian), or raises a cutoff error
@@ -240,16 +233,14 @@ def _ascend(evaluate, x0: np.ndarray, start_val: float, iters: int) -> tuple[np.
     the shift above every eigenvalue of H unless H is negative definite; it is
     kept only if it raises sign * B, else the shift grows.  A step whose
     predicted gain is rounding ends the ascent, kept if B holds to that level;
-    so do a gradient at rounding and ``iters`` steps.  Returns the end point
-    and |B| there, or ``x0`` and ``start_val`` if that is better.
+    so do a gradient at rounding and ``_NEWTON_CAP`` steps.  Returns the end
+    point and |B| there, or ``x0`` and ``start_val`` if that is better.
     """
-    if iters <= 0:
-        return x0, start_val
     val, grad, hess = evaluate(x0)
     sign = 1.0 if val >= 0 else -1.0
     x, f, grad, hess = x0, sign * val, sign * grad, sign * hess
     shift = 0.0
-    for _ in range(iters):
+    for _ in range(_NEWTON_CAP):
         if np.abs(grad).max() <= _GRAD_TOL:
             break
         # as a complex Hermitian matrix: the LAPACK routine of the generator
@@ -309,7 +300,7 @@ def _best_seed(E: np.ndarray) -> tuple[float, tuple]:
     return best, seed
 
 
-def _line_search(state: PureState, unit: complex, axis: np.ndarray, iters: int
+def _line_search(state: PureState, unit: complex, axis: np.ndarray
                  ) -> tuple[BellSettings, float]:
     """Grid over the line ``unit * axis``, then refine along that line.
 
@@ -335,7 +326,7 @@ def _line_search(state: PureState, unit: complex, axis: np.ndarray, iters: int
     found = []
     for sign in (1.0, -1.0):
         val, seed = _best_seed(sign * E)
-        found.append(_ascend(evaluate, axis[list(seed)], abs(val), iters))
+        found.append(_ascend(evaluate, axis[list(seed)], abs(val)))
     x, val = max(found, key=lambda f: f[1])
     return BellSettings(*(complex(unit * v) for v in x)), val
 
@@ -351,24 +342,24 @@ def chsh_optimize(state: PureState, search: BellSearch = BellSearch()
     ``chsh_displaced_parity(state, settings) == +value`` or ``-value``.
 
     Deterministic, on one ``ParityCorrelator`` per search line: a grid along
-    the line (one matrix product) followed by a damped Newton ascent
-    on exact derivatives from the best grid point of each sign of B, capped
-    at ``refine_iters`` Newton steps.  The "complex" search runs the
-    imaginary and the real line search and returns the better, the first on
-    a tie (see :class:`BellSearch` for why no off-line step gains on the cat
-    pairs).  Raises a cutoff error if the search radius would push the
-    state off the register's cutoffs on a line it searches, by the edge rule
-    every evaluation keeps; the edge off those lines is not checked.
+    the line (one matrix product) of ``_GRID_FLOOR`` points or more, 1/8 of
+    a fringe period apart at most, then a damped Newton ascent of at most
+    ``_NEWTON_CAP`` steps on exact derivatives from the best grid point of
+    each sign of B.  The "complex" search runs the imaginary and the real
+    line search and returns the better, the first on a tie (see
+    :class:`BellSearch` for why no off-line step gains on the cat pairs).
+    Raises a cutoff error if the search radius would push the state off the
+    register's cutoffs on a line it searches, by the edge rule every
+    evaluation keeps; the edge off those lines is not checked.
     """
     r = float(search.radius)
     n2 = state.norm_sq()
     nbar = max(occupation_moments(state, m)[0] for m in state.register.modes) / n2 if n2 else 0.0
     # spacing 2r / (n - 1) <= pi / (16 sqrt(nbar)), 1/8 of the fringe period
-    n = max(search.grid_density, 1 + math.ceil(32.0 * r * math.sqrt(nbar) / math.pi))
+    n = max(_GRID_FLOOR, 1 + math.ceil(32.0 * r * math.sqrt(nbar) / math.pi))
     axis = np.linspace(-r, r, n)
     units = {"imag": (1j,), "real": (1.0,), "complex": (1j, 1.0)}[search.axis]
-    return max((_line_search(state, unit, axis, search.refine_iters) for unit in units),
-               key=lambda found: found[1])
+    return max((_line_search(state, unit, axis) for unit in units), key=lambda found: found[1])
 
 
 # ---------------------------------------------------------------------------

@@ -104,13 +104,14 @@ def generation_cutoff(alpha: float, tail_eps: float) -> int:
 
 @_one_blas_thread
 def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitReport:
+    phase = 0.0 if states._pair_sign(sign) < 0 else math.pi
     reg = polarized_register([1, 2], generation_cutoff(alpha, tail_eps))
     h1, v2 = mode(1, "H"), mode(2, "V")
     src = states.cat(reg, h1, SQRT2 * alpha, parity, tail_eps)
     # the 50:50 splitter meets an empty 2V port: it sends t photons in 1H to
     # (n, t - n) on (1H, 2V) with amplitude U_t[n, t] = K[t - n, n]
     # (:func:`fock._mixer_table`); phase 0 gives the "-" pair, pi the "+" pair
-    table = _mixer_table(math.pi / 4.0, 0.0 if sign == "-" else math.pi, reg.cutoff_of(h1) + 1)
+    table = _mixer_table(math.pi / 4.0, phase, reg.cutoff_of(h1) + 1)
     t = reg.digit(src.keys, reg.index(h1))
     row, n = np.nonzero(np.arange(t.max(initial=0) + 1) <= t[:, None])
     moved = t[row] - n  # the photons sent to 2V
@@ -129,7 +130,7 @@ def _generate(alpha: float, parity: str, sign: str, tail_eps: float) -> CircuitR
 def _hv_pair(f, g, sign: str, paths: tuple = (1, 2)) -> PureState:
     """Normalized f(pH) g(qV) ± f(pV) g(qH) on paths (p, q), the sign
     ``sign``, where ``f`` and ``g`` build a one-mode state on the mode given."""
-    s = -1.0 if sign == "-" else 1.0
+    s = states._pair_sign(sign)
     p, q = paths
     return normalized(add(product(f(mode(p, "H")), g(mode(q, "V"))),
                           scale(product(f(mode(p, "V")), g(mode(q, "H"))), s)))

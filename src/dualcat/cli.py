@@ -118,9 +118,9 @@ def parse_grid(spec: str) -> list:
 
 @dataclass(frozen=True)
 class Param:
-    """A typed parameter.  ``kind`` is "float", "int", "bool", "choice" (one of
-    ``choices``) or "grid" (a "start:stop:step" or comma-list string); each number or
-    grid point lies in [low, high].  An empty grid stands for ``empty``, or is refused."""
+    """A typed parameter.  ``kind`` is "float", "bool", "choice" (one of ``choices``)
+    or "grid" (a "start:stop:step" or comma-list string); each number or grid point
+    lies in [low, high].  An empty grid stands for ``empty``, or is refused."""
 
     default: object
     kind: str = "float"
@@ -128,20 +128,18 @@ class Param:
     low: float = -math.inf
     high: float = math.inf
     empty: list | None = None
-    help: str | None = None
 
     def points(self, value: str) -> list:
         return self.empty if self.empty is not None and not value.strip() else parse_grid(value)
 
     def check(self, key: str, value) -> None:
         """Refuse a value of the wrong type, outside the choices or out of range."""
-        number = (isinstance(value, int if self.kind == "int" else (int, float))
-                  and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
+        number = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and abs(value) <= sys.float_info.max)
         ok, want = {"bool": (isinstance(value, bool), "true or false"),
                     "choice": (isinstance(value, str) and value in self.choices,
                                f"one of {list(self.choices)}"),
                     "grid": (isinstance(value, str), "a grid string (start:stop:step or a list)"),
-                    "int": (number, "a finite integer"),
                     "float": (number, "a finite number")}[self.kind]
         if not ok:
             raise ConfigError(f"parameter {key!r} must be {want}, got {value!r}")
@@ -230,8 +228,7 @@ def _bell_point(q: dict, eps: float) -> tuple:
     alpha = q["alpha_grid"]
     reg = plain_register([1, 2], _bell_cutoff(q, eps))
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-", eps)
-    search = analysis.BellSearch(q["grid_density"], q["refine_iters"], q["radius"], q["axis"])
-    s, value = analysis.chsh_optimize(pair, search)
+    s, value = analysis.chsh_optimize(pair, analysis.BellSearch(q["radius"], q["axis"]))
     betas = (s.beta1, s.beta1p, s.beta2, s.beta2p)
     return [alpha, value, *(x for b in betas for x in (b.real, b.imag))], pair.norm_deficit
 
@@ -292,9 +289,6 @@ EXPERIMENTS: dict = {
     "bell": Experiment(
         "optimized displaced-parity CHSH sweep",
         {"alpha_grid": Param("0.5:2.0:0.5", "grid"), "radius": Param(1.0, low=math.ulp(0.0)),
-         "grid_density": Param(25, "int", low=2, high=math.isqrt(MAX_GRID_POINTS)),
-         "refine_iters": Param(600, "int", low=0,
-                               help="cap on Newton steps of each refinement (0: grid only)"),
          "axis": Param("imag", "choice", ("imag", "real", "complex"))},
         _bell_cutoff, point=_bell_point, table="bell",
         columns=("alpha", "chsh", "beta1_re", "beta1_im", "beta1p_re", "beta1p_im",
@@ -453,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
                 both.add_argument(flag, dest=key, action="store_true", default=None)
                 both.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None)
             else:
-                sp.add_argument(flag, dest=key, type={"float": float, "int": int}.get(par.kind),
-                                choices=par.choices or None, help=par.help)
+                sp.add_argument(flag, dest=key, type=float if par.kind == "float" else None,
+                                choices=par.choices or None)
     return parser
 
 

@@ -177,10 +177,10 @@ AMBIGUOUS_TOL = 1e-10
 
 
 def _refuse_ambiguous(mass: float, norm_sq: float) -> None:
-    """Raise a contract violation when ``mass``, the mass of the components
-    whose control path has both polarizations occupied, is more than
-    truncation dust of a state of squared norm ``norm_sq``."""
-    if mass > 0.0 and mass > AMBIGUOUS_TOL * max(norm_sq, 1e-300):
+    """Raise a contract violation unless ``mass``, the mass of the components
+    whose control path has both polarizations occupied, is at most truncation
+    dust of a state of squared norm ``norm_sq``: a NaN mass is refused too."""
+    if not mass <= AMBIGUOUS_TOL * max(norm_sq, 1e-300):
         raise ContractViolationError(
             f"control path has both polarizations occupied on probability mass "
             f"{mass:.3g}; the gate is only defined on definite-polarization "
@@ -389,12 +389,12 @@ class ParityCorrelator:
     def check(self, b1, b2) -> np.ndarray:
         """The cutoff-edge mass top[i, j] of the state displaced by
         (-b1[i], -b2[j]); raises a cutoff error, naming the settings as given,
-        when one exceeds ``tail_eps``."""
+        unless each is at most ``tail_eps`` (a NaN mass is refused too)."""
         b1, b2 = (np.atleast_1d(np.asarray(b, dtype=complex)) for b in (b1, b2))
         top = (self._edge(b1, *self.spectra[0], self.m)[:, None]
                + self._edge(b2, *self.spectra[1], self.m.T))
-        if np.any(top > self.tail_eps):
-            i, j = np.unravel_index(int(np.argmax(top > self.tail_eps)), top.shape)
+        if not (top <= self.tail_eps).all():
+            i, j = np.unravel_index(int(np.argmin(top <= self.tail_eps)), top.shape)
             raise CutoffError(f"displacement ({b1[i]}, {b2[j]}) puts mass {top[i, j]:.3g} on the edge")
         return top
 

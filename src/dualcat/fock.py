@@ -591,8 +591,8 @@ def apply_single_mode_matrix(state: PureState, m: ModeLabel, matrix: np.ndarray,
 
 
 def _refuse_top_mass(m: ModeLabel, mass: float, tail_eps: float) -> None:
-    """Raise a cutoff error when ``mass`` on the top Fock level of ``m`` exceeds ``tail_eps``."""
-    if mass > tail_eps:
+    """Raise a cutoff error unless the top-level ``mass`` of ``m`` is at most ``tail_eps``."""
+    if not mass <= tail_eps:
         raise CutoffError(f"mode {m}: top-level mass {mass:.3g} exceeds {tail_eps:.3g}; "
                           f"increase the cutoff")
 

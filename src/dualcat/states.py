@@ -122,15 +122,21 @@ def subtracted_sv(register: ModeRegister, m: ModeLabel, r: float,
     return scale(apply_annihilation(sv, m), 1.0 / math.sinh(r))
 
 
+def _pair_sign(sign: str) -> float:
+    """The factor of a pair sign: 1.0 for "+", -1.0 for "-" (``ValueError`` otherwise)."""
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    return 1.0 if sign == "+" else -1.0
+
+
 def entangled_cat_pair(register: ModeRegister, mode_a: ModeLabel, mode_b: ModeLabel,
                        alpha: complex, sign: str = "-",
                        tail_eps: float = DEFAULT_TAIL_EPS) -> PureState:
-    """Normalized |a>|-a> ∓ |-a>|a> ∝ |even>|odd> ∓ |odd>|even> on two modes."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+    """Normalized |a>|-a> ± |-a>|a> on two modes, the sign ``sign``: ∝ |o>|e> - |e>|o>
+    for "-", ∝ |E|^2 |e>|e> - |O|^2 |o>|o> for "+" (|E|^2, |O|^2 = (1 ± e^{-2|a|^2})/2)."""
+    s = _pair_sign(sign)
     if alpha == 0:
         raise DegenerateInputError("entangled cat pair is undefined at alpha = 0")
-    s = 1.0 if sign == "+" else -1.0
     plus = product(coherent(register, mode_a, alpha, tail_eps),
                    coherent(register, mode_b, -alpha, tail_eps))
     minus = product(coherent(register, mode_a, -alpha, tail_eps),

@@ -344,13 +344,24 @@ def test_chsh_on_fock_qubit_bell_state_matches_hand_computation():
         assert got == pytest.approx(dense, abs=1e-12)
 
 
+def _grid_seed(pair, radius: float, units) -> tuple[BellSettings, float]:
+    """The best grid point of either sign of B on the grid of ``_GRID_FLOOR``
+    points of each line ``unit``, the seed the search refines, first on a tie."""
+    grid = np.linspace(-radius, radius, analysis._GRID_FLOOR)
+    found = []
+    for unit in units:
+        E = ParityCorrelator(pair, unit, unit)(grid, grid)
+        for sign in (1.0, -1.0):
+            val, seed = analysis._best_seed(sign * E)
+            found.append((BellSettings(*(complex(unit * grid[i]) for i in seed)), abs(val)))
+    return max(found, key=lambda f: f[1])
+
+
 def test_chsh_optimize_beats_its_own_grid():
     reg = plain_register([1, 2], coherent_cutoff(2.6))
     pair = entangled_cat_pair(reg, mode(1), mode(2), 1.5, "-")
-    coarse = BellSearch(grid_density=5, refine_iters=0, radius=0.8)
-    fine = BellSearch(grid_density=5, refine_iters=400, radius=0.8)
-    _, v_coarse = chsh_optimize(pair, coarse)
-    _, v_fine = chsh_optimize(pair, fine)
+    _, v_coarse = _grid_seed(pair, 0.8, [1j])
+    _, v_fine = chsh_optimize(pair, BellSearch(radius=0.8))
     assert v_fine >= v_coarse - 1e-12
 
 
@@ -419,7 +430,7 @@ def test_bell_search_refuses_a_radius_that_is_not_positive(radius):
 
 def test_chsh_optimize_on_vacuum_stays_classical():
     reg = plain_register([1, 2], 12)
-    _, val = chsh_optimize(basis_state(reg, {}), BellSearch(grid_density=7, radius=0.8))
+    _, val = chsh_optimize(basis_state(reg, {}), BellSearch(radius=0.8))
     assert val <= 2.0 + 1e-6
 
 
@@ -594,14 +605,14 @@ def test_chsh_refinement_stays_inside_the_cutoff_edge(axis):
     # the ascent must stop short of it
     pair = _cat_pair(1.0, cutoff=coherent_cutoff(1.5), tail_eps=1e-6)
     radius = _safe_radius_limit(pair) * (1.0 - 1e-6)
-    seed_settings, seed_val = chsh_optimize(pair, BellSearch(radius=radius, axis=axis,
-                                                             refine_iters=0))
+    units = {"imag": [1j], "real": [1.0], "complex": [1j, 1.0]}[axis]
+    seed_settings, seed_val = _grid_seed(pair, radius, units)
     settings, val = chsh_optimize(pair, BellSearch(radius=radius, axis=axis))
     assert abs(chsh_displaced_parity(pair, settings)) == pytest.approx(val, abs=1e-12)
     assert val >= seed_val
     if axis != "complex":
-        # refine_iters=0 returns a grid seed as it is
-        grid = np.linspace(-radius, radius, BellSearch().grid_density)
+        # the seed is a point of the grid
+        grid = np.linspace(-radius, radius, analysis._GRID_FLOOR)
         unit = 1j if axis == "imag" else 1.0
         assert all(np.any((b / unit).real == grid) and (b / unit).imag == 0.0
                    for b in (seed_settings.beta1, seed_settings.beta1p,
@@ -728,3 +739,21 @@ def test_qfi_heisenberg_ratio_approaches_constant():
     # 1 + 1/(2 a^2): decreasing toward the Heisenberg coefficient 1
     assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
     assert ratios[-1] == pytest.approx(1.0 + 1.0 / (2 * 2.5**2), abs=1e-6)
+
+
+#: (call, exception, message) of each input refusal of the analysis layer
+ANALYSIS_REFUSALS = {
+    "fidelity-of-zero": (lambda: fidelity(scale(basis_state(plain_register([1], 2), {}), 0.0),
+                                          basis_state(plain_register([1], 2), {})),
+                         ValueError, "fidelity of a zero state is undefined"),
+    "search-axis": (lambda: BellSearch(axis="diagonal"), ValueError,
+                    "axis must be 'imag', 'real' or 'complex'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ANALYSIS_REFUSALS.values(),
+                         ids=ANALYSIS_REFUSALS)
+def test_analysis_refuses_bad_input_with_its_own_message(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

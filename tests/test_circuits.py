@@ -741,3 +741,23 @@ def test_polarization_access_runs_no_mixer(monkeypatch):
     access_polarization(state, Imperfection(displacement_offset=0.6, flip_angle=2.0))
     assert "displace" in calls  # the counters see the calls they count
     assert "apply_two_mode_mixer" not in calls and "mix" not in calls
+
+
+#: a pair sign that is neither "+" nor "-", refused by the one rule of every pair
+SIGN_REFUSED = (ValueError, "sign must be '\\+' or '-', got 'minus'")
+#: (call, exception, message) of each input refusal of the circuits layer
+CIRCUIT_REFUSALS = {
+    "antisqueeze-at-r-0": (lambda: sv_antisqueeze_to_single_photon(0.0), DegenerateInputError,
+                           "needs r > 0"),
+    "generate-sign": (lambda: generate_entangled_cat(1.0, "minus"), *SIGN_REFUSED),
+    "even-control-sign": (lambda: generate_even_cat_control(1.0, "minus"), *SIGN_REFUSED),
+    "analytic-pair-sign": (lambda: analytic_dual_rail_pair(polarized_register([1, 2], 8), 1.0,
+                                                           "minus"), *SIGN_REFUSED),
+}
+
+
+@pytest.mark.parametrize("call, error, message", CIRCUIT_REFUSALS.values(), ids=CIRCUIT_REFUSALS)
+def test_circuits_refuse_bad_input_with_their_own_message(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

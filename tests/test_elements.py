@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from dualcat import elements
 from dualcat.elements import (
+    Imperfection,
     ParityCorrelator,
     controlled_pol_gates,
     cswap_pol,
@@ -23,6 +25,7 @@ from dualcat.elements import (
 from dualcat.fock import (
     ContractViolationError,
     CutoffError,
+    ModeRegister,
     PureState,
     RegisterMismatchError,
     add,
@@ -37,7 +40,7 @@ from dualcat.fock import (
     product,
     scale,
 )
-from dualcat.states import cat, coherent, squeezed_vacuum
+from dualcat.states import cat, coherent, entangled_cat_pair, squeezed_vacuum
 from dualcat.circuits import analytic_dual_rail_pair
 
 
@@ -158,8 +161,6 @@ def test_displacement_matches_laguerre_oracle(rng):
 
 
 def test_displacement_turns_cat_pair_into_noon_superposition():
-    from dualcat.states import entangled_cat_pair
-
     alpha = 1.0
     reg = plain_register([1, 2], coherent_cutoff(2.0 * alpha) + 4)
     pair = entangled_cat_pair(reg, mode(1), mode(2), alpha, "-")
@@ -615,3 +616,42 @@ def test_measurement_branches_partition_the_input():
         assert sorted(first.keys.tolist() + second.keys.tolist()) == psi.keys.tolist()
         assert first.norm_sq() + second.norm_sq() == pytest.approx(psi.norm_sq(), rel=1e-14)
         assert first.norm_deficit == second.norm_deficit == psi.norm_deficit
+
+
+def _pair() -> PureState:
+    """The alpha 1.0 cat pair."""
+    return entangled_cat_pair(plain_register([1, 2], coherent_cutoff(2.3)), mode(1), mode(2), 1.0)
+
+
+def _lit_path_1(cutoffs: tuple) -> PureState:
+    """Three V photons on path 1 of paths 1 and 2 with (1H, 1V, 2H, 2V) cutoffs ``cutoffs``."""
+    reg = ModeRegister(tuple(mode(p, s) for p in (1, 2) for s in "HV"), cutoffs)
+    return basis_state(reg, {mode(1, "V"): 3})
+
+
+#: (call, exception, message) of each input refusal of the elements layer
+ELEMENT_REFUSALS = {
+    "flip-angle": (lambda: Imperfection(flip_angle=4.0), ValueError,
+                   r"flip_angle must lie in \[0, pi\]"),
+    "flip-of-its-own-control": (lambda: controlled_pol_gates(_lit_path_1((3, 3, 3, 3)), 1,
+                                                             flips=[(1, math.pi)]),
+                                ValueError, "control and target paths must differ"),
+    "pbs-past-a-cutoff": (lambda: pbs(_lit_path_1((3, 3, 3, 1)), 1, 2), CutoffError,
+                          "exchanging modes 1V and 2V exceeds a cutoff"),
+    # a NaN mass compares False with any bound: each mass check refuses
+    # unless the mass is at most its bound
+    "displace-by-nan": (lambda: displace(_pair(), mode(1), math.nan), CutoffError,
+                        "top-level mass nan"),
+    "parity-at-nan": (lambda: displaced_parity_expect(_pair(), math.nan, 0.0), CutoffError,
+                      "puts mass nan on the edge"),
+    "ambiguous-nan": (lambda: elements._refuse_ambiguous(math.nan, 1.0), ContractViolationError,
+                      "probability mass nan"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ELEMENT_REFUSALS.values(),
+                         ids=ELEMENT_REFUSALS)
+def test_elements_refuse_bad_input_with_their_own_message(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

@@ -20,6 +20,7 @@ from dualcat.fock import (
     _runs,
     add,
     apply_annihilation,
+    apply_single_mode_matrix,
     apply_creation,
     apply_two_mode_mixer,
     basis_state,
@@ -676,3 +677,32 @@ def test_mass_holds_1e_15_on_a_long_array_without_a_temporary_its_size():
     assert peak < coeffs.nbytes / 20
     # short arrays take one dot product, and agree with the long path
     assert _mass(coeffs[:100]) == pytest.approx(math.fsum((parts[:200] ** 2).tolist()), rel=1e-15)
+
+
+#: (call, exception, message) of each input refusal of the fock layer
+FOCK_REFUSALS = {
+    "polarization": (lambda: mode(1, "X"), ValueError,
+                     "polarization must be 'H', 'V' or None, got 'X'"),
+    "register-lengths": (lambda: ModeRegister((mode(1), mode(2)), (3,)), ValueError,
+                         "modes and cutoffs must have equal length"),
+    "register-cutoff-0": (lambda: ModeRegister((mode(1),), (0,)), ValueError,
+                          "cutoffs must be >= 1"),
+    "add-across-registers": (lambda: add(basis_state(plain_register([1], 2), {}),
+                                         basis_state(plain_register([1], 3), {})),
+                             RegisterMismatchError, "cannot add states on different registers"),
+    "embed-smaller": (lambda: embed(basis_state(plain_register([1], 3), {}),
+                                    plain_register([1], 2)),
+                      CutoffError, "target cutoff for 1 is smaller than the source cutoff"),
+    "matrix-shape": (lambda: apply_single_mode_matrix(basis_state(plain_register([1], 3), {}),
+                                                      mode(1), np.eye(2)),
+                     ValueError, r"matrix shape \(2, 2\) does not fit cutoff 3"),
+    "amps-unencodable": (lambda: basis_state(plain_register([1, 2], 2), {}).amps[(5, 0)],
+                         KeyError, r"\(5, 0\)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", FOCK_REFUSALS.values(), ids=FOCK_REFUSALS)
+def test_fock_refuses_bad_input_with_its_own_message(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error

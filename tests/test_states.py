@@ -6,10 +6,14 @@ import oracles
 from dualcat.fock import (
     CutoffError,
     DegenerateInputError,
+    add,
+    coherent_cutoff,
     inner_product,
     mode,
     occupation_moments,
     plain_register,
+    product,
+    scale,
 )
 from dualcat.elements import displaced_parity_expect, phase_shift
 from dualcat.states import (
@@ -210,3 +214,37 @@ def test_entangled_cat_pair_parity_structure():
     reg2 = plain_register([1, 2], 30)
     pair = entangled_cat_pair(reg2, mode(1), mode(2), 1.0, "-")
     assert displaced_parity_expect(pair, 0.0, 0.0) == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_entangled_cat_pair_has_the_form_of_its_sign(alpha):
+    # with |a> = |E| |e> + |O| |o>: |a,-a> - |-a,a> is 2|E||O| (|o,e> - |e,o>),
+    # and |a,-a> + |-a,a> is 2(|E|^2 |e,e> - |O|^2 |o,o>)
+    reg2 = plain_register([1, 2], coherent_cutoff(alpha))
+    e1, e2, o1, o2 = (cat(reg2, m, alpha, parity) for parity in ("even", "odd")
+                      for m in (mode(1), mode(2)))
+    even_w, odd_w = (1.0 + math.exp(-2.0 * alpha**2)) / 2.0, (1.0 - math.exp(-2.0 * alpha**2)) / 2.0
+    targets = {"-": add(product(o1, e2), scale(product(e1, o2), -1.0)),
+               "+": add(scale(product(e1, e2), even_w), scale(product(o1, o2), -odd_w))}
+    for sign, target in targets.items():
+        pair = entangled_cat_pair(reg2, mode(1), mode(2), alpha, sign)
+        overlap = abs(inner_product(target, pair)) ** 2 / target.norm_sq()
+        assert overlap == pytest.approx(1.0, abs=1e-12), sign
+
+
+#: (call, exception, message) of each input refusal of the state factories
+STATE_REFUSALS = {
+    "pair-at-alpha-0": (lambda: entangled_cat_pair(plain_register([1, 2], 4), mode(1), mode(2),
+                                                   0.0),
+                        DegenerateInputError, "entangled cat pair is undefined at alpha = 0"),
+    "pair-sign": (lambda: entangled_cat_pair(plain_register([1, 2], 4), mode(1), mode(2),
+                                             1.0, "minus"),
+                  ValueError, "sign must be '\\+' or '-', got 'minus'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", STATE_REFUSALS.values(), ids=STATE_REFUSALS)
+def test_state_factories_refuse_bad_input_with_their_own_message(call, error, message):
+    with pytest.raises(error, match=message) as caught:
+        call()
+    assert type(caught.value) is error
